@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -389,7 +390,7 @@ def run_pi(args) -> Report:
 
 
 def run_homotopy_eval(args) -> Report:
-    coords = tuple(float(c) for c in args.point.split(","))
+    coords = Bary(tuple(float(c) for c in args.point.split(","))).coords
     rep = Report("homotopy-eval",
                  {"p": args.p, "k": args.k, "kind": args.kind,
                   "point": list(coords), "s": args.s, "eps": args.eps})
@@ -411,6 +412,26 @@ def run_homotopy_eval(args) -> Report:
 # -- argument parsing -----------------------------------------------------------
 
 
+def _at_least(lo: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+#: the dimensions the deformations are built in
+DIMS = (1, 2, 3)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="smoothsimplex",
@@ -425,36 +446,36 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fill in wall-clock timing (breaks byte-identical reports)")
 
     sp = sub.add_parser("verify-axiom1", help="chart covering and transitions")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    sp.add_argument("--p", type=_at_least(1), default=None)
+    sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
     common(sp)
 
     sp = sub.add_parser("verify-axiom2", help="smoothness probes on affine maps")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--p", type=_at_least(1), default=None)
+    sp.add_argument("--q", type=_at_least(1), default=None)
+    sp.add_argument("--trials", type=_at_least(1), default=10)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--tol", type=float, default=DEFAULT_DERIV_TOL)
+    sp.add_argument("--tol", type=_finite, default=DEFAULT_DERIV_TOL)
     common(sp)
 
     sp = sub.add_parser("verify-axiom3", help="canonical-injection injectivity")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=10000)
+    sp.add_argument("--p", type=_at_least(1), default=None)
+    sp.add_argument("--trials", type=_at_least(1), default=10000)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(sp)
 
     sp = sub.add_parser("verify-axiom4", help="horn deformation contracts")
-    sp.add_argument("--p", type=int, default=None)
+    sp.add_argument("--p", type=int, choices=DIMS, default=None)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
+    sp.add_argument("--tol", type=_finite, default=DEFAULT_TOL)
     common(sp)
 
     sp = sub.add_parser("fill-horn", help="numeric horn filling")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=int, choices=DIMS, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
+    sp.add_argument("--tol", type=_finite, default=DEFAULT_TOL)
     common(sp)
 
     sp = sub.add_parser("rlp", help="right-lifting-property check")
@@ -481,14 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("homotopy-eval", help="evaluate a deformation")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=int, choices=DIMS, required=True)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--kind", choices=("full", "halfopen", "boundary-t"),
                     default="full")
     sp.add_argument("--point", required=True,
                     help="comma-separated barycentric coordinates")
-    sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=0.2)
+    sp.add_argument("--s", type=_finite, required=True)
+    sp.add_argument("--eps", type=_finite, default=0.2)
     common(sp)
 
     return ap
@@ -507,9 +528,19 @@ RUNNERS = {
 }
 
 
-def run(argv: Optional[list[str]] = None) -> tuple[Report, int]:
-    """Parse, execute, and return the report with its exit status."""
-    args = build_parser().parse_args(argv)
+def _parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
+    """Parse ``argv``; bad flags and out-of-range values exit with status 2."""
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    # without --p the axiom commands start at dimension 1
+    top = getattr(args, "p", None) or 1
+    if getattr(args, "k", None) is not None and not 0 <= args.k <= top:
+        ap.error(f"argument --k: horn index {args.k} outside 0..{top}")
+    return args
+
+
+def _execute(args: argparse.Namespace) -> tuple[Report, int]:
+    """Run the parsed command; return the report with its exit status."""
     t0 = time.perf_counter()
     report = RUNNERS[args.command](args)
     if args.measure_time:
@@ -517,25 +548,28 @@ def run(argv: Optional[list[str]] = None) -> tuple[Report, int]:
     return report, (0 if report.ok else 1)
 
 
+def run(argv: Optional[list[str]] = None) -> tuple[Report, int]:
+    """Parse, execute, and return the report with its exit status."""
+    return _execute(_parse_args(argv))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
+    args = _parse_args(argv)
     try:
-        report = RUNNERS[args.command](args)
+        report, code = _execute(args)
+        payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2,
+                             allow_nan=False)
+        if args.json_path:
+            with open(args.json_path, "w") as fh:
+                fh.write(payload + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.measure_time:
-        report.timing_s = time.perf_counter() - t0
-    payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(payload + "\n")
     if args.format == "json":
         print(payload)
     else:
         print(report.render_text())
-    return 0 if report.ok else 1
+    return code
 
 
 if __name__ == "__main__":

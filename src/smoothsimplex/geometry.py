@@ -41,7 +41,7 @@ class Bary:
             if any(c < 0 for c in self.coords):
                 raise ValueError("negative barycentric coordinate")
         else:
-            if abs(total - 1) > FLOAT_TOL:
+            if not abs(total - 1) <= FLOAT_TOL:  # NaN fails too
                 raise ValueError(f"coordinate sum {total} is off by more than {FLOAT_TOL}")
             if any(c < -FLOAT_TOL for c in self.coords):
                 raise ValueError("negative barycentric coordinate")

@@ -31,13 +31,15 @@ retract; the tests check both facts on grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .geometry import Bary, OutOfDomain
 from .steps import SmoothStep, phase_times, two_phase
 
 Vec = tuple[float, ...]
+Step = Callable[[Vec, float], Vec]
 
 #: interior-bump breakpoints (a_q, b_q) on the q-simplex factor: the bump is
 #: 0 where min coord <= a_q and 1 where min coord >= b_q
@@ -46,6 +48,10 @@ CUT = {1: (0.25, 1.0 / 3.0), 2: (1.0 / 9.0, 0.125)}
 #: central-disk threshold: the disk is {min coord >= DISK[p]}, the collar
 #: A^p is its complement
 DISK = {1: 0.4, 2: 0.2, 3: 0.07}
+
+#: the two phases of one cone step: radial toward the cone vertex, then the
+#: collar retraction of the base
+CONE_PHASES = ("radial", "collar")
 
 #: collar retraction stages per ambient dimension: (face_dim, eps) applied
 #: to the good neighborhoods U_I(eps) of the open face_dim-simplices, in
@@ -70,13 +76,10 @@ FAR_STAGES = {2: ((0, 0.48),), 3: ((1, 0.1), (0, 0.48))}
 FACE_EPS = 0.01
 FACE_RAMP = SmoothStep(0.005, 0.01)
 
-_cut_cache: dict[int, Callable[[float], float]] = {}
 
-
+@cache
 def _cut(q: int) -> Callable[[float], float]:
-    if q not in _cut_cache:
-        _cut_cache[q] = SmoothStep(*CUT[q])
-    return _cut_cache[q]
+    return SmoothStep(*CUT[q])
 
 
 def _renorm(coords: Sequence[float]) -> Vec:
@@ -97,45 +100,62 @@ def _swap(z: Vec, a: int, b: int) -> Vec:
     return tuple(out)
 
 
-# -- inductive half-open deformation (cone construction) ---------------------
+def _schedule(names: Sequence[str]) -> tuple:
+    """Named stages on equal subintervals of [0, 1], as ``phase_times``
+    slices them."""
+    m = len(names)
+    return tuple((nm, (i / m, (i + 1) / m)) for i, nm in enumerate(names))
 
-_half_open_cache: dict[int, Callable[[Vec, float], Vec]] = {}
-_collar_cache: dict[int, Callable[[Vec, float], Vec]] = {}
+
+def _run_stages(stages: Sequence[Step], z: Vec, s: float) -> Vec:
+    """The composite of ``stages`` on equal subintervals of [0, 1]; a stage
+    whose local time is still 0 ends it."""
+    if s <= 0.0:
+        return z
+    for step, local in zip(stages, phase_times(s, len(stages))):
+        if local <= 0.0:
+            break
+        z = step(z, local)
+    return z
 
 
-def half_open_core(r: int) -> Callable[[Vec, float], Vec]:
+# -- one cone step and the good-neighborhood stages --------------------------
+
+
+def _radial1(z: Vec, s: float) -> Vec:
+    """Δ^1 onto vertex 0: (1-(1-s)t)(0) + (1-s)t(1)."""
+    t2 = (1.0 - s) * z[1]
+    return (1.0 - t2, t2)
+
+
+def _cone_step(p: int, z: Vec, s: float, softened: bool = False) -> Vec:
+    """Δ^(p+1) seen as the cone on Δ^p with vertex 0: a radial phase toward
+    the vertex damped by the interior bump, then the collar retraction of
+    the base.  ``softened`` damps the collar near the closed base, so the
+    step extends across it."""
+    t = 1.0 - z[0]
+    if t <= 0.0 or s <= 0.0:
+        return z
+    x = tuple(c / t for c in z[1:])
+    mx = min(x)
+    s1, s2 = two_phase(s)
+    g = _cut(p)(mx)
+    if s2 <= 0.0:
+        return _join0(x, (1.0 - g * s1) * t)
+    if mx < DISK[p]:
+        if softened:
+            # 1 away from the closure of the far-face boundary, flat 0 near it
+            s2 *= 1.0 - (1.0 - SHELL(z[0])) * (1.0 - SHELL(mx))
+        x = collar_core(p)(x, s2)
+    return _join0(x, (1.0 - g) * t)  # off the collar g = 1: at the vertex
+
+
+@cache
+def half_open_core(r: int) -> Step:
     """Deformation of ``{z_0 > 0}`` in Δ^r onto the half-open 0-horn."""
-    if r in _half_open_cache:
-        return _half_open_cache[r]
     if r == 1:
-        def ev(v: Vec, s: float) -> Vec:
-            if s <= 0.0:
-                return v
-            t2 = (1.0 - s) * v[1]
-            return (1.0 - t2, t2)
-    else:
-        p = r - 1
-        cut = _cut(p)
-        c_disk = DISK[p]
-        collar = collar_core(p)
-
-        def ev(v: Vec, s: float) -> Vec:
-            t = 1.0 - v[0]
-            if t <= 0.0 or s <= 0.0:
-                return v
-            x = tuple(c / t for c in v[1:])
-            s1, s2 = two_phase(s)
-            g = cut(min(x))
-            if s2 <= 0.0:
-                # radial phase toward the cone vertex, active over the bump
-                return _join0(x, (1.0 - g * s1) * t)
-            t2 = (1.0 - g) * t
-            if min(x) < c_disk:
-                return _join0(collar(x, s2), t2)
-            return _join0(x, t2)  # g = 1 here: already at the vertex
-
-    _half_open_cache[r] = ev
-    return ev
+        return lambda v, s: v if s <= 0.0 else _radial1(v, s)
+    return partial(_cone_step, r - 1)
 
 
 def _class_sets(n: int, face_dim: int, vertices: Sequence[int]) -> tuple:
@@ -144,144 +164,95 @@ def _class_sets(n: int, face_dim: int, vertices: Sequence[int]) -> tuple:
     return tuple(combinations(sorted(vertices), face_dim + 1))
 
 
-def _stage_step(z: Vec, face_dim: int, eps: float, isets: tuple, sigma: float
-                ) -> Vec:
-    """One collar stage applied to ``z``: retract within the first active
-    good neighborhood.  The constants make at most one set active."""
-    n = len(z) - 1
-    for I in isets:
-        S = 0.0
-        ok = True
-        for i in I:
-            if z[i] <= 0.0:
-                ok = False
-                break
-            S += z[i]
-        if not ok or S <= 1.0 - eps:
-            continue
-        J = [j for j in range(n + 1) if j not in I]
-        if face_dim > 0:
-            u = tuple(z[i] / S for i in I)
-            g = _cut(face_dim)(min(u))
-            if g <= 0.0:
-                continue
-            local = g * sigma
-        else:
-            u = (1.0,)
-            local = sigma
-        v = (S,) + tuple(z[j] for j in J)
-        v2 = half_open_core(n - face_dim)(v, local)
-        out = [0.0] * (n + 1)
-        for a, i in enumerate(I):
-            out[i] = v2[0] * u[a]
-        for b, j in enumerate(J):
-            out[j] = v2[b + 1]
-        return _renorm(out)
-    return z
+def _neighborhood(z: Vec, I: tuple, lo: float,
+                  cut: Optional[Callable[[float], float]]) -> Optional[tuple]:
+    """``(S, u, g)`` when ``z`` lies where the good neighborhood of the open
+    face ``I`` acts: mass ``S`` on ``I`` above ``lo``, position ``u`` in the
+    face and bump ``g > 0`` there (1 on vertices); otherwise ``None``."""
+    S = 0.0
+    for i in I:
+        if z[i] <= 0.0:
+            return None
+        S += z[i]
+    if S <= lo:
+        return None
+    if cut is None:
+        return S, (1.0,), 1.0
+    u = tuple(z[i] / S for i in I)
+    g = cut(min(u))
+    return (S, u, g) if g > 0.0 else None
+
+
+def _stage_data(face_dim: int, eps: float) -> tuple:
+    return 1.0 - eps, (_cut(face_dim) if face_dim > 0 else None)
 
 
 def active_sets(z: Vec, face_dim: int, eps: float, isets: tuple) -> list:
     """The index sets whose stage would move ``z``; used by the disjointness
     tests."""
-    n = len(z) - 1
-    out = []
-    for I in isets:
-        if any(z[i] <= 0.0 for i in I):
-            continue
-        S = sum(z[i] for i in I)
-        if S <= 1.0 - eps:
-            continue
-        if face_dim > 0:
-            u = tuple(z[i] / S for i in I)
-            if _cut(face_dim)(min(u)) <= 0.0:
+    lo, cut = _stage_data(face_dim, eps)
+    return [I for I in isets if _neighborhood(z, I, lo, cut) is not None]
+
+
+def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
+                ) -> Step:
+    """One stage in Δ^n: retract within the first good neighborhood
+    ``U_I(eps)`` of an open ``face_dim``-simplex spanned by ``vertices`` that
+    acts on the point.  The constants make at most one of them act."""
+    lo, cut = _stage_data(face_dim, eps)
+    core = half_open_core(n - face_dim)
+    sets = [(I, [j for j in range(n + 1) if j not in I])
+            for I in _class_sets(n, face_dim, vertices)]
+
+    def step(z: Vec, sigma: float) -> Vec:
+        for I, J in sets:
+            hit = _neighborhood(z, I, lo, cut)
+            if hit is None:
                 continue
-        out.append(I)
-    return out
+            S, u, g = hit
+            v2 = core((S,) + tuple(z[j] for j in J), g * sigma)
+            out = [0.0] * (n + 1)
+            for i, c in zip(I, u):
+                out[i] = v2[0] * c
+            for j, c in zip(J, v2[1:]):
+                out[j] = c
+            return _renorm(out)
+        return z
+
+    return step
 
 
-def collar_core(p: int) -> Callable[[Vec, float], Vec]:
+@cache
+def collar_core(p: int) -> Step:
     """Staged retraction of the collar ``{min coord < DISK[p]}`` of Δ^p onto
     the boundary, fixing the boundary pointwise."""
-    if p in _collar_cache:
-        return _collar_cache[p]
-    stages = [(fd, eps, _class_sets(p, fd, range(p + 1)))
-              for fd, eps in COLLAR_STAGES[p]]
-    n_stages = len(stages)
-
-    def ev(x: Vec, s: float) -> Vec:
-        if s <= 0.0:
-            return x
-        for (fd, eps, isets), sl in zip(stages, phase_times(s, n_stages)):
-            if sl <= 0.0:
-                break
-            x = _stage_step(x, fd, eps, isets, sl)
-        return x
-
-    _collar_cache[p] = ev
-    return ev
+    return partial(_run_stages, [_nbhd_stage(p, fd, eps, range(p + 1))
+                                 for fd, eps in COLLAR_STAGES[p]])
 
 
 # -- full-horn deformation ----------------------------------------------------
 
 
-def _full_horn_core(n: int) -> Callable[[Vec, float], Vec]:
-    """Deformation of Δ^n onto the horn at vertex 0."""
-    if n == 1:
-        def ev1(z: Vec, s: float) -> Vec:
-            t2 = (1.0 - s) * z[1]
-            return (1.0 - t2, t2)
-        return ev1
+def _face_flow(p: int, z: Vec, sigma: float) -> Vec:
+    """The collar retraction inside the far face Δ^p, ramped in near it."""
+    z0 = z[0]
+    if z0 >= FACE_EPS:
+        return z
+    t = 1.0 - z0
+    x = tuple(c / t for c in z[1:])
+    if min(x) >= DISK[p]:
+        return z
+    return _join0(collar_core(p)(x, (1.0 - FACE_RAMP(z0)) * sigma), t)
 
-    p = n - 1
-    cut = _cut(p)
-    c_disk = DISK[p]
-    collar = collar_core(p)
-    far_stages = [(fd, eps, _class_sets(n, fd, range(1, n + 1)))
-                  for fd, eps in FAR_STAGES[n]]
-    n_phases = 2 + len(far_stages)
 
-    def soften(z: Vec, mx: float) -> float:
-        # 1 away from the closure of the far-face boundary, flat 0 near it
-        return 1.0 - (1.0 - SHELL(z[0])) * (1.0 - SHELL(mx))
-
-    def phase_one(z: Vec, sigma: float) -> Vec:
-        t = 1.0 - z[0]
-        if t <= 0.0 or sigma <= 0.0:
-            return z
-        x = tuple(c / t for c in z[1:])
-        mx = min(x)
-        s1, s2 = two_phase(sigma)
-        g = cut(mx)
-        if s2 <= 0.0:
-            return _join0(x, (1.0 - g * s1) * t)
-        t2 = (1.0 - g) * t
-        if mx < c_disk:
-            return _join0(collar(x, soften(z, mx) * s2), t2)
-        return _join0(x, t2)
-
-    def face_flow(z: Vec, sigma: float) -> Vec:
-        z0 = z[0]
-        if z0 >= FACE_EPS or sigma <= 0.0:
-            return z
-        t = 1.0 - z0
-        x = tuple(c / t for c in z[1:])
-        if min(x) >= c_disk:
-            return z
-        x2 = collar(x, (1.0 - FACE_RAMP(z0)) * sigma)
-        return _join0(x2, t)
-
-    def ev(z: Vec, s: float) -> Vec:
-        if s <= 0.0:
-            return z
-        locs = phase_times(s, n_phases)
-        z = phase_one(z, locs[0])
-        for (fd, eps, isets), sl in zip(far_stages, locs[1:]):
-            if sl <= 0.0:
-                return z
-            z = _stage_step(z, fd, eps, isets, sl)
-        return face_flow(z, locs[-1])
-
-    return ev
+@cache
+def _full_horn_stages(n: int) -> tuple[tuple[str, Step], ...]:
+    """Named stages of the deformation of Δ^n (n >= 2) onto the horn at
+    vertex 0."""
+    far = tuple((f"far-face-dim-{fd}", _nbhd_stage(n, fd, eps, range(1, n + 1)))
+                for fd, eps in FAR_STAGES[n])
+    return (("softened-horn", partial(_cone_step, n - 1, softened=True)),
+            *far, ("face-flow", partial(_face_flow, n - 1)))
 
 
 # -- public wrappers ----------------------------------------------------------
@@ -296,7 +267,7 @@ class EvaluableHomotopy:
     domain: str
     p: int
     schedule: tuple[tuple[str, tuple[float, float]], ...]
-    _eval: Callable[[Vec, float], Vec] = field(repr=False)
+    _eval: Step = field(repr=False)
     _domain_check: Callable[[Vec], bool] = field(repr=False, default=None)
 
     def __call__(self, point, s: float) -> Bary:
@@ -326,8 +297,7 @@ class EvaluableHomotopy:
         return self.schedule[-1][0]
 
 
-def _conjugated(core: Callable[[Vec, float], Vec], k: int
-                ) -> Callable[[Vec, float], Vec]:
+def _conjugated(core: Step, k: int) -> Step:
     if k == 0:
         return core
 
@@ -337,44 +307,41 @@ def _conjugated(core: Callable[[Vec, float], Vec], k: int
     return ev
 
 
-def build_halfopen_deformation(n: int, k: int) -> EvaluableHomotopy:
-    """Deformation of the half-open simplex ``{z_k > 0}`` in Δ^n onto the
-    half-open horn at ``k`` (Λ^n_k minus the boundary of the opposite face).
-    """
+def _check_horn(n: int, k: int) -> None:
     if n not in (1, 2, 3):
         raise ValueError("only dimensions 1 to 3 are built")
     if not 0 <= k <= n:
         raise ValueError(f"horn index {k} out of range")
-    core = _conjugated(half_open_core(n), k)
-    if n == 1:
-        schedule = (("radial", (0.0, 1.0)),)
-    else:
-        schedule = (("radial", (0.0, 0.5)), ("collar", (0.5, 1.0)))
+
+
+def build_halfopen_deformation(n: int, k: int) -> EvaluableHomotopy:
+    """Deformation of the half-open simplex ``{z_k > 0}`` in Δ^n onto the
+    half-open horn at ``k`` (Λ^n_k minus the boundary of the opposite face).
+    """
+    _check_horn(n, k)
+    # the base Δ^0 of the cone on Δ^1 has no collar
+    names = CONE_PHASES if n > 1 else CONE_PHASES[:1]
     return EvaluableHomotopy(
         name=f"halfopen({n},{k})",
         domain=f"half-open simplex z_{k}>0 in dim {n}",
-        p=n, schedule=schedule, _eval=core,
+        p=n, schedule=_schedule(names),
+        _eval=_conjugated(half_open_core(n), k),
         _domain_check=lambda z: z[k] > 0.0)
 
 
 def build_full_horn_deformation(n: int, k: int) -> EvaluableHomotopy:
     """Deformation of Δ^n onto the horn ``Λ^n_k``, fixing the horn pointwise."""
-    if n not in (1, 2, 3):
-        raise ValueError("only dimensions 1 to 3 are built")
-    if not 0 <= k <= n:
-        raise ValueError(f"horn index {k} out of range")
-    core = _conjugated(_full_horn_core(n), k)
+    _check_horn(n, k)
     if n == 1:
-        schedule = (("radial", (0.0, 1.0)),)
+        # the formula itself, also at s = 0
+        names, core = CONE_PHASES[:1], _radial1
     else:
-        names = ["softened-horn"] + [
-            f"far-face-dim-{fd}" for fd, _ in FAR_STAGES[n]] + ["face-flow"]
-        m = len(names)
-        schedule = tuple((nm, (i / m, (i + 1) / m)) for i, nm in enumerate(names))
+        names, steps = zip(*_full_horn_stages(n))
+        core = partial(_run_stages, steps)
     return EvaluableHomotopy(
         name=f"fullhorn({n},{k})",
         domain=f"Δ^{n}",
-        p=n, schedule=schedule, _eval=core)
+        p=n, schedule=_schedule(names), _eval=_conjugated(core, k))
 
 
 def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
@@ -417,5 +384,5 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
         name=f"boundaryT({p},{eps})",
         domain=f"Δ^{p}",
         p=p,
-        schedule=(("radial-push", (0.0, 0.5)), ("collar", (0.5, 1.0))),
+        schedule=_schedule(("radial-push", "collar")),
         _eval=ev)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .engine import pi0
 from .geometry import Bary, Number
 from .simplicial import (
     EMPTY,
@@ -147,26 +148,6 @@ def maximal_simplices(K: FiniteSimplicialSet) -> list[SimplexRef]:
     return [r for r in K.nondegenerate() if r.id not in proper_faces]
 
 
-def _is_connected(K: FiniteSimplicialSet) -> bool:
-    verts = K.nondegenerate(0)
-    if len(verts) <= 1:
-        return True
-    parent = {v.id: v.id for v in verts}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in K.nondegenerate(1):
-        a = find(K.face((EMPTY, e), 0)[1].id)
-        b = find(K.face((EMPTY, e), 1)[1].id)
-        parent[a] = b
-    roots = {find(v.id) for v in verts}
-    return len(roots) == 1
-
-
 def _vertex_ids(K: FiniteSimplicialSet, ref: SimplexRef) -> tuple[int, ...]:
     return tuple(tgt.id for _, tgt in K.vertices_of((EMPTY, ref)))
 
@@ -184,7 +165,7 @@ def witness_not_single_generated(K: FiniteSimplicialSet) -> Optional[dict]:
     vertex, plus a piecewise-linear crossing-curve specification through
     that vertex.  Returns ``None`` when the premise fails.
     """
-    if not _is_connected(K):
+    if pi0(K)[0] > 1:
         return None
     maxima = sorted(maximal_simplices(K), key=lambda r: _sort_key(K, r))
     if len(maxima) < 2:

@@ -379,6 +379,16 @@ def enumerate_simplices(X: FiniteSimplicialSet, n: int) -> list[Simplex]:
 # -- colimits --------------------------------------------------------------
 
 
+def _extend_by_copy(m: SimplicialMap, ref: SimplexRef) -> None:
+    """Add a copy of ``ref`` to ``m.target``, its faces pushed through ``m``,
+    and map ``ref`` to it."""
+    K = m.source
+    faces = [m(K.face((EMPTY, ref), i))
+             for i in range(ref.dim + 1)] if ref.dim else None
+    m.assignment[ref.id] = (EMPTY, m.target.add_simplex(
+        ref.dim, faces, label=K.labels.get(ref.id)))
+
+
 def pushout(f: SimplicialMap, g: SimplicialMap
             ) -> tuple[FiniteSimplicialSet, SimplicialMap, SimplicialMap]:
     """Pushout of ``X ←f− A −g→ B`` where ``f`` is a subcomplex inclusion.
@@ -395,41 +405,16 @@ def pushout(f: SimplicialMap, g: SimplicialMap
     hit = {f.assignment[a.id][1].id: a for a in A.nondegenerate()}
 
     P = FiniteSimplicialSet(f"{X.name}∪{B.name}")
-    ax: dict[int, Simplex] = {}   # X-nondeg id -> simplex of P
-    ab: dict[int, Simplex] = {}   # B-nondeg id -> simplex of P
-
-    def push_b(sx: Simplex) -> Simplex:
-        word, ref = sx
-        w2, tgt = ab[ref.id]
-        return (words.concat(word, w2), tgt)
+    in_b = SimplicialMap(B, P, {}, "in_B")
+    in_x = SimplicialMap(X, P, {}, "in_X")
 
     for ref in B.nondegenerate():
-        if ref.dim == 0:
-            ab[ref.id] = (EMPTY, P.add_simplex(0, label=B.labels.get(ref.id)))
-        else:
-            faces = [push_b(B.face((EMPTY, ref), i)) for i in range(ref.dim + 1)]
-            ab[ref.id] = (EMPTY, P.add_simplex(ref.dim, faces,
-                                               label=B.labels.get(ref.id)))
-
-    def push_x(sx: Simplex) -> Simplex:
-        word, ref = sx
-        w2, tgt = ax[ref.id]
-        return (words.concat(word, w2), tgt)
-
+        _extend_by_copy(in_b, ref)
     for ref in X.nondegenerate():
         if ref.id in hit:
-            a = hit[ref.id]
-            ax[ref.id] = push_b(g.assignment[a.id])
-            continue
-        if ref.dim == 0:
-            ax[ref.id] = (EMPTY, P.add_simplex(0, label=X.labels.get(ref.id)))
+            in_x.assignment[ref.id] = in_b(g.assignment[hit[ref.id].id])
         else:
-            faces = [push_x(X.face((EMPTY, ref), i)) for i in range(ref.dim + 1)]
-            ax[ref.id] = (EMPTY, P.add_simplex(ref.dim, faces,
-                                               label=X.labels.get(ref.id)))
-
-    in_x = SimplicialMap(X, P, {r.id: ax[r.id] for r in X.nondegenerate()}, "in_X")
-    in_b = SimplicialMap(B, P, {r.id: ab[r.id] for r in B.nondegenerate()}, "in_B")
+            _extend_by_copy(in_x, ref)
     return P, in_x, in_b
 
 
@@ -442,13 +427,7 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
     """
     C = FiniteSimplicialSet(f"Cone({L.name})")
     apex = C.add_simplex(0, label="apex")
-    base: dict[int, Simplex] = {}
-
-    def push_base(sx: Simplex) -> Simplex:
-        word, ref = sx
-        w2, tgt = base[ref.id]
-        return (words.concat(word, w2), tgt)
-
+    incl = SimplicialMap(L, C, {}, "base")
     lifted: dict[int, Simplex] = {}
 
     def push_cone(sx: Simplex) -> Simplex:
@@ -459,25 +438,16 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
         return (words.concat(shifted, w2), tgt)
 
     for ref in L.nondegenerate():
-        if ref.dim == 0:
-            base[ref.id] = (EMPTY, C.add_simplex(0, label=L.labels.get(ref.id)))
-        else:
-            faces = [push_base(L.face((EMPTY, ref), i))
-                     for i in range(ref.dim + 1)]
-            base[ref.id] = (EMPTY, C.add_simplex(ref.dim, faces,
-                                                 label=L.labels.get(ref.id)))
+        _extend_by_copy(incl, ref)
     for ref in L.nondegenerate():
         n = ref.dim
-        faces = [base[ref.id]]
+        faces = [incl.assignment[ref.id]]
         if n == 0:
             faces.append((EMPTY, apex))
         else:
             for i in range(1, n + 2):
                 faces.append(push_cone(L.face((EMPTY, ref), i - 1)))
         lifted[ref.id] = (EMPTY, C.add_simplex(n + 1, faces))
-
-    incl = SimplicialMap(L, C, {r.id: base[r.id] for r in L.nondegenerate()},
-                         "base")
     return C, incl, apex
 
 

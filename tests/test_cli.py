@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from smoothsimplex.cli import main, named_complex, named_map, run
+from smoothsimplex import cli
+from smoothsimplex.cli import Report, main, named_complex, named_map, run
 
 
 def invoke(argv):
@@ -105,6 +106,54 @@ def test_cli_error_on_unknown_map(capsys):
     rc = main(["rlp", "--map", "nonsense", "--gens", "J"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-axiom1", "--p", "0"],
+    ["verify-axiom1", "--grid", "0"],
+    ["verify-axiom2", "--trials", "0"],
+    ["verify-axiom2", "--q", "-1"],
+    ["verify-axiom3", "--trials", "0"],
+    ["verify-axiom4", "--p", "4"],
+    ["verify-axiom4", "--p", "2", "--k", "3"],
+    ["verify-axiom4", "--k", "2"],
+    ["verify-axiom4", "--grid", "0"],
+    ["verify-axiom4", "--p", "1", "--tol", "nan"],
+    ["fill-horn", "--p", "0", "--k", "0"],
+    ["fill-horn", "--p", "2", "--k", "-1"],
+    ["homotopy-eval", "--p", "4", "--point", "1,0,0,0,0", "--s", "0.5"],
+    ["homotopy-eval", "--p", "1", "--point", "0.5,0.5", "--s", "inf"],
+], ids=" ".join)
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    for entry in (main, run):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if "error:" in ln] == \
+            [err.splitlines()[-1]]
+        assert "error: argument" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("point", ["nan,1", "0.5,nan", "inf,0", "inf,-inf"])
+def test_homotopy_eval_rejects_non_finite_points(point, capsys):
+    rc = main(["homotopy-eval", "--p", "1", "--point", point, "--s", "1",
+               "--format", "json"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and len(out.err.splitlines()) == 1
+
+
+def test_main_never_prints_nan(monkeypatch, capsys):
+    def nan_report(args):
+        rep = Report("pi", {})
+        rep.add("nan", True, max_violation=float("nan"))
+        return rep
+
+    monkeypatch.setitem(cli.RUNNERS, "pi", nan_report)
+    assert main(["pi", "--complex", "delta0", "--format", "json"]) == 2
+    assert "NaN" not in capsys.readouterr().out
 
 
 def test_named_registry():

@@ -39,6 +39,13 @@ def test_bary_validation():
         Bary.of(0.5, 0.5, 0.1)
 
 
+@pytest.mark.parametrize("coords", [(float("nan"), 1.0), (0.5, float("nan"), 0.5),
+                                    (float("inf"), 0.0), (float("inf"), -float("inf"))])
+def test_bary_rejects_nan_and_inf(coords):
+    with pytest.raises(ValueError):
+        Bary(coords)
+
+
 def test_grid_counts():
     # C(steps + p, p) points on the step-1/steps grid
     assert len(barycentric_grid(2, 4)) == 15

@@ -206,6 +206,35 @@ def test_schedule_names():
     assert H.stage_of(1.0) == "face-flow"
 
 
+#: the stage names of every builder, from the construction in the README
+STAGE_NAMES = {
+    ("full", 1): ["radial"],
+    ("full", 2): ["softened-horn", "far-face-dim-0", "face-flow"],
+    ("full", 3): ["softened-horn", "far-face-dim-1", "far-face-dim-0",
+                  "face-flow"],
+    ("halfopen", 1): ["radial"],
+    ("halfopen", 2): ["radial", "collar"],
+    ("halfopen", 3): ["radial", "collar"],
+    ("boundary-t", 1): ["radial-push", "collar"],
+    ("boundary-t", 2): ["radial-push", "collar"],
+    ("boundary-t", 3): ["radial-push", "collar"],
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(STAGE_NAMES))
+def test_stage_of_names_each_interval(kind, n):
+    H = {"full": lambda: build_full_horn_deformation(n, 0),
+         "halfopen": lambda: build_halfopen_deformation(n, 0),
+         "boundary-t": lambda: build_boundary_homotopy_T(n, 0.2)}[kind]()
+    names = STAGE_NAMES[kind, n]
+    assert [nm for nm, _ in H.schedule] == names
+    # equal consecutive subintervals tiling [0, 1]
+    m = len(names)
+    for i, (name, (lo, hi)) in enumerate(H.schedule):
+        assert (lo, hi) == (i / m, (i + 1) / m)
+        assert H.stage_of(0.5 * (lo + hi)) == name
+
+
 def test_rejects_unsupported_dimension():
     with pytest.raises(ValueError):
         build_full_horn_deformation(4, 0)
