@@ -206,7 +206,7 @@ def test_schedule_names():
     assert H.stage_of(1.0) == "face-flow"
 
 
-#: the stage names of every builder, from the construction in the README
+#: the stage names of each deformation, from the construction in the README
 STAGE_NAMES = {
     ("full", 1): ["radial"],
     ("full", 2): ["softened-horn", "far-face-dim-0", "face-flow"],
