@@ -112,6 +112,9 @@ def load_map_file(path: str) -> SimplicialMap:
     "target": <complex>, "assignment": {...}}`` in the library formats."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not {"source", "target"} <= data.keys():
+        raise ValueError(f'{path}: a map file must be a JSON object with '
+                         '"source", "target" and "assignment"')
     source = FiniteSimplicialSet.from_json_dict(data["source"], "source")
     target = FiniteSimplicialSet.from_json_dict(data["target"], "target")
     return SimplicialMap.from_json_dict(data, source, target)
@@ -497,8 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("pi", help="components and edge-group rank")
-    sp.add_argument("--complex", default=None)
-    sp.add_argument("--complex-file", default=None)
+    which = sp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--complex", default=None)
+    which.add_argument("--complex-file", default=None)
     common(sp)
 
     sp = sub.add_parser("homotopy-eval", help="evaluate a deformation")

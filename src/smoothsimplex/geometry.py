@@ -255,8 +255,8 @@ def chart_transition(i: int, j: int, y: Bary, tau: Number, t: Number
         raise OutOfDomain(f"tau={tau} outside (0, 1]")
     if not (0 < t < 1):
         raise OutOfDomain(f"t={t} outside (0, 1)")
+    # 0 <= 1 - tau < 1 forces denom >= 1 - t > 0
     denom = 1 - t * (1 - tau)
-    assert denom > 0, "transition denominator vanished inside its domain"
     s = t * tau / denom
     t_new = 1 - t * (1 - tau)
     return (y, s, t_new)

@@ -54,6 +54,8 @@ class FiniteSimplicialSet:
         self._faces: dict[int, list[Simplex]] = {}
         self.labels: dict[int, object] = {}
         self._next_id = 0
+        # derived lookups, each stamped with the _next_id it was built at
+        self._cache: dict[object, tuple[int, object]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -127,6 +129,41 @@ class FiniteSimplicialSet:
             raise ValueError(f"degeneracy index {j} out of range")
         return (words.prepend_degeneracy(j, word), ref)
 
+    def _cached(self, key: object, build: Callable[[], object]):
+        """``build()``, kept until the complex grows.  A complex only ever
+        gains simplices, so its size ``_next_id`` tells whether a lookup
+        built from it is stale."""
+        hit = self._cache.get(key)
+        if hit is None or hit[0] != self._next_id:
+            hit = self._cache[key] = (self._next_id, build())
+        return hit[1]
+
+    def faces_index(self, n: int) -> tuple[dict[Simplex, tuple[Simplex, ...]],
+                                           dict[tuple[Simplex, ...], list[Simplex]]]:
+        """``(faces_of, with_faces)`` for the ``n``-simplices, degenerate ones
+        included: ``faces_of[z]`` is ``(d_0 z, ..., d_n z)`` (``()`` for a
+        vertex), and ``with_faces[t]`` lists the simplices whose faces are
+        ``t``, in :meth:`simplices` order."""
+        def build():
+            faces_of: dict[Simplex, tuple[Simplex, ...]] = {}
+            with_faces: dict[tuple[Simplex, ...], list[Simplex]] = {}
+            for z in self.simplices(n):
+                t = tuple(self.face(z, i) for i in range(n + 1)) if n else ()
+                faces_of[z] = t
+                with_faces.setdefault(t, []).append(z)
+            return faces_of, with_faces
+        return self._cached(("faces", n), build)
+
+    def horn_index(self, n: int, k: int) -> dict[tuple[Simplex, ...], list[Simplex]]:
+        """The ``n``-simplices by their faces other than ``d_k``, in
+        :meth:`simplices` order: the fillers of each ``Λ[n,k]``-shaped horn."""
+        def build():
+            out: dict[tuple[Simplex, ...], list[Simplex]] = {}
+            for z, t in self.faces_index(n)[0].items():
+                out.setdefault(t[:k] + t[k + 1:], []).append(z)
+            return out
+        return self._cached(("horn", n, k), build)
+
     def simplices(self, n: int) -> Iterator[Simplex]:
         """All ``n``-simplices, degenerate ones included, in a fixed order."""
         for m in range(n + 1):
@@ -182,18 +219,26 @@ class FiniteSimplicialSet:
 
     @classmethod
     def from_json_dict(cls, data: dict, name: str = "") -> "FiniteSimplicialSet":
+        if not isinstance(data, dict) or not isinstance(data.get("dims"), list):
+            raise ValueError('a complex must be a JSON object with a "dims" list')
+        faces = data.get("faces", {})
+        if not isinstance(faces, dict):
+            raise ValueError('"faces" of a complex must be a JSON object')
         out = cls(name)
         id_map: dict[int, SimplexRef] = {}
-        faces_raw = {int(k): v for k, v in data.get("faces", {}).items()}
+        faces_raw = {int(k): v for k, v in faces.items()}
         for dim, ids in enumerate(data["dims"]):
+            if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+                raise ValueError(f'"dims"[{dim}] must be a list of simplex ids')
             for ident in ids:
                 if dim == 0:
                     id_map[ident] = out.add_simplex(0)
-                else:
-                    face_list = []
-                    for word, tgt in faces_raw[ident]:
-                        face_list.append((tuple(word), id_map[tgt]))
-                    id_map[ident] = out.add_simplex(dim, face_list)
+                    continue
+                face_list = faces_raw.get(ident)
+                if not isinstance(face_list, list):
+                    raise ValueError(f"simplex {ident} needs a list of faces")
+                id_map[ident] = out.add_simplex(
+                    dim, [_simplex_from_json(e, id_map) for e in face_list])
         out.validate()
         return out
 
@@ -275,12 +320,23 @@ class SimplicialMap:
     @classmethod
     def from_json_dict(cls, data: dict, source: FiniteSimplicialSet,
                        target: FiniteSimplicialSet) -> "SimplicialMap":
-        assignment = {
-            int(k): (tuple(word), target.ref(tgt))
-            for k, (word, tgt) in data["assignment"].items()}
+        raw = data.get("assignment") if isinstance(data, dict) else None
+        if not isinstance(raw, dict):
+            raise ValueError('a map must be a JSON object with an "assignment" object')
+        assignment = {int(k): _simplex_from_json(v, target._refs)
+                      for k, v in raw.items()}
         out = cls(source, target, assignment)
         out.validate()
         return out
+
+
+def _simplex_from_json(entry: object, refs: dict[int, SimplexRef]) -> Simplex:
+    """A ``[word, simplex id]`` pair as a simplex over ``refs``."""
+    if not (isinstance(entry, list) and len(entry) == 2
+            and isinstance(entry[0], list) and all(type(j) is int for j in entry[0])
+            and type(entry[1]) is int and entry[1] in refs):
+        raise ValueError(f"expected [word, known simplex id], got {entry!r:.60}")
+    return (tuple(entry[0]), refs[entry[1]])
 
 
 # -- standard complexes ---------------------------------------------------
@@ -309,10 +365,12 @@ def standard_simplicial_set(p: int) -> FiniteSimplicialSet:
 
 def vertex_ref(X: FiniteSimplicialSet, verts: tuple[int, ...]) -> SimplexRef:
     """Look up a simplex of a vertex-labelled complex by its vertex tuple."""
-    for ident, label in X.labels.items():
-        if label == verts:
-            return X.ref(ident)
-    raise KeyError(verts)
+    def build() -> dict[object, SimplexRef]:
+        by_label: dict[object, SimplexRef] = {}
+        for ident, label in X.labels.items():
+            by_label.setdefault(label, X.ref(ident))
+        return by_label
+    return X._cached("labels", build)[verts]
 
 
 def _sub_of_standard(p: int, keep: Callable[[tuple[int, ...]], bool],
@@ -463,29 +521,17 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
 
     ``pinned`` fixes the image of selected nondegenerate simplices of ``A``;
     ``cell_filter`` prunes candidate images cell by cell.
+
+    Cells are visited by dimension, so the faces of a cell already have
+    images when the cell is reached; its candidates are the simplices of
+    ``X`` with exactly those faces, looked up in ``X.faces_index``.
     """
     order = A.nondegenerate()
-    candidates: dict[int, list[Simplex]] = {}
-    for ref in order:
-        candidates[ref.dim] = candidates.get(ref.dim) or enumerate_simplices(X, ref.dim)
+    index = {n: X.faces_index(n) for n in {ref.dim for ref in order}}
 
-    assignment: dict[int, Simplex] = {}
+    partial = SimplicialMap(A, X, {})
+    assignment = partial.assignment
     count = 0
-
-    def consistent(ref: SimplexRef, img: Simplex) -> bool:
-        if cell_filter is not None and not cell_filter(ref, img):
-            return False
-        if ref.dim == 0:
-            return True
-        for i in range(ref.dim + 1):
-            w, tgt = A.face((EMPTY, ref), i)
-            if tgt.id not in assignment:
-                continue
-            iw, itgt = assignment[tgt.id]
-            expect = (words.concat(w, iw), itgt)
-            if X.face(img, i) != expect:
-                return False
-        return True
 
     def rec(pos: int) -> Iterator[SimplicialMap]:
         nonlocal count
@@ -496,10 +542,15 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
             yield SimplicialMap(A, X, dict(assignment))
             return
         ref = order[pos]
-        opts = ([pinned[ref.id]] if pinned and ref.id in pinned
-                else candidates[ref.dim])
+        faces_of, with_faces = index[ref.dim]
+        expect = tuple(map(partial, A._faces[ref.id])) if ref.dim else ()
+        if pinned and ref.id in pinned:
+            img = pinned[ref.id]
+            opts = [img] if faces_of.get(img) == expect else []
+        else:
+            opts = with_faces.get(expect, [])
         for img in opts:
-            if consistent(ref, img):
+            if cell_filter is None or cell_filter(ref, img):
                 assignment[ref.id] = img
                 yield from rec(pos + 1)
                 del assignment[ref.id]
@@ -511,20 +562,10 @@ def horn_fillers(X: FiniteSimplicialSet, horn_map: SimplicialMap,
                  p: int, k: int) -> list[Simplex]:
     """All p-simplices of ``X`` filling a horn map ``Λ[p,k] → X``."""
     A = horn_map.source
-    fillers = []
-    for z in enumerate_simplices(X, p):
-        ok = True
-        for i in range(p + 1):
-            if i == k:
-                continue
-            facet = tuple(j for j in range(p + 1) if j != i)
-            img = horn_map.assignment[vertex_ref(A, facet).id]
-            if X.face(z, i) != img:
-                ok = False
-                break
-        if ok:
-            fillers.append(z)
-    return fillers
+    horn_faces = tuple(
+        horn_map.assignment[vertex_ref(A, tuple(j for j in range(p + 1) if j != i)).id]
+        for i in range(p + 1) if i != k)
+    return list(X.horn_index(p, k).get(horn_faces, []))
 
 
 def is_kan_up_to(X: FiniteSimplicialSet, n_max: int) -> list[dict]:

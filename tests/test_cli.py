@@ -156,6 +156,38 @@ def test_main_never_prints_nan(monkeypatch, capsys):
     assert "NaN" not in capsys.readouterr().out
 
 
+_POINT = {"dims": [[0]]}
+_RLP = ["rlp", "--gens", "J", "--map-file", "{file}"]
+_PI = ["pi", "--complex-file", "{file}"]
+
+
+@pytest.mark.parametrize("argv, body", [
+    (_RLP, {}),
+    (_RLP, [1]),
+    (_RLP, {"source": [1], "target": _POINT, "assignment": {}}),
+    (_RLP, {"source": _POINT, "target": _POINT}),
+    (_RLP, {"source": _POINT, "target": _POINT, "assignment": {"0": [[], 7]}}),
+    (["factorize", "--gens", "J", "--map-file", "{file}"], {
+        "source": {"dims": [[0], [1]], "faces": {"1": [[[], 0], 5]}},
+        "target": _POINT, "assignment": {}}),
+    (_PI, [1]),
+    (_PI, {"dims": [[0], [1]]}),
+    (_PI, {"dims": [[0], [1]], "faces": []}),
+    (["pi"], None),
+    (["pi", "--complex", "delta1", "--complex-file", "{file}"], _POINT),
+])
+def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body))
+    try:
+        code = main([str(path) if a == "{file}" else a for a in argv])
+    except SystemExit as exc:   # argparse usage errors
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if "error:" in ln] == [err.splitlines()[-1]]
+
+
 def test_named_registry():
     assert named_complex("delta2").counts() == [3, 3, 1]
     assert named_complex("horn3_1").counts() == [4, 6, 3]

@@ -79,6 +79,13 @@ def test_rlp_boundary_pair_fails_I():
     assert not report.has_rlp
 
 
+def test_rlp_collapse_boundary3_totals():
+    # totals from the vertex-sequence oracle of the benchmark: 488 squares
+    # from J up to dimension 4 to Boundary[3] -> Delta[0], 24 without a lift
+    report = rlp_check(collapse_map(boundary_complex(3)[0]), GeneratingSet("J", 4))
+    assert (report.checked, len(report.failures)) == (488, 24)
+
+
 def test_rlp_identity_always_lifts():
     for X in (standard_simplicial_set(1), horn_complex(2, 0)[0]):
         f = SimplicialMap.identity(X)

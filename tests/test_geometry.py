@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -216,6 +217,20 @@ def test_transition_domain_checks():
         chart_transition(0, 1, y, F(1, 2), F(1))
     with pytest.raises(ValueError):
         chart_transition(1, 1, y, F(1, 2), F(1, 2))
+
+
+@pytest.mark.parametrize("t, tau", [
+    (1 - F(1, 10**12), F(1)),
+    (1 - F(1, 10**12), F(1, 10**12)),
+    (math.nextafter(1.0, 0.0), 1.0),
+    (math.nextafter(1.0, 0.0), math.nextafter(0.0, 1.0)),
+], ids=["fraction-tau-1", "fraction-tau-tiny", "float-tau-1", "float-tau-tiny"])
+def test_transition_at_domain_edges(t, tau):
+    # t just below 1 with tau at either end of (0, 1]: the denominator
+    # 1 - t(1 - tau) is smallest here, yet s and t' stay in (0, 1]
+    _, s, t_new = chart_transition(0, 1, Bary.of(F(1)), tau, t)
+    for v in (s, t_new):
+        assert math.isfinite(v) and 0 < v <= 1
 
 
 # -- good neighborhoods ------------------------------------------------------------

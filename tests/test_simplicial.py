@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from smoothsimplex.simplicial import (
     enumerate_maps,
     enumerate_simplices,
     horn_complex,
+    horn_fillers,
     is_kan_up_to,
     pushout,
     standard_simplicial_set,
@@ -365,12 +367,96 @@ def test_cone_cell_count(seed):
     incl.validate()
 
 
+# -- indexed map search ---------------------------------------------------------
+
+SEARCH_TARGETS = {
+    "Delta[2]": lambda: standard_simplicial_set(2),
+    "Delta[3]": lambda: standard_simplicial_set(3),
+    "Boundary[3]": lambda: boundary_complex(3)[0],
+    "Cone(Boundary[2])": lambda: cone(boundary_complex(2)[0])[0],
+}
+SEARCH_HORNS = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+def brute_force_maps(A, X):
+    """Every map A -> X as an assignment: the product of all images of each
+    nondegenerate cell, in ``A.nondegenerate()`` order, kept when
+    ``SimplicialMap.validate`` accepts it."""
+    cells = A.nondegenerate()
+    out = []
+    for imgs in product(*(list(X.simplices(r.dim)) for r in cells)):
+        m = SimplicialMap(A, X, {r.id: img for r, img in zip(cells, imgs)})
+        try:
+            m.validate()
+        except ValueError:
+            continue
+        out.append(m.assignment)
+    return out
+
+
+@pytest.mark.parametrize("target", SEARCH_TARGETS)
+@pytest.mark.parametrize("p, k", SEARCH_HORNS)
+def test_enumerate_maps_matches_brute_force(target, p, k):
+    X = SEARCH_TARGETS[target]()
+    A, _ = horn_complex(p, k)
+    brute = brute_force_maps(A, X)
+    assert brute
+    assert [m.assignment for m in enumerate_maps(A, X)] == brute
+    for limit in (0, 1, 5):
+        assert [m.assignment for m in enumerate_maps(A, X, limit=limit)] == \
+            brute[:limit]
+    # pins taken from two different maps: consistent or not, the search
+    # keeps exactly the brute-force maps that agree with them
+    first, last = A.nondegenerate()[0], A.nondegenerate()[-1]
+    pinned = {first.id: brute[-1][first.id], last.id: brute[0][last.id]}
+    assert [m.assignment for m in enumerate_maps(A, X, pinned=pinned)] == [
+        a for a in brute if all(a[c] == img for c, img in pinned.items())]
+
+    def nondegenerate_edges(ref, img):
+        return ref.dim == 0 or img[0] == EMPTY
+
+    assert [m.assignment for m in enumerate_maps(
+        A, X, cell_filter=nondegenerate_edges)] == [
+        a for a in brute
+        if all(nondegenerate_edges(r, a[r.id]) for r in A.nondegenerate())]
+
+
+def test_search_sees_a_grown_complex():
+    X, _ = horn_complex(2, 1)
+    D1, D2 = standard_simplicial_set(1), standard_simplicial_set(2)
+    A, _ = horn_complex(2, 1)
+    horn_map = SimplicialMap(A, X, {r.id: (EMPTY, X.ref(r.id))
+                                    for r in A.nondegenerate()})
+    before = len(list(enumerate_maps(D2, X)))
+    assert not horn_fillers(X, horn_map, 2, 1)
+    # fill the horn: a new edge 0 -> 2, then a 2-simplex on all three edges
+    v = {X.labels[r.id]: r for r in X.nondegenerate()}
+    e02 = X.add_simplex(1, [(EMPTY, v[(2,)]), (EMPTY, v[(0,)])])
+    edge_id = D1.nondegenerate(1)[0].id
+    assert (EMPTY, e02) in [m.assignment[edge_id] for m in enumerate_maps(D1, X)]
+    top = X.add_simplex(2, [(EMPTY, v[(1, 2)]), (EMPTY, e02), (EMPTY, v[(0, 1)])])
+    top_id = D2.nondegenerate(2)[0].id
+    images = [m.assignment[top_id] for m in enumerate_maps(D2, X)]
+    # the new 2-simplex and the two degeneracies of the new edge
+    assert len(images) == before + 3
+    assert (EMPTY, top) in images
+    assert horn_fillers(X, horn_map, 2, 1) == [(EMPTY, top)]
+
+
 # -- bounded Kan checks -------------------------------------------------------
 
 def test_kan_terminal_object():
     X = standard_simplicial_set(0)
     report = is_kan_up_to(X, 3)
     assert all(entry["fillable"] for entry in report)
+
+
+def test_kan_delta4_totals():
+    # totals from the vertex-sequence oracle of the benchmark (1065 horn
+    # maps into Delta[4] for p <= 4, 40 of them unfillable)
+    report = is_kan_up_to(standard_simplicial_set(4), 4)
+    assert sum(e["maps"] for e in report) == 1065
+    assert sum(e["unfillable"] for e in report) == 40
 
 
 def test_kan_delta1_has_unfillable_horn():
