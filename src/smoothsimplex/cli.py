@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -87,17 +88,28 @@ class Report:
 # -- named inputs -------------------------------------------------------------
 
 
+#: the largest p of a named complex: Δ[p] has 2^(p+1) - 1 nondegenerate
+#: simplices, so each step up doubles the time and memory of a command on it
+MAX_NAMED_DIM = 12
+
+
 def named_complex(name: str) -> FiniteSimplicialSet:
-    if name.startswith("delta"):
-        return standard_simplicial_set(int(name[5:]))
-    if name.startswith("boundary"):
-        return boundary_complex(int(name[8:]))[0]
-    if name.startswith("horn"):
-        p, k = name[4:].split("_")
-        return horn_complex(int(p), int(k))[0]
+    """``delta<p>``, ``boundary<p>``, ``horn<p>_<k>`` or ``empty``."""
     if name == "empty":
         return FiniteSimplicialSet("empty")
-    raise ValueError(f"unknown complex name {name!r}")
+    m = re.fullmatch(r"(delta|boundary)([0-9]+)|horn([0-9]+)_([0-9]+)", name)
+    if m is None:
+        raise ValueError(f"unknown complex name {name!r}: expected delta<p>, "
+                         "boundary<p>, horn<p>_<k> or empty")
+    p = int(m[2] or m[3])
+    if p > MAX_NAMED_DIM:
+        raise ValueError(f"complex {name!r}: dimension {p} is above the "
+                         f"limit {MAX_NAMED_DIM}")
+    if m[1] == "delta":
+        return standard_simplicial_set(p)
+    if m[1] == "boundary":
+        return boundary_complex(p)[0]
+    return horn_complex(p, int(m[4]))[0]
 
 
 def _collapse_to_point(X: FiniteSimplicialSet) -> SimplicialMap:
@@ -158,22 +170,15 @@ def run_axiom1(args) -> Report:
         rep.add(f"chart-covering-p{p}", not uncovered,
                 max_violation=float(len(uncovered)),
                 witness=uncovered[:1] or None)
-        worst = Fraction(0)
-        witness = None
         taus = (Fraction(1, 4), Fraction(1, 2), Fraction(4, 5), Fraction(1))
         ts = (Fraction(1, 5), Fraction(1, 2), Fraction(6, 7))
-        for i in range(p + 1):
-            for j in range(p + 1):
-                if i == j:
-                    continue
-                for y in barycentric_grid(p - 2, 3) if p >= 2 else []:
-                    for tau in taus:
-                        for t in ts:
-                            gap = transition_identity_gap(p, i, j, y, tau, t)
-                            if gap > worst:
-                                worst = gap
-                                witness = {"i": i, "j": j, "tau": str(tau),
-                                           "t": str(t)}
+        ys = barycentric_grid(p - 2, 3) if p >= 2 else []
+        worst, arg = _worst(
+            ((i, j, y, tau, t) for i in range(p + 1) for j in range(p + 1)
+             if i != j for y in ys for tau in taus for t in ts),
+            lambda c: transition_identity_gap(p, *c))
+        witness = None if arg is None else {
+            "i": arg[0], "j": arg[1], "tau": str(arg[3]), "t": str(arg[4])}
         rep.add(f"chart-transition-exact-p{p}", worst == 0,
                 max_violation=float(worst), witness=witness)
     return rep
@@ -256,6 +261,32 @@ def run_axiom3(args) -> Report:
     return rep
 
 
+def _worst(items, deviation):
+    """The largest ``deviation(item)`` over ``items`` and the first item
+    reaching it; ``(0.0, None)`` when no deviation is positive."""
+    worst, argmax = 0.0, None
+    for item in items:
+        d = deviation(item)
+        if d > worst:
+            worst, argmax = d, item
+    return worst, argmax
+
+
+def _dist(a, b) -> float:
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+def _add_contract(rep: Report, contract: str, at: str, tol: float, items,
+                  deviation, witness=list) -> None:
+    """The check ``contract + at``: the worst ``deviation`` over ``items`` is
+    at most ``tol``; its witness names the contract, the worst deviation and
+    ``witness(argmax)``."""
+    worst, argmax = _worst(items, deviation)
+    rep.add(contract + at, worst <= tol, worst, witness={
+        "contract": contract, "max_violation": worst,
+        "argmax_point": None if argmax is None else witness(argmax)})
+
+
 def _horn_grid(n: int, k: int, steps: int):
     return [z.as_floats() for z in barycentric_grid(n, steps)
             if any(z[i] == 0 for i in range(n + 1) if i != k)]
@@ -272,42 +303,19 @@ def run_axiom4(args) -> Report:
         pts = [z.as_floats() for z in barycentric_grid(n, steps)]
         for k in ks:
             H = homotopy.build_full_horn_deformation(n, k)
-            dev_id, wit_id = 0.0, None
-            dev_end, wit_end = 0.0, None
-            dev_idem, wit_idem = 0.0, None
-            for z in pts:
-                d = max(abs(a - b) for a, b in zip(H(z, 0.0).coords, z))
-                if d > dev_id:
-                    dev_id, wit_id = d, list(z)
-                out = H(z, 1.0).coords
-                e = min(c for i, c in enumerate(out) if i != k)
-                if e > dev_end:
-                    dev_end, wit_end = e, list(z)
-                out2 = H(out, 1.0).coords
-                d = max(abs(a - b) for a, b in zip(out, out2))
-                if d > dev_idem:
-                    dev_idem, wit_idem = d, list(z)
-            dev_fix, wit_fix = 0.0, None
-            for z in _horn_grid(n, k, min(steps, 12)):
-                for s in (0.2, 0.45, 0.7, 0.9, 1.0):
-                    d = max(abs(a - b) for a, b in zip(H(z, s).coords, z))
-                    if d > dev_fix:
-                        dev_fix, wit_fix = d, {"point": list(z), "s": s}
-
-            def grid_witness(contract, violation, argmax):
-                return {"contract": contract, "max_violation": violation,
-                        "argmax_point": argmax}
-
-            rep.add(f"identity-at-0-({n},{k})", dev_id <= 1e-12, dev_id,
-                    witness=grid_witness("identity-at-0", dev_id, wit_id))
-            rep.add(f"horn-fixed-({n},{k})", dev_fix <= args.tol, dev_fix,
-                    witness=grid_witness("horn-fixed", dev_fix, wit_fix))
-            rep.add(f"lands-in-horn-({n},{k})", dev_end <= args.tol, dev_end,
-                    witness=grid_witness("lands-in-horn", dev_end, wit_end))
-            rep.add(f"retraction-idempotent-({n},{k})", dev_idem <= args.tol,
-                    dev_idem,
-                    witness=grid_witness("retraction-idempotent", dev_idem,
-                                         wit_idem))
+            end = {z: H(z, 1.0).coords for z in pts}
+            at = f"-({n},{k})"
+            _add_contract(rep, "identity-at-0", at, 1e-12, pts,
+                          lambda z: _dist(H(z, 0.0).coords, z))
+            _add_contract(rep, "horn-fixed", at, args.tol,
+                          ((z, s) for z in _horn_grid(n, k, min(steps, 12))
+                           for s in (0.2, 0.45, 0.7, 0.9, 1.0)),
+                          lambda zs: _dist(H(*zs).coords, zs[0]),
+                          witness=lambda zs: {"point": list(zs[0]), "s": zs[1]})
+            _add_contract(rep, "lands-in-horn", at, args.tol, pts,
+                          lambda z: min(c for i, c in enumerate(end[z]) if i != k))
+            _add_contract(rep, "retraction-idempotent", at, args.tol, pts,
+                          lambda z: _dist(end[z], H(end[z], 1.0).coords))
     return rep
 
 
@@ -315,25 +323,14 @@ def run_fill_horn(args) -> Report:
     rep = Report("fill-horn", {"p": args.p, "k": args.k, "grid": args.grid,
                                "tol": args.tol})
     filled = engine.fill_horn_numeric(lambda z: z, args.p, args.k)
-    worst = 0.0
-    wit = None
-    for z in _horn_grid(args.p, args.k, args.grid):
-        out = filled(z).coords
-        dev = max(abs(a - b) for a, b in zip(out, z))
-        if dev > worst:
-            worst, wit = dev, list(z)
-    rep.add("restriction-reproduces-input", worst <= args.tol, worst,
-            witness={"contract": "restriction-reproduces-input",
-                     "max_violation": worst, "argmax_point": wit})
+    _add_contract(rep, "restriction-reproduces-input", "", args.tol,
+                  _horn_grid(args.p, args.k, args.grid),
+                  lambda z: _dist(filled(z).coords, z))
     return rep
 
 
 def _map_from_args(args) -> SimplicialMap:
-    if getattr(args, "map_file", None):
-        return load_map_file(args.map_file)
-    if not args.map:
-        raise ValueError("one of --map or --map-file is required")
-    return named_map(args.map)
+    return load_map_file(args.map_file) if args.map_file else named_map(args.map)
 
 
 def run_rlp(args) -> Report:
@@ -401,10 +398,8 @@ def run_homotopy_eval(args) -> Report:
         H = homotopy.build_full_horn_deformation(args.p, args.k)
     elif args.kind == "halfopen":
         H = homotopy.build_halfopen_deformation(args.p, args.k)
-    elif args.kind == "boundary-t":
-        H = homotopy.build_boundary_homotopy_T(args.p, args.eps)
     else:
-        raise ValueError(f"unknown homotopy kind {args.kind!r}")
+        H = homotopy.build_boundary_homotopy_T(args.p, args.eps)
     out = H(coords, args.s)
     payload = {"point": list(coords), "s": args.s,
                "result": list(out.coords), "stage": H.stage_of(args.s)}
@@ -481,22 +476,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=_finite, default=DEFAULT_TOL)
     common(sp)
 
+    def map_and_gens(sp):
+        which = sp.add_mutually_exclusive_group(required=True)
+        which.add_argument("--map", default=None, help="a named built-in map")
+        which.add_argument("--map-file", default=None,
+                           help="JSON file with source, target, and assignment")
+        sp.add_argument("--gens", choices=("I", "J"), required=True)
+        sp.add_argument("--max-dim", type=int, default=2)
+
     sp = sub.add_parser("rlp", help="right-lifting-property check")
-    sp.add_argument("--map", default=None, help="a named built-in map")
-    sp.add_argument("--map-file", default=None,
-                    help="JSON file with source, target, and assignment")
-    sp.add_argument("--gens", choices=("I", "J"), required=True)
-    sp.add_argument("--max-dim", type=int, default=2)
+    map_and_gens(sp)
     common(sp)
 
     sp = sub.add_parser("factorize", help="bounded gluing factorization")
-    sp.add_argument("--map", default=None, help="a named built-in map")
-    sp.add_argument("--map-file", default=None,
-                    help="JSON file with source, target, and assignment")
-    sp.add_argument("--gens", choices=("I", "J"), required=True)
-    sp.add_argument("--max-dim", type=int, default=2)
+    map_and_gens(sp)
     sp.add_argument("--max-stages", type=int, default=2)
-    sp.add_argument("--max-problems", type=int, default=16)
+    sp.add_argument("--max-problems", type=_at_least(1), default=16)
     common(sp)
 
     sp = sub.add_parser("pi", help="components and edge-group rank")

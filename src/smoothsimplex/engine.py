@@ -192,46 +192,34 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
                     break
         return out
 
-    j = SimplicialMap.identity(f.source)
-    q = f
     birth = {r.id: 0 for r in f.source.nondegenerate()}
-    stages = [FactorizationStage(0, f.source, 0, j, q, unsolved(f), birth)]
+    stages = [FactorizationStage(0, f.source, 0, SimplicialMap.identity(f.source),
+                                 f, unsolved(f), birth)]
     for n in range(1, max_stages + 1):
-        residual = stages[-1].residual
-        if not residual:
+        prev = stages[-1]
+        if not prev.residual:
             break
-        cur = stages[-1].complex
-        emb = SimplicialMap.identity(cur)
-        cell_pushes: list[tuple[SimplicialMap, SimplicialMap]] = []
-        for prob in residual:
-            top_cur = emb.compose(prob.top)
-            P, in_cell, in_old = pushout(prob.generator.incl, top_cur)
+        # One pushout per problem, in order (its ids are the stage's ids).
+        # q and birth are carried through each one: moved to the new ids of
+        # the old cells, then extended by the new cell, which q sends where
+        # the problem's bottom map does.
+        emb = SimplicialMap.identity(prev.complex)
+        q, birth = prev.q.assignment, prev.birth
+        for prob in prev.residual:
+            _, in_cell, in_old = pushout(prob.generator.incl, emb.compose(prob.top))
             emb = in_old.compose(emb)
-            cell_pushes = [(in_old.compose(m), b) for m, b in cell_pushes]
-            cell_pushes.append((in_cell, prob.bottom))
-        G = emb.target
-        j_n = emb.compose(stages[-1].j)
-        assignment = {}
-        for r in stages[-1].complex.nondegenerate():
-            word, tgt = emb.assignment[r.id]
-            assert word == EMPTY
-            assignment[tgt.id] = stages[-1].q.assignment[r.id]
-        for cell_map, bottom in cell_pushes:
-            for r in cell_map.source.nondegenerate():
-                word, tgt = cell_map.assignment[r.id]
-                if word == EMPTY and tgt.id not in assignment:
-                    assignment[tgt.id] = bottom.assignment[r.id]
-        q_n = SimplicialMap(G, f.target, assignment, name=f"q_{n}")
+            moved = {i: tgt.id for i, (_, tgt) in in_old.assignment.items()}
+            q = {moved[i]: img for i, img in q.items()}
+            birth = {moved[i]: s for i, s in birth.items()}
+            for r, (word, tgt) in in_cell.assignment.items():
+                if word == EMPTY and tgt.id not in q:
+                    q[tgt.id] = prob.bottom.assignment[r]
+                    birth[tgt.id] = n
+        q_n = SimplicialMap(emb.target, f.target, q, name=f"q_{n}")
         q_n.validate()
-        birth_n = {}
-        for r in stages[-1].complex.nondegenerate():
-            _, tgt = emb.assignment[r.id]
-            birth_n[tgt.id] = stages[-1].birth[r.id]
-        for r in G.nondegenerate():
-            birth_n.setdefault(r.id, n)
-        attached = sum(1 for s in birth_n.values() if s == n)
         stages.append(FactorizationStage(
-            n, G, attached, j_n, q_n, unsolved(q_n), birth_n))
+            n, emb.target, len(birth) - len(prev.birth), emb.compose(prev.j), q_n,
+            unsolved(q_n), birth))
     return stages
 
 
@@ -299,47 +287,32 @@ def pi0(X: FiniteSimplicialSet) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def edge_group_rank(X: FiniteSimplicialSet) -> dict:
-    """Euler-style rank of the edge-path group presentation: non-tree edges
-    as generators, one relation per nondegenerate 2-simplex, independence
-    counted by exact rank of the abelianized relation matrix."""
-    count, comps = pi0(X)
-    if count != 1:
+    """Euler-style rank of the edge-path group presentation: the edges off
+    a spanning tree as generators (``E - V + 1`` of them), one relation per
+    nondegenerate 2-simplex, independence counted by exact rank of the
+    abelianized relation matrix.
+
+    Each relation row is the boundary ``d_0 - d_1 + d_2`` of a 2-simplex, a
+    cycle, and a cycle vanishing off the tree vanishes (a tree has no
+    cycles); so the rank is taken over all edge columns, with no tree built.
+    """
+    if pi0(X)[0] != 1:
         raise ValueError("edge_group_rank needs a connected complex")
-    verts = [v.id for v in X.nondegenerate(0)]
-    edges = X.nondegenerate(1)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for e in edges:
-        b = X.face((EMPTY, e), 0)[1].id   # terminal vertex
-        a = X.face((EMPTY, e), 1)[1].id   # initial vertex
-        adj[a].append((b, e.id))
-        adj[b].append((a, e.id))
-    tree: set[int] = set()
-    seen = {min(verts)}
-    queue = [min(verts)]
-    while queue:
-        v = queue.pop(0)
-        for w, eid in sorted(adj[v]):
-            if w not in seen:
-                seen.add(w)
-                tree.add(eid)
-                queue.append(w)
-    generators = [e.id for e in edges if e.id not in tree]
-    gen_index = {eid: i for i, eid in enumerate(generators)}
+    verts, edges = X.nondegenerate(0), X.nondegenerate(1)
+    column = {e.id: i for i, e in enumerate(edges)}
     rows = []
     for s in X.nondegenerate(2):
-        row = [Fraction(0)] * len(generators)
+        row = [Fraction(0)] * len(edges)
         for i, sign in ((2, 1), (0, 1), (1, -1)):
             word, tgt = X.face((EMPTY, s), i)
-            if word != EMPTY or tgt.dim != 1:
-                continue  # degenerate edge contributes nothing
-            if tgt.id in gen_index:
-                row[gen_index[tgt.id]] += sign
+            if word == EMPTY:   # a degenerate edge contributes nothing
+                row[column[tgt.id]] += sign
         rows.append(row)
+    generators = len(edges) - len(verts) + 1
     rank_rel = _matrix_rank(rows)
-    rank = len(generators) - rank_rel
     return {"vertices": len(verts), "edges": len(edges),
-            "generators": len(generators), "relations": len(rows),
-            "independent_relations": rank_rel, "rank": rank}
+            "generators": generators, "relations": len(rows),
+            "independent_relations": rank_rel, "rank": generators - rank_rel}
 
 
 def _matrix_rank(rows: list[list[Fraction]]) -> int:

@@ -60,9 +60,6 @@ class Bary:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def min_coord(self) -> Number:
-        return min(self.coords)
-
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.coords)
 
@@ -79,12 +76,6 @@ class Bary:
     @classmethod
     def barycenter(cls, p: int) -> "Bary":
         return cls(tuple(Fraction(1, p + 1) for _ in range(p + 1)))
-
-    def is_close(self, other: "Bary", tol: float = FLOAT_TOL) -> bool:
-        if len(self) != len(other):
-            return False
-        return all(abs(float(a) - float(b)) <= tol
-                   for a, b in zip(self.coords, other.coords))
 
 
 def barycentric_grid(p: int, steps: int) -> list[Bary]:

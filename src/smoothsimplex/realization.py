@@ -130,21 +130,13 @@ def subcomplex_fiber_decomposition(
 
 
 def maximal_simplices(K: FiniteSimplicialSet) -> list[SimplexRef]:
-    """Nondegenerate simplices that are not iterated faces of another."""
-    proper_faces: set[int] = set()
-    for ref in K.nondegenerate():
-        stack = [ref]
-        visited: set[int] = set()
-        while stack:
-            cur = stack.pop()
-            if cur.dim == 0:
-                continue
-            for i in range(cur.dim + 1):
-                _, tgt = K.face((EMPTY, cur), i)
-                if tgt.id not in visited:
-                    visited.add(tgt.id)
-                    proper_faces.add(tgt.id)
-                    stack.append(tgt)
+    """Nondegenerate simplices that are not iterated faces of another.
+
+    The last step of an iterated face is a direct face of a nondegenerate
+    simplex, so the direct faces of all of them are all the iterated faces."""
+    proper_faces = {K.face((EMPTY, ref), i)[1].id
+                    for ref in K.nondegenerate() if ref.dim
+                    for i in range(ref.dim + 1)}
     return [r for r in K.nondegenerate() if r.id not in proper_faces]
 
 

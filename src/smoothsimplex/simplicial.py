@@ -342,25 +342,26 @@ def _simplex_from_json(entry: object, refs: dict[int, SimplexRef]) -> Simplex:
 # -- standard complexes ---------------------------------------------------
 
 
+def _complex_of_tuples(name: str, tuples) -> FiniteSimplicialSet:
+    """One nondegenerate simplex per vertex tuple, labelled by it, with
+    ``d_i`` dropping the ``i``-th vertex; ``tuples`` come faces first."""
+    X = FiniteSimplicialSet(name)
+    by_verts: dict[tuple[int, ...], SimplexRef] = {}
+    for verts in tuples:
+        k = len(verts) - 1
+        faces = [(EMPTY, by_verts[verts[:i] + verts[i + 1:]])
+                 for i in range(k + 1)] if k else None
+        by_verts[verts] = X.add_simplex(k, faces, label=verts)
+    return X
+
+
 def standard_simplicial_set(p: int) -> FiniteSimplicialSet:
     """The standard simplex ``Δ[p]``; nondegenerate k-simplices are the
     strictly increasing (k+1)-subsequences of ``{0, ..., p}``."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    X = FiniteSimplicialSet(f"Delta[{p}]")
-    by_verts: dict[tuple[int, ...], SimplexRef] = {}
-    for k in range(p + 1):
-        for verts in combinations(range(p + 1), k + 1):
-            if k == 0:
-                ref = X.add_simplex(0, label=verts)
-            else:
-                faces = []
-                for i in range(k + 1):
-                    sub = verts[:i] + verts[i + 1:]
-                    faces.append((EMPTY, by_verts[sub]))
-                ref = X.add_simplex(k, faces, label=verts)
-            by_verts[verts] = ref
-    return X
+    return _complex_of_tuples(f"Delta[{p}]", (
+        verts for k in range(p + 1) for verts in combinations(range(p + 1), k + 1)))
 
 
 def vertex_ref(X: FiniteSimplicialSet, verts: tuple[int, ...]) -> SimplexRef:
@@ -378,25 +379,10 @@ def _sub_of_standard(p: int, keep: Callable[[tuple[int, ...]], bool],
     """Subcomplex of ``Δ[p]`` spanned by the vertex tuples accepted by
     ``keep``, plus its inclusion."""
     ambient = standard_simplicial_set(p)
-    X = FiniteSimplicialSet(name)
-    into: dict[tuple[int, ...], SimplexRef] = {}
-    assignment: dict[int, Simplex] = {}
-    for ref in ambient.nondegenerate():
-        verts = ambient.labels[ref.id]
-        assert isinstance(verts, tuple)
-        if not keep(verts):
-            continue
-        k = len(verts) - 1
-        if k == 0:
-            new = X.add_simplex(0, label=verts)
-        else:
-            faces = []
-            for i in range(k + 1):
-                sub = verts[:i] + verts[i + 1:]
-                faces.append((EMPTY, into[sub]))
-            new = X.add_simplex(k, faces, label=verts)
-        into[verts] = new
-        assignment[new.id] = (EMPTY, ref)
+    kept = [r for r in ambient.nondegenerate() if keep(ambient.labels[r.id])]
+    X = _complex_of_tuples(name, (ambient.labels[r.id] for r in kept))
+    # kept is in dimension order, so X lists its simplices in the same order
+    assignment = {new.id: (EMPTY, r) for new, r in zip(X.nondegenerate(), kept)}
     incl = SimplicialMap(X, ambient, assignment, name=f"{name}↪Delta[{p}]")
     return X, incl
 

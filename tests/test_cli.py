@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,9 @@ def test_cli_error_on_unknown_map(capsys):
     ["verify-axiom4", "--grid", "0"],
     ["verify-axiom4", "--p", "1", "--tol", "nan"],
     ["fill-horn", "--p", "0", "--k", "0"],
+    ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-problems", "0"],
+    ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-problems", "-3"],
+    ["rlp", "--map", "delta0_identity", "--map-file", "m.json", "--gens", "J"],
     ["fill-horn", "--p", "2", "--k", "-1"],
     ["homotopy-eval", "--p", "4", "--point", "1,0,0,0,0", "--s", "0.5"],
     ["homotopy-eval", "--p", "1", "--point", "0.5,0.5", "--s", "inf"],
@@ -175,6 +179,13 @@ _PI = ["pi", "--complex-file", "{file}"]
     (_PI, {"dims": [[0], [1]], "faces": []}),
     (["pi"], None),
     (["pi", "--complex", "delta1", "--complex-file", "{file}"], _POINT),
+    (["rlp", "--gens", "J"], None),
+    (["factorize", "--gens", "J"], None),
+    (["pi", "--complex", "horn3"], None),
+    (["pi", "--complex", "delta"], None),
+    (["pi", "--complex", f"delta{cli.MAX_NAMED_DIM + 1}"], None),
+    (["pi", "--complex", "boundary30"], None),
+    (["rlp", "--gens", "J", "--map", "collapse_delta30"], None),
 ])
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -194,6 +205,11 @@ def test_named_registry():
     assert named_map("horn2_0_incl").source.counts() == [3, 2]
     with pytest.raises(ValueError):
         named_complex("whatever")
+    with pytest.raises(ValueError, match="expected .*horn<p>_<k>"):
+        named_complex("horn3")
+    assert named_complex(f"delta{cli.MAX_NAMED_DIM}").dimension == cli.MAX_NAMED_DIM
+    with pytest.raises(ValueError, match="above the limit"):
+        named_complex(f"horn{cli.MAX_NAMED_DIM + 1}_0")
 
 
 def test_map_file_round_trip(tmp_path):
@@ -218,3 +234,18 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["command"] == "verify-axiom1"
+
+
+def test_reports_match_benchmark_golden_digests(monkeypatch):
+    """Every CLI report the benchmark can plan is byte-identical to the
+    digest recorded for it in perfbench/golden.json."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    golden = json.loads((bench / "golden.json").read_text())
+    argvs = workloads.cli_catalogue()
+    assert len(argvs) == len(golden) == 244
+    changed = [" ".join(argv) for argv in argvs
+               if workloads.report_digest(run(list(argv))[0]) != golden[" ".join(argv)]]
+    assert changed == []

@@ -250,6 +250,22 @@ def test_pi0_and_rank_examples():
     with pytest.raises(ValueError):
         edge_group_rank(two)
 
+    # loop edges and degenerate faces: a circle from one loop, and RP^2 as
+    # one loop a and one 2-simplex with faces (a, s0 v, a), whose relation
+    # 2a kills a over the rationals
+    circle = FiniteSimplicialSet("one loop")
+    v = circle.add_simplex(0)
+    circle.add_simplex(1, [(EMPTY, v), (EMPTY, v)])
+    assert edge_group_rank(circle)["rank"] == 1
+    rp2 = FiniteSimplicialSet("RP2")
+    v = rp2.add_simplex(0)
+    a = rp2.add_simplex(1, [(EMPTY, v), (EMPTY, v)])
+    rp2.add_simplex(2, [(EMPTY, a), ((0,), v), (EMPTY, a)])
+    rp2.validate()
+    assert edge_group_rank(rp2) == {
+        "vertices": 1, "edges": 1, "generators": 1, "relations": 1,
+        "independent_relations": 1, "rank": 0}
+
 
 def attach_along_horn(X, p, k, rng):
     H, incl = horn_complex(p, k)
