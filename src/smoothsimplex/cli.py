@@ -92,19 +92,26 @@ class Report:
 #: simplices, so each step up doubles the time and memory of a command on it
 MAX_NAMED_DIM = 12
 
+_HORN = r"horn([0-9]+)_([0-9]+)"
+
+
+def _named_dim(name: str, digits: str) -> int:
+    p = int(digits)
+    if p > MAX_NAMED_DIM:
+        raise ValueError(f"{name!r}: dimension {p} is above the limit "
+                         f"{MAX_NAMED_DIM}")
+    return p
+
 
 def named_complex(name: str) -> FiniteSimplicialSet:
     """``delta<p>``, ``boundary<p>``, ``horn<p>_<k>`` or ``empty``."""
     if name == "empty":
         return FiniteSimplicialSet("empty")
-    m = re.fullmatch(r"(delta|boundary)([0-9]+)|horn([0-9]+)_([0-9]+)", name)
+    m = re.fullmatch(rf"(delta|boundary)([0-9]+)|{_HORN}", name)
     if m is None:
         raise ValueError(f"unknown complex name {name!r}: expected delta<p>, "
                          "boundary<p>, horn<p>_<k> or empty")
-    p = int(m[2] or m[3])
-    if p > MAX_NAMED_DIM:
-        raise ValueError(f"complex {name!r}: dimension {p} is above the "
-                         f"limit {MAX_NAMED_DIM}")
+    p = _named_dim(name, m[2] or m[3])
     if m[1] == "delta":
         return standard_simplicial_set(p)
     if m[1] == "boundary":
@@ -142,12 +149,14 @@ def named_map(name: str) -> SimplicialMap:
     if name == "empty_to_delta0":
         return SimplicialMap(FiniteSimplicialSet("empty"),
                              standard_simplicial_set(0), {}, name="∅->pt")
-    if name.startswith("horn") and name.endswith("_incl"):
-        p, k = name[4:-5].split("_")
-        return horn_complex(int(p), int(k))[1]
+    m = re.fullmatch(_HORN + "_incl", name)
+    if m is not None:
+        return horn_complex(_named_dim(name, m[1]), int(m[2]))[1]
     if name.startswith("collapse_"):
         return _collapse_to_point(named_complex(name[len("collapse_"):]))
-    raise ValueError(f"unknown map name {name!r}")
+    raise ValueError(f"unknown map name {name!r}: expected delta1_to_delta0, "
+                     "boundary1_to_delta0, delta0_identity, empty_to_delta0, "
+                     "horn<p>_<k>_incl or collapse_<complex>")
 
 
 # -- command implementations ---------------------------------------------------
@@ -482,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
         which.add_argument("--map-file", default=None,
                            help="JSON file with source, target, and assignment")
         sp.add_argument("--gens", choices=("I", "J"), required=True)
-        sp.add_argument("--max-dim", type=int, default=2)
+        sp.add_argument("--max-dim", type=int, choices=range(MAX_NAMED_DIM + 1),
+                        default=2, metavar=f"0..{MAX_NAMED_DIM}")
 
     sp = sub.add_parser("rlp", help="right-lifting-property check")
     map_and_gens(sp)
@@ -535,6 +545,9 @@ def _parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
     top = getattr(args, "p", None) or 1
     if getattr(args, "k", None) is not None and not 0 <= args.k <= top:
         ap.error(f"argument --k: horn index {args.k} outside 0..{top}")
+    # J starts at Λ[1,k]: below 1 it is empty and any map would pass
+    if getattr(args, "gens", None) == "J" and args.max_dim < 1:
+        ap.error(f"argument --max-dim: must be at least 1 for J, got {args.max_dim}")
     return args
 
 

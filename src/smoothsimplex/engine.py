@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .geometry import Bary
@@ -42,6 +43,15 @@ class Generator:
         if self.kind == "I":
             return f"I({self.p})"
         return f"J({self.p},{self.k})"
+
+    def pins(self, m: SimplicialMap) -> dict[int, Simplex]:
+        """The pins of a map out of ``Δ[p]`` extending ``m`` (a map out of
+        the generator's source): ``m``'s image of each source cell, keyed by
+        the cell's id in ``Δ[p]``."""
+        # boundary_complex and horn_complex build subcomplex inclusions, so
+        # every source cell goes to a nondegenerate cell of Δ[p]
+        return {tgt.id: m.assignment[a]
+                for a, (_, tgt) in self.incl.assignment.items()}
 
 
 @dataclass(frozen=True)
@@ -82,20 +92,14 @@ class LiftingProblem:
     f: SimplicialMap         # X -> Y
 
     def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
-        """Diagonal fillers ``B -> X``; commuting on both triangles."""
-        A = self.generator.incl.source
-        B = self.generator.incl.target
-        pinned = {}
-        for a in A.nondegenerate():
-            word, tgt = self.generator.incl.assignment[a.id]
-            assert word == EMPTY
-            pinned[tgt.id] = self.top.assignment[a.id]
-
+        """The first ``limit`` (all for ``None``) diagonal fillers
+        ``B -> X``, commuting on both triangles."""
         def over_bottom(ref: SimplexRef, img: Simplex) -> bool:
             return self.f(img) == self.bottom.assignment[ref.id]
 
-        return list(enumerate_maps(B, self.f.source, pinned=pinned,
-                                   limit=limit, cell_filter=over_bottom))
+        return list(islice(enumerate_maps(
+            self.generator.incl.target, self.f.source,
+            pinned=self.generator.pins(self.top), cell_filter=over_bottom), limit))
 
     def has_lift(self) -> bool:
         return bool(self.lifts(limit=1))
@@ -110,16 +114,10 @@ def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
                           ) -> Iterator[LiftingProblem]:
     """All commutative squares from the generating set to ``f``, in a fixed
     lexicographic order (generator, top map, bottom map)."""
-    X, Y = f.source, f.target
     for gen in gens.generators():
-        A = gen.incl.source
-        B = gen.incl.target
-        for top in enumerate_maps(A, X):
-            pinned = {}
-            for a in A.nondegenerate():
-                _, tgt = gen.incl.assignment[a.id]
-                pinned[tgt.id] = f(top.assignment[a.id])
-            for bottom in enumerate_maps(B, Y, pinned=pinned):
+        for top in enumerate_maps(gen.incl.source, f.source):
+            for bottom in enumerate_maps(gen.incl.target, f.target,
+                                         pinned=gen.pins(f.compose(top))):
                 yield LiftingProblem(gen, top, bottom, f)
 
 
@@ -184,13 +182,8 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
         raise ValueError("max_stages must be nonnegative")
 
     def unsolved(q: SimplicialMap) -> list[LiftingProblem]:
-        out = []
-        for prob in iter_lifting_problems(q, gens):
-            if not prob.has_lift():
-                out.append(prob)
-                if max_problems is not None and len(out) >= max_problems:
-                    break
-        return out
+        return list(islice((prob for prob in iter_lifting_problems(q, gens)
+                            if not prob.has_lift()), max_problems))
 
     birth = {r.id: 0 for r in f.source.nondegenerate()}
     stages = [FactorizationStage(0, f.source, 0, SimplicialMap.identity(f.source),

@@ -253,25 +253,16 @@ def chart_transition(i: int, j: int, y: Bary, tau: Number, t: Number
     return (y, s, t_new)
 
 
-def transition_source(p: int, i: int, j: int, y: Bary, tau: Number) -> Bary:
-    """The chart-i input ``(1-tau)(j) + tau*y`` as a point of Δ^{p-1}."""
-    jj = j if j < i else j - 1
-    return phi_chart(jj, y, tau)
-
-
-def transition_target(p: int, i: int, j: int, y: Bary, s: Number) -> Bary:
-    """The chart-j input ``(1-s)(i) + s*y`` as a point of Δ^{p-1}."""
-    ii = i if i < j else i - 1
-    return phi_chart(ii, y, s)
-
-
 def transition_identity_gap(p: int, i: int, j: int, y: Bary, tau: Number,
                             t: Number) -> Number:
     """Max-norm difference of the two sides of the chart-compatibility
     identity; identically zero in rational arithmetic."""
     _, s, t_new = chart_transition(i, j, y, tau, t)
-    lhs = phi_chart(i, transition_source(p, i, j, y, tau), t)
-    rhs = phi_chart(j, transition_target(p, i, j, y, s), t_new)
+    # the chart-i input (1-tau)(j) + tau*y and the chart-j input
+    # (1-s)(i) + s*y, as points of Δ^{p-1} (vertices past the chart's own
+    # vertex shift down by one)
+    lhs = phi_chart(i, phi_chart(j if j < i else j - 1, y, tau), t)
+    rhs = phi_chart(j, phi_chart(i if i < j else i - 1, y, s), t_new)
     return max(abs(a - b) for a, b in zip(lhs.coords, rhs.coords))
 
 

@@ -500,10 +500,10 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
 
 def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
                    pinned: Optional[dict[int, Simplex]] = None,
-                   limit: Optional[int] = None,
                    cell_filter: Optional[Callable[[SimplexRef, Simplex], bool]] = None,
                    ) -> Iterator[SimplicialMap]:
-    """All simplicial maps ``A → X`` by dimension-ordered backtracking.
+    """All simplicial maps ``A → X``, lazily, by dimension-ordered
+    backtracking on an explicit stack (no recursion limit on ``A``).
 
     ``pinned`` fixes the image of selected nondegenerate simplices of ``A``;
     ``cell_filter`` prunes candidate images cell by cell.
@@ -514,20 +514,10 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
     """
     order = A.nondegenerate()
     index = {n: X.faces_index(n) for n in {ref.dim for ref in order}}
-
     partial = SimplicialMap(A, X, {})
     assignment = partial.assignment
-    count = 0
 
-    def rec(pos: int) -> Iterator[SimplicialMap]:
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
-        if pos == len(order):
-            count += 1
-            yield SimplicialMap(A, X, dict(assignment))
-            return
-        ref = order[pos]
+    def candidates(ref: SimplexRef) -> Iterator[Simplex]:
         faces_of, with_faces = index[ref.dim]
         expect = tuple(map(partial, A._faces[ref.id])) if ref.dim else ()
         if pinned and ref.id in pinned:
@@ -535,13 +525,27 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
             opts = [img] if faces_of.get(img) == expect else []
         else:
             opts = with_faces.get(expect, [])
-        for img in opts:
-            if cell_filter is None or cell_filter(ref, img):
-                assignment[ref.id] = img
-                yield from rec(pos + 1)
-                del assignment[ref.id]
+        if cell_filter is None:
+            return iter(opts)
+        return (img for img in opts if cell_filter(ref, img))
 
-    yield from rec(0)
+    # stack[i] holds the untried images of order[i], whose current image is
+    # in the assignment.  Entries for cells past the stack are left over from
+    # abandoned branches; they are overwritten before anything reads them.
+    stack: list[Iterator[Simplex]] = []
+    while True:
+        if len(stack) == len(order):
+            yield SimplicialMap(A, X, dict(assignment))
+        else:
+            stack.append(candidates(order[len(stack)]))
+        while stack:   # the deepest cell with an untried image takes it
+            img = next(stack[-1], None)
+            if img is not None:
+                assignment[order[len(stack) - 1].id] = img
+                break
+            stack.pop()
+        else:
+            return
 
 
 def horn_fillers(X: FiniteSimplicialSet, horn_map: SimplicialMap,

@@ -58,6 +58,20 @@ def test_rlp_fixed_verdicts():
     assert code == 1
 
 
+@pytest.mark.parametrize("gens, max_dim, squares", [("I", "0", 1), ("J", "1", 2)])
+def test_lowest_max_dim_checks_squares(gens, max_dim, squares):
+    report, code = invoke(["rlp", "--map", "delta0_identity", "--gens", gens,
+                           "--max-dim", max_dim])
+    assert code == 0 and report.parameters["checked_squares"] == squares
+
+
+def test_rlp_against_horns_of_more_than_1000_cells(capsys):
+    # Λ[9,k] has 1021 nondegenerate cells
+    assert main(["rlp", "--map", "delta0_identity", "--gens", "J",
+                 "--max-dim", "9"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_factorize_horn_inclusion():
     report, code = invoke(["factorize", "--map", "horn2_1_incl", "--gens", "J",
                            "--max-dim", "2", "--max-stages", "1",
@@ -124,6 +138,11 @@ def test_cli_error_on_unknown_map(capsys):
     ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-problems", "0"],
     ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-problems", "-3"],
     ["rlp", "--map", "delta0_identity", "--map-file", "m.json", "--gens", "J"],
+    ["rlp", "--map", "delta0_identity", "--gens", "I", "--max-dim", "30"],
+    ["rlp", "--map", "delta0_identity", "--gens", "I", "--max-dim", "-1"],
+    ["rlp", "--map", "delta0_identity", "--gens", "J", "--max-dim", "0"],
+    ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-dim",
+     str(cli.MAX_NAMED_DIM + 1)],
     ["fill-horn", "--p", "2", "--k", "-1"],
     ["homotopy-eval", "--p", "4", "--point", "1,0,0,0,0", "--s", "0.5"],
     ["homotopy-eval", "--p", "1", "--point", "0.5,0.5", "--s", "inf"],
@@ -186,6 +205,9 @@ _PI = ["pi", "--complex-file", "{file}"]
     (["pi", "--complex", f"delta{cli.MAX_NAMED_DIM + 1}"], None),
     (["pi", "--complex", "boundary30"], None),
     (["rlp", "--gens", "J", "--map", "collapse_delta30"], None),
+    (["rlp", "--gens", "J", "--map", "horn3_incl"], None),
+    (["rlp", "--gens", "J", "--map", "horn18_0_incl", "--max-dim", "1"], None),
+    (["factorize", "--gens", "J", "--map", "horn2_5_incl"], None),
 ])
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -210,6 +232,10 @@ def test_named_registry():
     assert named_complex(f"delta{cli.MAX_NAMED_DIM}").dimension == cli.MAX_NAMED_DIM
     with pytest.raises(ValueError, match="above the limit"):
         named_complex(f"horn{cli.MAX_NAMED_DIM + 1}_0")
+    with pytest.raises(ValueError, match="expected .*horn<p>_<k>_incl"):
+        named_map("horn3_incl")
+    with pytest.raises(ValueError, match="above the limit"):
+        named_map(f"horn{cli.MAX_NAMED_DIM + 1}_0_incl")
 
 
 def test_map_file_round_trip(tmp_path):
