@@ -25,6 +25,7 @@ from .geometry import (
     Bary,
     barycentric_grid,
     chart_decompose,
+    float_grid,
     phi_chart,
     transition_identity_gap,
 )
@@ -297,7 +298,7 @@ def _add_contract(rep: Report, contract: str, at: str, tol: float, items,
 
 
 def _horn_grid(n: int, k: int, steps: int):
-    return [z.as_floats() for z in barycentric_grid(n, steps)
+    return [z for z in float_grid(n, steps)
             if any(z[i] == 0 for i in range(n + 1) if i != k)]
 
 
@@ -309,18 +310,23 @@ def run_axiom4(args) -> Report:
     for n in ns:
         ks = [args.k] if args.k is not None else list(range(n + 1))
         steps = max(args.grid, {1: 200, 2: 25, 3: 12}[n])
-        pts = [z.as_floats() for z in barycentric_grid(n, steps)]
+        pts = float_grid(n, steps)
         for k in ks:
             H = homotopy.build_full_horn_deformation(n, k)
             end = {z: H(z, 1.0).coords for z in pts}
+
+            def moved(zs):
+                z, s = zs   # H is pure, so end[z] is H(z, 1) for a grid point
+                out = end[z] if s == 1.0 and z in end else H(z, s).coords
+                return _dist(out, z)
+
             at = f"-({n},{k})"
             _add_contract(rep, "identity-at-0", at, 1e-12, pts,
                           lambda z: _dist(H(z, 0.0).coords, z))
             _add_contract(rep, "horn-fixed", at, args.tol,
                           ((z, s) for z in _horn_grid(n, k, min(steps, 12))
                            for s in (0.2, 0.45, 0.7, 0.9, 1.0)),
-                          lambda zs: _dist(H(*zs).coords, zs[0]),
-                          witness=lambda zs: {"point": list(zs[0]), "s": zs[1]})
+                          moved, witness=lambda zs: {"point": list(zs[0]), "s": zs[1]})
             _add_contract(rep, "lands-in-horn", at, args.tol, pts,
                           lambda z: min(c for i, c in enumerate(end[z]) if i != k))
             _add_contract(rep, "retraction-idempotent", at, args.tol, pts,
@@ -338,13 +344,8 @@ def run_fill_horn(args) -> Report:
     return rep
 
 
-def _map_from_args(args) -> SimplicialMap:
-    return load_map_file(args.map_file) if args.map_file else named_map(args.map)
-
-
 def run_rlp(args) -> Report:
-    f = _map_from_args(args)
-    f.validate()
+    f = args.f
     gens = engine.GeneratingSet(args.gens, args.max_dim)
     rep = Report("rlp", {"map": args.map or args.map_file, "gens": args.gens,
                          "max_dim": args.max_dim})
@@ -359,8 +360,7 @@ def run_rlp(args) -> Report:
 
 
 def run_factorize(args) -> Report:
-    f = _map_from_args(args)
-    f.validate()
+    f = args.f
     gens = engine.GeneratingSet(args.gens, args.max_dim)
     rep = Report("factorize", {"map": args.map or args.map_file,
                                "gens": args.gens,
@@ -381,11 +381,7 @@ def run_factorize(args) -> Report:
 
 
 def run_pi(args) -> Report:
-    if args.complex_file:
-        with open(args.complex_file) as fh:
-            X = FiniteSimplicialSet.from_json(fh.read())
-    else:
-        X = named_complex(args.complex)
+    X = args.X
     rep = Report("pi", {"complex": args.complex or args.complex_file})
     count, comps = engine.pi0(X)
     rep.add("pi0", True, witness={"components": count,
@@ -399,16 +395,10 @@ def run_pi(args) -> Report:
 
 
 def run_homotopy_eval(args) -> Report:
-    coords = Bary(tuple(float(c) for c in args.point.split(","))).coords
+    H, coords = args.H, args.coords
     rep = Report("homotopy-eval",
                  {"p": args.p, "k": args.k, "kind": args.kind,
                   "point": list(coords), "s": args.s, "eps": args.eps})
-    if args.kind == "full":
-        H = homotopy.build_full_horn_deformation(args.p, args.k)
-    elif args.kind == "halfopen":
-        H = homotopy.build_halfopen_deformation(args.p, args.k)
-    else:
-        H = homotopy.build_boundary_homotopy_T(args.p, args.eps)
     out = H(coords, args.s)
     payload = {"point": list(coords), "s": args.s,
                "result": list(out.coords), "stage": H.stage_of(args.s)}
@@ -451,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the JSON report to this path")
         sp.add_argument("--measure-time", action="store_true",
                         help="fill in wall-clock timing (breaks byte-identical reports)")
+        sp.set_defaults(usage_error=sp.error)
 
     sp = sub.add_parser("verify-axiom1", help="chart covering and transitions")
     sp.add_argument("--p", type=_at_least(1), default=None)
@@ -500,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("factorize", help="bounded gluing factorization")
     map_and_gens(sp)
-    sp.add_argument("--max-stages", type=int, default=2)
+    sp.add_argument("--max-stages", type=_at_least(0), default=2)
     sp.add_argument("--max-problems", type=_at_least(1), default=16)
     common(sp)
 
@@ -538,21 +529,46 @@ RUNNERS = {
 
 
 def _parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
-    """Parse ``argv``; bad flags and out-of-range values exit with status 2."""
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Parse ``argv``; bad flags and out-of-range values exit with status 2,
+    under the subcommand's usage line."""
+    args = build_parser().parse_args(argv)
     # without --p the axiom commands start at dimension 1
     top = getattr(args, "p", None) or 1
     if getattr(args, "k", None) is not None and not 0 <= args.k <= top:
-        ap.error(f"argument --k: horn index {args.k} outside 0..{top}")
+        args.usage_error(f"argument --k: horn index {args.k} outside 0..{top}")
     # J starts at Λ[1,k]: below 1 it is empty and any map would pass
     if getattr(args, "gens", None) == "J" and args.max_dim < 1:
-        ap.error(f"argument --max-dim: must be at least 1 for J, got {args.max_dim}")
+        args.usage_error(f"argument --max-dim: must be at least 1 for J, "
+                         f"got {args.max_dim}")
     return args
 
 
+def _read_inputs(args: argparse.Namespace) -> None:
+    """Read the command's named or file inputs and its point into ``args``;
+    bad input raises ``ValueError`` or ``OSError``."""
+    if args.command in ("rlp", "factorize"):
+        args.f = (load_map_file(args.map_file) if args.map_file
+                  else named_map(args.map))
+        args.f.validate()
+    elif args.command == "pi" and args.complex_file:
+        with open(args.complex_file) as fh:
+            args.X = FiniteSimplicialSet.from_json(fh.read())
+    elif args.command == "pi":
+        args.X = named_complex(args.complex)
+    elif args.command == "homotopy-eval":
+        point = Bary(tuple(float(c) for c in args.point.split(","))).coords
+        if args.kind == "full":
+            args.H = homotopy.build_full_horn_deformation(args.p, args.k)
+        elif args.kind == "halfopen":
+            args.H = homotopy.build_halfopen_deformation(args.p, args.k)
+        else:
+            args.H = homotopy.build_boundary_homotopy_T(args.p, args.eps)
+        args.coords = args.H.checked_point(point, args.s)
+
+
 def _execute(args: argparse.Namespace) -> tuple[Report, int]:
-    """Run the parsed command; return the report with its exit status."""
+    """Run the command on its read inputs; return the report with its exit
+    status."""
     t0 = time.perf_counter()
     report = RUNNERS[args.command](args)
     if args.measure_time:
@@ -561,22 +577,35 @@ def _execute(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def run(argv: Optional[list[str]] = None) -> tuple[Report, int]:
-    """Parse, execute, and return the report with its exit status."""
-    return _execute(_parse_args(argv))
+    """Parse, read the inputs, execute, and return the report with its exit
+    status."""
+    args = _parse_args(argv)
+    _read_inputs(args)
+    return _execute(args)
+
+
+def _input_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Exit 2 on bad input (flags, named or file inputs, the point, an
+    unwritable report); an error inside a check is not caught here."""
     args = _parse_args(argv)
     try:
-        report, code = _execute(args)
+        _read_inputs(args)
+    except (ValueError, OSError) as exc:
+        return _input_error(exc)
+    report, code = _execute(args)
+    try:
         payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2,
                              allow_nan=False)
         if args.json_path:
             with open(args.json_path, "w") as fh:
                 fh.write(payload + "\n")
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     if args.format == "json":
         print(payload)
     else:

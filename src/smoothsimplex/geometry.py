@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -25,6 +26,17 @@ def _is_exact(coords: Iterable[Number]) -> bool:
     return all(isinstance(c, (int, Fraction)) for c in coords)
 
 
+def _check_floats(coords: Sequence[Number]) -> None:
+    """The float validation of a point: the sum is within ``FLOAT_TOL`` of 1
+    and no coordinate is below ``-FLOAT_TOL``."""
+    total = sum(coords)
+    if not abs(total - 1) <= FLOAT_TOL:  # NaN fails too
+        raise ValueError(f"coordinate sum {total} is off by more than {FLOAT_TOL}")
+    # the sum is finite, so no coordinate is NaN or infinite
+    if min(coords) < -FLOAT_TOL:
+        raise ValueError("negative barycentric coordinate")
+
+
 @dataclass(frozen=True)
 class Bary:
     """A point of Δ^p in barycentric coordinates ``(x_0, ..., x_p)``."""
@@ -34,17 +46,12 @@ class Bary:
     def __post_init__(self) -> None:
         if not self.coords:
             raise ValueError("a barycentric point needs at least one coordinate")
-        total = sum(self.coords)
-        if self.exact:
-            if total != 1:
-                raise ValueError(f"coordinates sum to {total}, not 1")
-            if any(c < 0 for c in self.coords):
-                raise ValueError("negative barycentric coordinate")
-        else:
-            if not abs(total - 1) <= FLOAT_TOL:  # NaN fails too
-                raise ValueError(f"coordinate sum {total} is off by more than {FLOAT_TOL}")
-            if any(c < -FLOAT_TOL for c in self.coords):
-                raise ValueError("negative barycentric coordinate")
+        if not self.exact:
+            _check_floats(self.coords)
+        elif (total := sum(self.coords)) != 1:
+            raise ValueError(f"coordinates sum to {total}, not 1")
+        elif any(c < 0 for c in self.coords):
+            raise ValueError("negative barycentric coordinate")
 
     @property
     def p(self) -> int:
@@ -68,6 +75,15 @@ class Bary:
         return cls(tuple(coords))
 
     @classmethod
+    def of_floats(cls, coords: tuple[float, ...]) -> "Bary":
+        """A point of float coordinates, validated as ``__post_init__``
+        validates one, without the scan for exact coordinates."""
+        _check_floats(coords)
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", coords)
+        return point
+
+    @classmethod
     def vertex(cls, p: int, i: int) -> "Bary":
         if not 0 <= i <= p:
             raise ValueError(f"vertex {i} out of range")
@@ -78,19 +94,23 @@ class Bary:
         return cls(tuple(Fraction(1, p + 1) for _ in range(p + 1)))
 
 
+def _compositions(p: int, steps: int) -> Iterator[tuple[int, ...]]:
+    """All ``p + 1`` non-negative integers summing to ``steps``,
+    lexicographic: the gaps between ``p`` bars among ``steps + p`` slots."""
+    for bars in combinations(range(steps + p), p):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (steps + p,)))
+
+
 def barycentric_grid(p: int, steps: int) -> list[Bary]:
     """All points of Δ^p with coordinates in (1/steps)·Z, lexicographic."""
-    out: list[Bary] = []
+    return [Bary(tuple(Fraction(c, steps) for c in comp))
+            for comp in _compositions(p, steps)]
 
-    def rec(prefix: list[int], left: int) -> None:
-        if len(prefix) == p:
-            out.append(Bary(tuple(Fraction(c, steps) for c in prefix + [left])))
-            return
-        for c in range(left + 1):
-            rec(prefix + [c], left - c)
 
-    rec([], steps)
-    return out
+def float_grid(p: int, steps: int) -> list[tuple[float, ...]]:
+    """``barycentric_grid(p, steps)`` as float tuples: ``c / steps`` and
+    ``float(Fraction(c, steps))`` are both the correctly rounded quotient."""
+    return [tuple(c / steps for c in comp) for comp in _compositions(p, steps)]
 
 
 # -- affine maps ------------------------------------------------------------

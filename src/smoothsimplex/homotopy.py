@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .geometry import Bary, OutOfDomain
-from .steps import SmoothStep, phase_times, two_phase
+from .steps import SPLICE, SmoothStep, two_phase
 
 Vec = tuple[float, ...]
 Step = Callable[[Vec, float], Vec]
@@ -108,11 +108,12 @@ def _schedule(names: Sequence[str]) -> tuple:
 
 
 def _run_stages(stages: Sequence[Step], z: Vec, s: float) -> Vec:
-    """The composite of ``stages`` on equal subintervals of [0, 1]; a stage
-    whose local time is still 0 ends it."""
+    """The composite of ``stages`` on equal subintervals of [0, 1]; each
+    local time is computed when its stage is reached, and a 0 one ends it."""
     if s <= 0.0:
         return z
-    for step, local in zip(stages, phase_times(s, len(stages))):
+    for k, step in enumerate(stages):
+        local = SPLICE(len(stages) * s - k)
         if local <= 0.0:
             break
         z = step(z, local)
@@ -271,21 +272,19 @@ class EvaluableHomotopy:
     _domain_check: Callable[[Vec], bool] = field(repr=False, default=None)
 
     def __call__(self, point, s: float) -> Bary:
-        z = self._point_tuple(point)
+        return Bary.of_floats(self._eval(self.checked_point(point, s), float(s)))
+
+    def checked_point(self, point, s: float) -> Vec:
+        """``point`` as floats, checked to lie in the domain at ``s`` in [0, 1]."""
+        z = (point.as_floats() if isinstance(point, Bary)
+             else tuple(map(float, point)))
+        if len(z) != self.p + 1:
+            raise ValueError(f"expected a point of Δ^{self.p}")
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"homotopy time {s} outside [0, 1]")
         if self._domain_check is not None and not self._domain_check(z):
             raise OutOfDomain(f"point {z} outside {self.domain}")
-        return Bary(self._eval(z, float(s)))
-
-    def _point_tuple(self, point) -> Vec:
-        if isinstance(point, Bary):
-            coords = point.as_floats()
-        else:
-            coords = tuple(float(c) for c in point)
-        if len(coords) != self.p + 1:
-            raise ValueError(f"expected a point of Δ^{self.p}")
-        return coords
+        return z
 
     def at_time(self, s: float) -> Callable[[object], Bary]:
         return lambda point: self(point, s)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from smoothsimplex import cli
+from smoothsimplex import cli, homotopy
 from smoothsimplex.cli import Report, main, named_complex, named_map, run
 
 
@@ -144,6 +144,7 @@ def test_cli_error_on_unknown_map(capsys):
     ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-dim",
      str(cli.MAX_NAMED_DIM + 1)],
     ["fill-horn", "--p", "2", "--k", "-1"],
+    ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-stages", "-1"],
     ["homotopy-eval", "--p", "4", "--point", "1,0,0,0,0", "--s", "0.5"],
     ["homotopy-eval", "--p", "1", "--point", "0.5,0.5", "--s", "inf"],
 ], ids=" ".join)
@@ -179,6 +180,44 @@ def test_main_never_prints_nan(monkeypatch, capsys):
     assert "NaN" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["rlp", "--map", "delta0_identity", "--gens", "J", "--max-dim", "0"],
+     "usage: smoothsimplex rlp "),
+    (["fill-horn", "--p", "2", "--k", "5"], "usage: smoothsimplex fill-horn "),
+], ids=["rlp", "fill-horn"])
+def test_cross_argument_errors_show_the_subcommand_usage(argv, usage, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(usage)
+
+
+def _fails_mid_check(args):
+    raise ValueError("a fault inside a check")
+
+
+def _nan_homotopy(n, k):
+    return homotopy.EvaluableHomotopy("nan", f"Δ^{n}", n, (("nan", (0.0, 1.0)),),
+                                      lambda z, s: (float("nan"),) * (n + 1))
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (["pi", "--complex", "delta1"], (cli.RUNNERS, "pi", _fails_mid_check)),
+    (["verify-axiom4", "--p", "1", "--k", "0"],
+     (homotopy, "build_full_horn_deformation", _nan_homotopy)),
+], ids=["runner", "homotopy-output"])
+def test_error_inside_a_check_is_not_a_usage_error(argv, patch, monkeypatch, capsys):
+    target, name, value = patch
+    if isinstance(target, dict):
+        monkeypatch.setitem(target, name, value)
+    else:
+        monkeypatch.setattr(target, name, value)
+    # exit status 2 means bad input; a fault in a check propagates instead
+    with pytest.raises(ValueError):
+        main(argv)
+    assert capsys.readouterr().err == ""
+
+
 _POINT = {"dims": [[0]]}
 _RLP = ["rlp", "--gens", "J", "--map-file", "{file}"]
 _PI = ["pi", "--complex-file", "{file}"]
@@ -208,6 +247,13 @@ _PI = ["pi", "--complex-file", "{file}"]
     (["rlp", "--gens", "J", "--map", "horn3_incl"], None),
     (["rlp", "--gens", "J", "--map", "horn18_0_incl", "--max-dim", "1"], None),
     (["factorize", "--gens", "J", "--map", "horn2_5_incl"], None),
+    (["homotopy-eval", "--p", "2", "--point", "0.5,0.5,0", "--s", "2"], None),
+    (["homotopy-eval", "--p", "2", "--point", "0.5,0.5", "--s", "0.5"], None),
+    (["homotopy-eval", "--p", "2", "--point", "a,0.5,0.5", "--s", "0.5"], None),
+    (["homotopy-eval", "--p", "2", "--kind", "halfopen", "--point", "0,0.5,0.5",
+      "--s", "0.5"], None),
+    (["homotopy-eval", "--p", "2", "--kind", "boundary-t", "--eps", "0.5",
+      "--point", "0.2,0.3,0.5", "--s", "0.5"], None),
 ])
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"

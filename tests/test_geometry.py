@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from smoothsimplex.geometry import (
     chart_decompose,
     chart_transition,
     concat_product,
+    float_grid,
     gamma_map,
     good_nbhd_Phi,
     good_nbhd_Phi_inverse,
@@ -52,6 +54,36 @@ def test_grid_counts():
     assert len(barycentric_grid(2, 4)) == 15
     assert len(barycentric_grid(1, 20)) == 21
     assert all(g.exact for g in barycentric_grid(3, 5))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_float_grid_is_the_exact_grid_in_floats(p):
+    for steps in range(1, 31):
+        exact = barycentric_grid(p, steps)
+        assert float_grid(p, steps) == [z.as_floats() for z in exact]
+        if steps <= 6:
+            # every composition of steps, in lexicographic order
+            ref = [c for c in product(range(steps + 1), repeat=p + 1)
+                   if sum(c) == steps]
+            assert [z.coords for z in exact] == \
+                [tuple(F(c, steps) for c in comp) for comp in ref]
+
+
+@pytest.mark.parametrize("coords", [
+    (float("nan"), 1.0), (0.5, float("nan"), 0.5), (float("inf"), 0.0),
+    (float("inf"), float("-inf")), (1.5, -0.5), (1.0 + 1.5e-12, -1.5e-12),
+    (0.5, 0.5 + 2e-12), (0.5, 0.4)])
+def test_float_constructor_validates_like_bary(coords):
+    with pytest.raises(ValueError):
+        Bary(coords)
+    with pytest.raises(ValueError):
+        Bary.of_floats(coords)
+
+
+def test_float_constructor_builds_the_same_point():
+    for coords in [(1.0, 0.0), (0.25, 0.75 + 5e-13, 0.0), (1.0 + 1e-12, -1e-12)]:
+        assert Bary.of_floats(coords) == Bary(coords)
+        assert Bary.of_floats(coords).coords is coords
 
 
 # -- affine maps ---------------------------------------------------------------

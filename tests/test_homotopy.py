@@ -6,6 +6,8 @@ at time one, and idempotence of the induced retraction.  The grids are the
 independent oracle; no value below was produced by the code under test.
 """
 
+import math
+
 import pytest
 
 from smoothsimplex.geometry import barycentric_grid
@@ -13,13 +15,17 @@ from smoothsimplex.homotopy import (
     COLLAR_STAGES,
     DISK,
     FAR_STAGES,
+    EvaluableHomotopy,
     _class_sets,
+    _full_horn_stages,
+    _run_stages,
     active_sets,
     build_boundary_homotopy_T,
     build_full_horn_deformation,
     build_halfopen_deformation,
     collar_core,
 )
+from smoothsimplex.steps import phase_times
 
 TOL_ID = 1e-12
 TOL = 1e-9
@@ -193,6 +199,62 @@ def test_full_horn_flat_at_stage_boundaries():
             ref = H(z, sb).coords
             for ds in (-0.01, 0.01):
                 assert max_dev(H(z, sb + ds).coords, ref) <= TOL
+
+
+def _stages_by_phase_times(stages, z, s):
+    """Reference composite: all local times from ``phase_times`` up front,
+    then the stages up to the first local time <= 0."""
+    if s <= 0.0:
+        return z
+    for step, local in zip(stages, phase_times(s, len(stages))):
+        if local <= 0.0:
+            break
+        z = step(z, local)
+    return z
+
+
+def _recorder(i, seen):
+    def step(z, local):
+        seen.append((i, local))
+        return z
+    return step
+
+
+#: every stage table: the collar retractions and the full-horn composites
+STAGE_TABLES = {
+    **{f"collar-{p}": (p, collar_core(p).args[0]) for p in (1, 2, 3)},
+    **{f"full-horn-{n}": (n, [step for _, step in _full_horn_stages(n)])
+       for n in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("table", sorted(STAGE_TABLES))
+def test_stage_runner_matches_phase_times(table):
+    n, stages = STAGE_TABLES[table]
+    m = len(stages)
+    times = {0.0, 1.0}
+    for k in range(m + 1):
+        for b in (k / m, k / m - 0.1 / m, k / m + 0.1 / m):
+            times.update((b, math.nextafter(b, -1.0), math.nextafter(b, 2.0)))
+    times = sorted(t for t in times if 0.0 <= t <= 1.0)
+    for s in times:
+        for z in grid(n, 6):
+            assert _run_stages(stages, z, s) == _stages_by_phase_times(stages, z, s)
+        # the same local times reach the same stages
+        got, ref = [], []
+        _run_stages([_recorder(i, got) for i in range(m)], (1.0,), s)
+        _stages_by_phase_times([_recorder(i, ref) for i in range(m)], (1.0,), s)
+        assert got == ref, s
+
+
+@pytest.mark.parametrize("out", [
+    (float("nan"), 1.0), (float("inf"), 0.0), (float("inf"), float("-inf")),
+    (1.0 + 1e-9, -1e-9), (0.5, 0.6)], ids=repr)
+def test_homotopy_output_is_validated(out):
+    H = EvaluableHomotopy("stub", "Δ^1", 1, (("stub", (0.0, 1.0)),),
+                          lambda z, s: out)
+    with pytest.raises(ValueError):
+        H((0.5, 0.5), 0.5)
 
 
 # -- schedule and domain metadata ----------------------------------------------
