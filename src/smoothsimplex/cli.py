@@ -173,10 +173,10 @@ def run_axiom1(args) -> Report:
             for i in range(p + 1):
                 if z[i] > 0:
                     dec = chart_decompose(z, i)
-                    if phi_chart(i, dec.x, dec.t).coords == z.coords:
+                    if phi_chart(i, dec.x, dec.t) == z:
                         hits += 1
             if hits == 0:
-                uncovered.append([float(c) for c in z.coords])
+                uncovered.append(list(z.as_floats()))
         rep.add(f"chart-covering-p{p}", not uncovered,
                 max_violation=float(len(uncovered)),
                 witness=uncovered[:1] or None)
@@ -210,9 +210,8 @@ def run_axiom2(args) -> Report:
             for trial in range(args.trials):
                 cols = []
                 for _ in range(p + 1):
-                    raw = [Fraction(rng.randrange(1, 9)) for _ in range(q + 1)]
-                    tot = sum(raw)
-                    cols.append(Bary(tuple(r / tot for r in raw)))
+                    raw = tuple(rng.randrange(1, 9) for _ in range(q + 1))
+                    cols.append(Bary.of_ratio(raw, sum(raw)))
                 f = AffineSimplexMap(tuple(cols))
                 mat = f.matrix()
                 report = probe.smoothness_probe(
@@ -225,7 +224,8 @@ def run_axiom2(args) -> Report:
                     max_violation=worst)
 
     def kink(z: Bary):
-        v = abs(float(z[0]) - float(z[1]))
+        z0, z1 = z.as_floats()
+        v = abs(z0 - z1)
         return (v, 1.0 - v)
 
     control = probe.smoothness_probe(kink, 1, order=2, tol=args.tol,
@@ -255,17 +255,17 @@ def run_axiom3(args) -> Report:
             cells = K.nondegenerate()
             for _ in range(args.trials):
                 ref = cells[rng.randrange(len(cells))]
-                raw = [Fraction(rng.randrange(1, 30))
-                       for _ in range(ref.dim + 1)]
-                tot = sum(raw)
-                u = Bary(tuple(r / tot for r in raw))
+                raw = tuple(rng.randrange(1, 30) for _ in range(ref.dim + 1))
+                u = Bary.of_ratio(raw, sum(raw))
                 pt = realization.normalize(K, (EMPTY, ref), u)
-                img = realization.canonical_injection(incl, pt).coords
-                if img in seen and seen[img] != pt.key():
+                img = realization.canonical_injection(incl, pt)
+                # exact points in lowest terms: equal ratios, equal points
+                key = (pt.simplex.id, pt.coords.ratio)
+                if img.ratio in seen and seen[img.ratio] != key:
                     collisions += 1
                     witness = {"complex": name,
-                               "image": [str(c) for c in img]}
-                seen[img] = pt.key()
+                               "image": [str(c) for c in img.coords]}
+                seen[img.ratio] = key
             rep.add(f"injectivity-{name}", collisions == 0,
                     max_violation=float(collisions), witness=witness)
     return rep
@@ -409,11 +409,13 @@ def run_homotopy_eval(args) -> Report:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _at_least(lo: int):
+def _at_least(lo: int, at_most: Optional[int] = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {value}")
         return value
     return parse
 
@@ -423,6 +425,17 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
+#: ``--p``/``--q`` of the exact checks: Δ^p and ∂Δ[p] grow like 2^p
+_EXACT_DIM = _at_least(1, at_most=MAX_NAMED_DIM)
 
 
 #: the dimensions the deformations are built in
@@ -444,20 +457,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(usage_error=sp.error)
 
     sp = sub.add_parser("verify-axiom1", help="chart covering and transitions")
-    sp.add_argument("--p", type=_at_least(1), default=None)
+    sp.add_argument("--p", type=_EXACT_DIM, default=None)
     sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
     common(sp)
 
     sp = sub.add_parser("verify-axiom2", help="smoothness probes on affine maps")
-    sp.add_argument("--p", type=_at_least(1), default=None)
-    sp.add_argument("--q", type=_at_least(1), default=None)
+    sp.add_argument("--p", type=_EXACT_DIM, default=None)
+    sp.add_argument("--q", type=_EXACT_DIM, default=None)
     sp.add_argument("--trials", type=_at_least(1), default=10)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--tol", type=_finite, default=DEFAULT_DERIV_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_DERIV_TOL)
     common(sp)
 
     sp = sub.add_parser("verify-axiom3", help="canonical-injection injectivity")
-    sp.add_argument("--p", type=_at_least(1), default=None)
+    sp.add_argument("--p", type=_EXACT_DIM, default=None)
     sp.add_argument("--trials", type=_at_least(1), default=10000)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(sp)
@@ -466,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, choices=DIMS, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
-    sp.add_argument("--tol", type=_finite, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     common(sp)
 
     sp = sub.add_parser("fill-horn", help="numeric horn filling")
     sp.add_argument("--p", type=int, choices=DIMS, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
-    sp.add_argument("--tol", type=_finite, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     common(sp)
 
     def map_and_gens(sp):

@@ -4,13 +4,20 @@ Points are barycentric tuples.  Everything in this module is rational
 arithmetic whenever the inputs are rational (``fractions.Fraction`` or
 ``int``); the round-trip identities for charts and good neighborhoods are
 then exact, and the tests assert them with zero tolerance.
+
+An exact point also carries its coordinates as integer numerators over one
+shared denominator (``Bary.ratio``).  The exact kernels (affine maps, the
+chart map, grids) compute on those integers, validate their output in
+integer form and build ``Fraction`` coordinates only for the caller.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Number = Union[int, float, Fraction]
@@ -26,6 +33,15 @@ def _is_exact(coords: Iterable[Number]) -> bool:
     return all(isinstance(c, (int, Fraction)) for c in coords)
 
 
+def _check_ratio(nums: Sequence[int], den: int) -> None:
+    """The exact validation of the point ``nums[i] / den``: the numerators
+    sum to the denominator and none is negative."""
+    if (total := sum(nums)) != den:
+        raise ValueError(f"coordinates sum to {Fraction(total, den)}, not 1")
+    if min(nums) < 0:
+        raise ValueError("negative barycentric coordinate")
+
+
 def _check_floats(coords: Sequence[Number]) -> None:
     """The float validation of a point: the sum is within ``FLOAT_TOL`` of 1
     and no coordinate is below ``-FLOAT_TOL``."""
@@ -37,38 +53,89 @@ def _check_floats(coords: Sequence[Number]) -> None:
         raise ValueError("negative barycentric coordinate")
 
 
-@dataclass(frozen=True)
 class Bary:
-    """A point of Δ^p in barycentric coordinates ``(x_0, ..., x_p)``."""
+    """A point of Δ^p in barycentric coordinates ``(x_0, ..., x_p)``.
 
-    coords: tuple[Number, ...]
+    Immutable.  An exact point also has ``ratio``: its coordinates as
+    integer numerators over their least common denominator, so
+    ``coords[i] == ratio[0][i] / ratio[1]``; a float point has ``ratio``
+    None.  A point built from a ratio makes its ``Fraction`` coordinates
+    only when they are read.
+    """
+
+    __slots__ = ("_coords", "ratio")
+
+    def __init__(self, coords: tuple[Number, ...]) -> None:
+        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "ratio", None)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not self.coords:
+        """Validate a point built from its coordinates and, if it is exact,
+        set its ratio.  The benchmark's tracer wraps this method by name
+        (``perfbench/tracing.py``)."""
+        coords = self._coords
+        if not coords:
             raise ValueError("a barycentric point needs at least one coordinate")
-        if not self.exact:
-            _check_floats(self.coords)
-        elif (total := sum(self.coords)) != 1:
-            raise ValueError(f"coordinates sum to {total}, not 1")
-        elif any(c < 0 for c in self.coords):
-            raise ValueError("negative barycentric coordinate")
+        if not _is_exact(coords):
+            _check_floats(coords)
+            return
+        # the least common denominator leaves the numerators coprime to it
+        den = math.lcm(*(c.denominator for c in coords))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coords)
+        _check_ratio(nums, den)
+        object.__setattr__(self, "ratio", (nums, den))
+
+    @property
+    def coords(self) -> tuple[Number, ...]:
+        if self._coords is None:
+            nums, den = self.ratio
+            object.__setattr__(self, "_coords", tuple(Fraction(n, den) for n in nums))
+        return self._coords
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of an immutable point")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of an immutable point")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.ratio is not None and other.ratio is not None:
+            return self.ratio == other.ratio   # both in lowest terms
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
+
+    def __repr__(self) -> str:
+        return f"Bary(coords={self.coords!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.coords,))
 
     @property
     def p(self) -> int:
-        return len(self.coords) - 1
+        return len(self) - 1
 
     @property
     def exact(self) -> bool:
-        return _is_exact(self.coords)
+        return self.ratio is not None
 
     def __getitem__(self, i: int) -> Number:
         return self.coords[i]
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.ratio[0] if self._coords is None else self._coords)
 
     def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coords)
+        """The coordinates as floats; ``n / d`` of two ints is correctly
+        rounded, so it equals ``float(Fraction(n, d))``."""
+        if self.ratio is None:
+            return tuple(float(c) for c in self.coords)
+        nums, den = self.ratio
+        return tuple(n / den for n in nums)
 
     @classmethod
     def of(cls, *coords: Number) -> "Bary":
@@ -80,7 +147,27 @@ class Bary:
         validates one, without the scan for exact coordinates."""
         _check_floats(coords)
         point = object.__new__(cls)
-        object.__setattr__(point, "coords", coords)
+        object.__setattr__(point, "_coords", coords)
+        object.__setattr__(point, "ratio", None)
+        return point
+
+    @classmethod
+    def of_ratio(cls, nums: Sequence[int], den: int) -> "Bary":
+        """The exact point ``(nums[0] / den, ..., nums[p] / den)`` of integer
+        numerators, validated in integers as ``__post_init__`` validates
+        an exact point."""
+        nums = tuple(nums)
+        if not nums:
+            raise ValueError("a barycentric point needs at least one coordinate")
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        _check_ratio(nums, den)
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        point = object.__new__(cls)
+        object.__setattr__(point, "_coords", None)
+        object.__setattr__(point, "ratio", (nums, den))
         return point
 
     @classmethod
@@ -103,8 +190,7 @@ def _compositions(p: int, steps: int) -> Iterator[tuple[int, ...]]:
 
 def barycentric_grid(p: int, steps: int) -> list[Bary]:
     """All points of Δ^p with coordinates in (1/steps)·Z, lexicographic."""
-    return [Bary(tuple(Fraction(c, steps) for c in comp))
-            for comp in _compositions(p, steps)]
+    return [Bary.of_ratio(comp, steps) for comp in _compositions(p, steps)]
 
 
 def float_grid(p: int, steps: int) -> list[tuple[float, ...]]:
@@ -122,10 +208,19 @@ class AffineSimplexMap:
 
     columns: tuple[Bary, ...]
 
+    #: ``(rows, denominator)``: the matrix as integers over one denominator,
+    #: when every column is exact; None otherwise
+    _int_matrix = None
+
     def __post_init__(self) -> None:
         q = self.columns[0].p
         if any(c.p != q for c in self.columns):
             raise ValueError("all vertex images must share a dimension")
+        if all(c.exact for c in self.columns):
+            den = math.lcm(*(c.ratio[1] for c in self.columns))
+            cols = [tuple(n * (den // d) for n in nums)
+                    for nums, d in (c.ratio for c in self.columns)]
+            object.__setattr__(self, "_int_matrix", (tuple(zip(*cols)), den))
 
     @property
     def p(self) -> int:
@@ -138,6 +233,10 @@ class AffineSimplexMap:
     def __call__(self, x: Bary) -> Bary:
         if x.p != self.p:
             raise ValueError(f"expected a point of Δ^{self.p}")
+        if self._int_matrix is not None and x.ratio is not None:
+            (rows, den), (nums, xden) = self._int_matrix, x.ratio
+            return Bary.of_ratio(tuple(sum(map(mul, row, nums)) for row in rows),
+                                 den * xden)
         coords = [0] * (self.q + 1)
         for weight, col in zip(x.coords, self.columns):
             for r, c in enumerate(col.coords):
@@ -218,6 +317,8 @@ class ChartDecomp:
 
 def phi_chart(i: int, x: Bary, t: Number) -> Bary:
     """The chart map ``phi_i(x, t) = (1-t)(i) + t d^i(x)`` into Δ^p."""
+    if x.ratio is not None and isinstance(t, (int, Fraction)):
+        return phi_chart_ratio(i, *x.ratio, t.numerator, t.denominator)
     p = x.p + 1
     if not 0 <= i <= p:
         raise ValueError(f"chart index {i} out of range")
@@ -230,6 +331,21 @@ def phi_chart(i: int, x: Bary, t: Number) -> Bary:
         else:
             coords.append(t * x[j if j < i else j - 1])
     return Bary(tuple(coords))
+
+
+def phi_chart_ratio(i: int, nums: Sequence[int], den: int, tn: int, td: int
+                    ) -> Bary:
+    """``phi_chart`` on integers: ``x = nums / den``, checked to be a point
+    of Δ^{p-1}, and ``t = tn / td`` with ``td > 0``; the image has
+    denominator ``td * den``."""
+    if not 0 <= i <= len(nums):
+        raise ValueError(f"chart index {i} out of range")
+    _check_ratio(nums, den)
+    if not 0 <= tn <= td:
+        raise OutOfDomain(f"chart parameter t={Fraction(tn, td)} outside [0, 1)")
+    coords = [tn * n for n in nums]
+    coords.insert(i, (td - tn) * den)
+    return Bary.of_ratio(tuple(coords), td * den)
 
 
 def chart_decompose(z: Bary, i: int) -> ChartDecomp:
@@ -247,8 +363,11 @@ def chart_decompose(z: Bary, i: int) -> ChartDecomp:
     t = 1 - zi
     if t == 0:
         return ChartDecomp(i, Bary.barycenter(p - 1), 0)
-    rest = tuple(z[j] for j in range(p + 1) if j != i)
-    x = Bary(tuple(c / t for c in rest))
+    if z.ratio is not None:
+        nums, den = z.ratio
+        x = Bary.of_ratio(nums[:i] + nums[i + 1:], den - nums[i])
+    else:
+        x = Bary(tuple(z[j] / t for j in range(p + 1) if j != i))
     return ChartDecomp(i, x, t)
 
 
@@ -283,6 +402,9 @@ def transition_identity_gap(p: int, i: int, j: int, y: Bary, tau: Number,
     # vertex shift down by one)
     lhs = phi_chart(i, phi_chart(j if j < i else j - 1, y, tau), t)
     rhs = phi_chart(j, phi_chart(i if i < j else i - 1, y, s), t_new)
+    if lhs.ratio is not None and rhs.ratio is not None:
+        (ln, ld), (rn, rd) = lhs.ratio, rhs.ratio
+        return Fraction(max(abs(a * rd - b * ld) for a, b in zip(ln, rn)), ld * rd)
     return max(abs(a - b) for a, b in zip(lhs.coords, rhs.coords))
 
 

@@ -83,7 +83,11 @@ def _cut(q: int) -> Callable[[float], float]:
 
 
 def _renorm(coords: Sequence[float]) -> Vec:
-    s = sum(coords)
+    # a left fold, not sum(): Python 3.12's sum() compensates float
+    # rounding, so it would change the last bits between versions
+    s = 0.0
+    for c in coords:
+        s += c
     return tuple(c / s for c in coords)
 
 

@@ -9,12 +9,14 @@ and flags kinks, nothing more.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .geometry import Bary, phi_chart
+from .geometry import Bary, phi_chart_ratio
 
 PointMap = Callable[[Bary], object]
 
@@ -30,12 +32,54 @@ def _as_floats(value: object) -> tuple[float, ...]:
     return tuple(float(c) for c in value)  # type: ignore[arg-type]
 
 
+#: a float parameter is read as the nearest fraction of denominator at most this
+MAX_TAU_DENOMINATOR = 1 << 40
+
+
+def _limit_denominator(n: int, d: int, max_den: int) -> tuple[int, int]:
+    """``Fraction(n, d).limit_denominator(max_den)`` as ``(numerator,
+    denominator)``, for ``n / d`` in lowest terms with ``d > 0``: the
+    closest convergent or semiconvergent of the continued fraction, the
+    convergent on a tie."""
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n0, d0 = n, d
+    while True:
+        a = n0 // d0
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n0, d0 = d0, n0 - a * d0
+    k = (max_den - q0) // q1
+    # p1/q1 lies d0 / (q1 d) from n/d, and 1 / (q1 (q0 + k q1)) from the
+    # semiconvergent on the other side
+    if 2 * d0 * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _rational(tau) -> tuple[int, int]:
+    """``tau`` as ``(a, b)`` with ``tau ~ a / b``, ``b > 0``: a ``Fraction``
+    as it is, any other number rounded to a denominator of at most
+    ``MAX_TAU_DENOMINATOR``."""
+    # floats first: isinstance(float, Fraction) takes the slow ABC check
+    if isinstance(tau, float):
+        return _limit_denominator(*tau.as_integer_ratio(), MAX_TAU_DENOMINATOR)
+    if isinstance(tau, Fraction):
+        return tau.numerator, tau.denominator
+    return _limit_denominator(*Fraction(tau).as_integer_ratio(), MAX_TAU_DENOMINATOR)
+
+
 @dataclass
 class ProbeCurve:
     """Polynomial curve ``tau -> (x(tau), t(tau))`` into a chart domain.
 
     Coefficients are rational so the composite with an affine map stays a
-    low-degree polynomial with an exactly differentiable formula.
+    low-degree polynomial with an exactly differentiable formula.  They
+    are kept as integers over one denominator, so that a point of the
+    curve is computed on integers.
     """
 
     chart: int
@@ -46,16 +90,35 @@ class ProbeCurve:
     t1: Fraction
     radius: float
 
-    def x(self, tau: Fraction) -> Bary:
-        return Bary(tuple(a + b * tau + c * tau * tau
-                          for a, b, c in zip(self.x0, self.x1, self.x2)))
+    def __post_init__(self) -> None:
+        m = len(self.x0)
+        cs = [Fraction(c) for c in (*self.x0, *self.x1, *self.x2, self.t0, self.t1)]
+        den = math.lcm(*(c.denominator for c in cs))
+        ns = [c.numerator * (den // c.denominator) for c in cs]
+        # (den, X0, X1, X2, (T0, T1)): every coefficient times den
+        self._ints = (den, tuple(ns[:m]), tuple(ns[m:2 * m]),
+                      tuple(ns[2 * m:3 * m]), tuple(ns[3 * m:]))
 
-    def t(self, tau: Fraction):
-        return self.t0 + self.t1 * tau
+    def _x_t(self, a: int, b: int) -> tuple[tuple[int, ...], int, int, int]:
+        """At ``tau = a / b``: the numerators of ``x`` over ``den b²`` and
+        ``t`` as ``tn / td``."""
+        den, X0, X1, X2, (T0, T1) = self._ints
+        bb, ab, aa = b * b, a * b, a * a
+        xs = tuple(c0 * bb + c1 * ab + c2 * aa for c0, c1, c2 in zip(X0, X1, X2))
+        return xs, den * bb, T0 * b + T1 * a, den * b
+
+    def x(self, tau: Fraction) -> Bary:
+        xs, xden, _, _ = self._x_t(*_rational(tau))
+        return Bary.of_ratio(xs, xden)
+
+    def t(self, tau: Fraction) -> Fraction:
+        _, _, tn, td = self._x_t(*_rational(tau))
+        return Fraction(tn, td)
 
     def point(self, tau) -> Bary:
-        tau = Fraction(tau).limit_denominator(1 << 40) if not isinstance(tau, Fraction) else tau
-        return phi_chart(self.chart, self.x(tau), self.t(tau))
+        """``phi_chart(chart, x(tau), t(tau))``, a float ``tau`` read as
+        the nearest fraction of denominator at most ``2**40``."""
+        return phi_chart_ratio(self.chart, *self._x_t(*_rational(tau)))
 
 
 def random_curve(p: int, chart: int, rng: random.Random) -> ProbeCurve:
@@ -179,28 +242,16 @@ def affine_curve_derivative(matrix: Sequence[Sequence[object]],
     The chart composite is polynomial with rational coefficients; its
     derivative is computed symbolically and pushed through the matrix.
     """
-    tau = Fraction(tau0).limit_denominator(1 << 40)
-    i = curve.chart
-    m = len(curve.x0)
-    # chart coordinates z_j(tau) and their exact derivatives
-    x = [a + b * tau + c * tau * tau
-         for a, b, c in zip(curve.x0, curve.x1, curve.x2)]
-    dx = [b + 2 * c * tau for b, c in zip(curve.x1, curve.x2)]
-    t = curve.t0 + curve.t1 * tau
-    dt = curve.t1
-    z = []
-    dz = []
-    for j in range(m + 1):
-        if j == i:
-            z.append(1 - t)
-            dz.append(-dt)
-        else:
-            k = j if j < i else j - 1
-            z.append(t * x[k])
-            dz.append(dt * x[k] + t * dx[k])
-    rows = len(matrix)
-    out = []
-    for r in range(rows):
-        out.append(float(sum(Fraction(matrix[r][c]) * dz[c]
-                             for c in range(m + 1))))
-    return tuple(out)
+    a, b = _rational(tau0)
+    den, _, X1, X2, (_, T1) = curve._ints
+    xs, _, tn, _ = curve._x_t(a, b)
+    # with x_k = xs_k / (den b²), dx_k = (X1_k b + 2 X2_k a) / (den b),
+    # t = tn / (den b) and dt = T1 / den, the chart coordinates have
+    # dz_i = -dt and dz_j = dt x_k + t dx_k, all over den² b²
+    dz = [T1 * x + tn * (c1 * b + 2 * c2 * a) for x, c1, c2 in zip(xs, X1, X2)]
+    dz.insert(curve.chart, -T1 * den * b * b)
+    entries = [[Fraction(m) for m in row] for row in matrix]
+    mden = math.lcm(*(m.denominator for row in entries for m in row))
+    rows = [[m.numerator * (mden // m.denominator) for m in row] for row in entries]
+    out_den = mden * den * den * b * b
+    return tuple(sum(map(mul, row, dz)) / out_den for row in rows)

@@ -53,25 +53,32 @@ def _collapse_word(word: tuple[int, ...], coords: tuple[Number, ...]
     return coords
 
 
+def _point_like(u: Bary, coords: tuple[Number, ...]) -> Bary:
+    """The point of ``coords``, given as integer numerators over the
+    denominator of ``u`` when ``u`` is exact."""
+    return Bary(coords) if u.ratio is None else Bary.of_ratio(coords, u.ratio[1])
+
+
+def _coords_of(u: Bary) -> tuple[Number, ...]:
+    """The coordinates of ``u``; the integer numerators of an exact one."""
+    return u.coords if u.ratio is None else u.ratio[0]
+
+
 def normalize(K: FiniteSimplicialSet, sx: Simplex, u: Bary) -> RealPoint:
-    """Normal form of the point ``(sx, u)`` of ``|K|``."""
+    """Normal form of the point ``(sx, u)`` of ``|K|``; ``u`` itself when
+    nothing collapses."""
     word, ref = sx
     if u.p != ref.dim + len(word):
         raise ValueError("coordinate dimension does not match the simplex")
-    coords = _collapse_word(word, u.coords)
-    while True:
-        zero = None
-        for i, c in enumerate(coords):
-            if c == 0:
-                zero = i
-                break
-        if zero is None:
-            return RealPoint(ref, Bary(coords))
+    start = _coords_of(u)
+    coords = _collapse_word(word, start)
+    while 0 in coords:
         if ref.dim == 0:
             raise ValueError("all coordinates of a point vanish")
-        fw, ftgt = K.face((EMPTY, ref), zero)
+        zero = coords.index(0)
+        fw, ref = K.face((EMPTY, ref), zero)
         coords = _collapse_word(fw, coords[:zero] + coords[zero + 1:])
-        ref = ftgt
+    return RealPoint(ref, u if coords is start else _point_like(u, coords))
 
 
 def canonical_injection(incl: SimplicialMap, pt: RealPoint) -> Bary:
@@ -90,11 +97,11 @@ def canonical_injection(incl: SimplicialMap, pt: RealPoint) -> Bary:
     verts = ambient.labels.get(ref.id)
     if not isinstance(verts, tuple):
         raise ValueError("ambient complex does not carry vertex labels")
-    p = ambient.dimension
-    coords: list[Number] = [0] * (p + 1)
+    coords: list[Number] = [0] * (ambient.dimension + 1)
+    src = _coords_of(pt.coords)
     for slot, v in enumerate(verts):
-        coords[v] = pt.coords[slot]
-    return Bary(tuple(coords))
+        coords[v] = src[slot]
+    return _point_like(pt.coords, tuple(coords))
 
 
 def realize_map(f: SimplicialMap, pt: RealPoint) -> RealPoint:

@@ -147,6 +147,14 @@ def test_cli_error_on_unknown_map(capsys):
     ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-stages", "-1"],
     ["homotopy-eval", "--p", "4", "--point", "1,0,0,0,0", "--s", "0.5"],
     ["homotopy-eval", "--p", "1", "--point", "0.5,0.5", "--s", "inf"],
+    ["verify-axiom1", "--p", str(cli.MAX_NAMED_DIM + 1)],
+    ["verify-axiom1", "--p", "60"],
+    ["verify-axiom2", "--p", "300"],
+    ["verify-axiom2", "--q", str(cli.MAX_NAMED_DIM + 1)],
+    ["verify-axiom3", "--p", "40", "--trials", "1"],
+    ["verify-axiom2", "--tol", "-1"],
+    ["verify-axiom4", "--p", "1", "--tol", "-1e-9"],
+    ["fill-horn", "--p", "1", "--k", "0", "--tol", "-1"],
 ], ids=" ".join)
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     for entry in (main, run):
