@@ -18,6 +18,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from operator import sub
 from typing import Optional
 
 from . import engine, homotopy, probe, realization
@@ -283,7 +285,7 @@ def _worst(items, deviation):
 
 
 def _dist(a, b) -> float:
-    return max(abs(x - y) for x, y in zip(a, b))
+    return max(map(abs, map(sub, a, b)))
 
 
 def _add_contract(rep: Report, contract: str, at: str, tol: float, items,
@@ -315,22 +317,22 @@ def run_axiom4(args) -> Report:
             H = homotopy.build_full_horn_deformation(n, k)
             end = {z: H(z, 1.0).coords for z in pts}
 
-            def moved(zs):
-                z, s = zs   # H is pure, so end[z] is H(z, 1) for a grid point
-                out = end[z] if s == 1.0 and z in end else H(z, s).coords
-                return _dist(out, z)
+            def image(z, s):
+                # H is pure, so end[z] is H(z, 1) wherever z is a grid point
+                return end[z] if s == 1.0 and z in end else H(z, s).coords
 
             at = f"-({n},{k})"
             _add_contract(rep, "identity-at-0", at, 1e-12, pts,
-                          lambda z: _dist(H(z, 0.0).coords, z))
+                          lambda z: _dist(image(z, 0.0), z))
             _add_contract(rep, "horn-fixed", at, args.tol,
                           ((z, s) for z in _horn_grid(n, k, min(steps, 12))
                            for s in (0.2, 0.45, 0.7, 0.9, 1.0)),
-                          moved, witness=lambda zs: {"point": list(zs[0]), "s": zs[1]})
+                          lambda zs: _dist(image(*zs), zs[0]),
+                          witness=lambda zs: {"point": list(zs[0]), "s": zs[1]})
             _add_contract(rep, "lands-in-horn", at, args.tol, pts,
-                          lambda z: min(c for i, c in enumerate(end[z]) if i != k))
+                          lambda z: min(end[z][:k] + end[z][k + 1:]))
             _add_contract(rep, "retraction-idempotent", at, args.tol, pts,
-                          lambda z: _dist(end[z], H(end[z], 1.0).coords))
+                          lambda z: _dist(end[z], image(end[z], 1.0)))
     return rep
 
 
@@ -528,6 +530,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first parse and reused by every later one."""
+    return build_parser()
+
+
 RUNNERS = {
     "verify-axiom1": run_axiom1,
     "verify-axiom2": run_axiom2,
@@ -544,7 +552,7 @@ RUNNERS = {
 def _parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
     """Parse ``argv``; bad flags and out-of-range values exit with status 2,
     under the subcommand's usage line."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # without --p the axiom commands start at dimension 1
     top = getattr(args, "p", None) or 1
     if getattr(args, "k", None) is not None and not 0 <= args.k <= top:

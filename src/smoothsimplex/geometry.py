@@ -428,6 +428,41 @@ def in_good_neighborhood(z: Bary, I: Sequence[int], eps: Number) -> bool:
     return sum(z[i] for i in I) > 1 - eps
 
 
+def phi_I(z: Sequence[Number], I: Sequence[int], J: Sequence[int]
+          ) -> tuple[tuple[Number, ...], tuple[Number, ...]]:
+    """``Φ_I`` on plain coordinates, for ``z`` positive on ``I`` and ``J``
+    the complement of ``I``: ``u = z_I / S`` and ``v = (S, z_J)``, with
+    ``S`` summed over ``I`` left to right.  Exact on exact coordinates; the
+    float deformations call it on their own points, so it uses loops, not
+    comprehensions, which are nested calls on Python 3.11."""
+    S = 0
+    for i in I:
+        S += z[i]
+    u, v = [], [S]
+    for i in I:
+        u.append(z[i] / S)
+    for j in J:
+        v.append(z[j])
+    return tuple(u), tuple(v)
+
+
+def phi_I_inverse(u: Sequence[Number], v: Sequence[Number], I: Sequence[int],
+                  J: Sequence[int]) -> list[Number]:
+    """``Φ_I⁻¹`` on plain coordinates: ``x_{i_a} = v_0 u_a`` and
+    ``x_{j_b} = v_{b+1}``."""
+    out: list[Number] = [0] * (len(I) + len(J))
+    v0 = v[0]
+    for i, c in zip(I, u):
+        out[i] = v0 * c
+    for b, j in enumerate(J, 1):
+        out[j] = v[b]
+    return out
+
+
+def _complement(I: Sequence[int], p: int) -> tuple[int, ...]:
+    return tuple(j for j in range(p + 1) if j not in I)
+
+
 def good_nbhd_Phi(I: Sequence[int], z: Bary) -> tuple[Bary, Bary]:
     """The diffeomorphism ``Φ_I : U_I → (interior k-simplex) x (half-open
     simplex)``, returned as ``(u, v)`` with ``v_0`` the weight of the I-face.
@@ -436,11 +471,8 @@ def good_nbhd_Phi(I: Sequence[int], z: Bary) -> tuple[Bary, Bary]:
     I = _check_index_set(I, p)
     if any(z[i] <= 0 for i in I):
         raise OutOfDomain(f"point not in U_{I}: a coordinate on I vanishes")
-    S = sum(z[i] for i in I)
-    u = Bary(tuple(z[i] / S for i in I))
-    J = [j for j in range(p + 1) if j not in I]
-    v = Bary((S,) + tuple(z[j] for j in J))
-    return u, v
+    u, v = phi_I(z.coords, I, _complement(I, p))
+    return Bary(u), Bary(v)
 
 
 def good_nbhd_Phi_inverse(I: Sequence[int], u: Bary, v: Bary, p: int) -> Bary:
@@ -450,13 +482,7 @@ def good_nbhd_Phi_inverse(I: Sequence[int], u: Bary, v: Bary, p: int) -> Bary:
         raise ValueError("component dimensions do not match I")
     if (v[0] == 0) if v.exact else (float(v[0]) <= FLOAT_TOL):
         raise OutOfDomain("half-open component collapsed (v_0 = 0)")
-    J = [j for j in range(p + 1) if j not in I]
-    coords: list[Number] = [0] * (p + 1)
-    for a, i in enumerate(I):
-        coords[i] = v[0] * u[a]
-    for b, j in enumerate(J):
-        coords[j] = v[b + 1]
-    return Bary(tuple(coords))
+    return Bary(tuple(phi_I_inverse(u.coords, v.coords, I, _complement(I, p))))
 
 
 # -- concatenation plumbing for homotopy-class products -----------------------

@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .geometry import Bary, OutOfDomain
+from .geometry import Bary, OutOfDomain, phi_I, phi_I_inverse
 from .steps import SPLICE, SmoothStep, two_phase
 
 Vec = tuple[float, ...]
@@ -82,26 +83,31 @@ def _cut(q: int) -> Callable[[float], float]:
     return SmoothStep(*CUT[q])
 
 
+def _divided(coords: Sequence[float], t: float) -> Vec:
+    # a loop, not a comprehension: on Python 3.11 that is a nested call
+    out = []
+    for c in coords:
+        out.append(c / t)
+    return tuple(out)
+
+
 def _renorm(coords: Sequence[float]) -> Vec:
     # a left fold, not sum(): Python 3.12's sum() compensates float
     # rounding, so it would change the last bits between versions
     s = 0.0
     for c in coords:
         s += c
-    return tuple(c / s for c in coords)
+    return _divided(coords, s)
 
 
 def _join0(x: Vec, t: float) -> Vec:
     """Reassemble a chart-0 point (1-t)(0) + t*x, renormalized."""
     if t <= 0.0:
         return (1.0,) + (0.0,) * len(x)
-    return _renorm((1.0 - t,) + tuple(t * c for c in x))
-
-
-def _swap(z: Vec, a: int, b: int) -> Vec:
-    out = list(z)
-    out[a], out[b] = out[b], out[a]
-    return tuple(out)
+    out = [1.0 - t]
+    for c in x:   # a loop, as in _divided
+        out.append(t * c)
+    return _renorm(out)
 
 
 def _schedule(names: Sequence[str]) -> tuple:
@@ -111,13 +117,22 @@ def _schedule(names: Sequence[str]) -> tuple:
     return tuple((nm, (i / m, (i + 1) / m)) for i, nm in enumerate(names))
 
 
+_FLAT0, _FLAT1 = SPLICE.a, SPLICE.b   # SPLICE is 0 below, 1 above
+
+
+def _splice(t: float) -> float:
+    """``SPLICE(t)``, without the call on its flat ends."""
+    return 0.0 if t <= _FLAT0 else 1.0 if t >= _FLAT1 else SPLICE(t)
+
+
 def _run_stages(stages: Sequence[Step], z: Vec, s: float) -> Vec:
     """The composite of ``stages`` on equal subintervals of [0, 1]; each
     local time is computed when its stage is reached, and a 0 one ends it."""
     if s <= 0.0:
         return z
+    m = len(stages)
     for k, step in enumerate(stages):
-        local = SPLICE(len(stages) * s - k)
+        local = _splice(m * s - k)
         if local <= 0.0:
             break
         z = step(z, local)
@@ -133,26 +148,32 @@ def _radial1(z: Vec, s: float) -> Vec:
     return (1.0 - t2, t2)
 
 
-def _cone_step(p: int, z: Vec, s: float, softened: bool = False) -> Vec:
+@cache
+def _cone_step(p: int, softened: bool = False) -> Step:
     """Δ^(p+1) seen as the cone on Δ^p with vertex 0: a radial phase toward
     the vertex damped by the interior bump, then the collar retraction of
     the base.  ``softened`` damps the collar near the closed base, so the
     step extends across it."""
-    t = 1.0 - z[0]
-    if t <= 0.0 or s <= 0.0:
-        return z
-    x = tuple(c / t for c in z[1:])
-    mx = min(x)
-    s1, s2 = two_phase(s)
-    g = _cut(p)(mx)
-    if s2 <= 0.0:
-        return _join0(x, (1.0 - g * s1) * t)
-    if mx < DISK[p]:
-        if softened:
-            # 1 away from the closure of the far-face boundary, flat 0 near it
-            s2 *= 1.0 - (1.0 - SHELL(z[0])) * (1.0 - SHELL(mx))
-        x = collar_core(p)(x, s2)
-    return _join0(x, (1.0 - g) * t)  # off the collar g = 1: at the vertex
+    cut, disk, collar = _cut(p), DISK[p], collar_core(p)
+
+    def step(z: Vec, s: float) -> Vec:
+        t = 1.0 - z[0]
+        if t <= 0.0 or s <= 0.0:
+            return z
+        x = _divided(z[1:], t)
+        mx = min(x)
+        g = cut(mx)
+        s2 = _splice(2.0 * s - 1.0)   # two_phase(s), the collar phase first
+        if s2 <= 0.0:
+            return _join0(x, (1.0 - g * _splice(2.0 * s)) * t)
+        if mx < disk:
+            if softened:
+                # 1 away from the closure of the far-face boundary, flat 0 near it
+                s2 *= 1.0 - (1.0 - SHELL(z[0])) * (1.0 - SHELL(mx))
+            x = collar(x, s2)
+        return _join0(x, (1.0 - g) * t)  # off the collar g = 1: at the vertex
+
+    return step
 
 
 @cache
@@ -160,68 +181,45 @@ def half_open_core(r: int) -> Step:
     """Deformation of ``{z_0 > 0}`` in Δ^r onto the half-open 0-horn."""
     if r == 1:
         return lambda v, s: v if s <= 0.0 else _radial1(v, s)
-    return partial(_cone_step, r - 1)
-
-
-def _class_sets(n: int, face_dim: int, vertices: Sequence[int]) -> tuple:
-    """Index sets of the open ``face_dim``-simplices spanned by ``vertices``,
-    inside Δ^n."""
-    return tuple(combinations(sorted(vertices), face_dim + 1))
-
-
-def _neighborhood(z: Vec, I: tuple, lo: float,
-                  cut: Optional[Callable[[float], float]]) -> Optional[tuple]:
-    """``(S, u, g)`` when ``z`` lies where the good neighborhood of the open
-    face ``I`` acts: mass ``S`` on ``I`` above ``lo``, position ``u`` in the
-    face and bump ``g > 0`` there (1 on vertices); otherwise ``None``."""
-    S = 0.0
-    for i in I:
-        if z[i] <= 0.0:
-            return None
-        S += z[i]
-    if S <= lo:
-        return None
-    if cut is None:
-        return S, (1.0,), 1.0
-    u = tuple(z[i] / S for i in I)
-    g = cut(min(u))
-    return (S, u, g) if g > 0.0 else None
-
-
-def _stage_data(face_dim: int, eps: float) -> tuple:
-    return 1.0 - eps, (_cut(face_dim) if face_dim > 0 else None)
-
-
-def active_sets(z: Vec, face_dim: int, eps: float, isets: tuple) -> list:
-    """The index sets whose stage would move ``z``; used by the disjointness
-    tests."""
-    lo, cut = _stage_data(face_dim, eps)
-    return [I for I in isets if _neighborhood(z, I, lo, cut) is not None]
+    return _cone_step(r - 1)
 
 
 def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
                 ) -> Step:
-    """One stage in Δ^n: retract within the first good neighborhood
-    ``U_I(eps)`` of an open ``face_dim``-simplex spanned by ``vertices`` that
-    acts on the point.  The constants make at most one of them act."""
-    lo, cut = _stage_data(face_dim, eps)
+    """One stage in Δ^n: retract through ``Φ_I`` within the first good
+    neighborhood ``U_I(eps)`` of an open ``face_dim``-simplex spanned by
+    ``vertices`` that acts: z > 0 on I, mass on I above 1 - eps and a
+    positive bump at the position in the face.  The constants make at most
+    one act; with a list ``acting``, the step lists them and moves nothing."""
+    lo = 1.0 - eps
     core = half_open_core(n - face_dim)
-    sets = [(I, [j for j in range(n + 1) if j not in I])
-            for I in _class_sets(n, face_dim, vertices)]
+    cut = _cut(face_dim) if face_dim > 0 else None
+    plan = tuple((I, tuple(j for j in range(n + 1) if j not in I))
+                 for I in combinations(sorted(vertices), face_dim + 1))
 
-    def step(z: Vec, sigma: float) -> Vec:
-        for I, J in sets:
-            hit = _neighborhood(z, I, lo, cut)
-            if hit is None:
+    def step(z: Vec, sigma: float, acting: Optional[list] = None) -> Vec:
+        for I, J in plan:
+            if cut is None:
+                # a vertex: lo > 1/2, so at most one coordinate passes it
+                if z[I[0]] <= lo:
+                    continue
+            else:
+                S = 0.0
+                for i in I:
+                    if z[i] <= 0.0:   # outside U_I
+                        S = 0.0
+                        break
+                    S += z[i]
+                if S <= lo:
+                    continue
+            u, v = phi_I(z, I, J)
+            g = 1.0 if cut is None else cut(min(u))
+            if not g > 0.0:
                 continue
-            S, u, g = hit
-            v2 = core((S,) + tuple(z[j] for j in J), g * sigma)
-            out = [0.0] * (n + 1)
-            for i, c in zip(I, u):
-                out[i] = v2[0] * c
-            for j, c in zip(J, v2[1:]):
-                out[j] = c
-            return _renorm(out)
+            if acting is not None:
+                acting.append(I)
+                continue
+            return _renorm(phi_I_inverse(u, core(v, g * sigma), I, J))
         return z
 
     return step
@@ -238,16 +236,21 @@ def collar_core(p: int) -> Step:
 # -- full-horn deformation ----------------------------------------------------
 
 
-def _face_flow(p: int, z: Vec, sigma: float) -> Vec:
+def _face_flow(p: int) -> Step:
     """The collar retraction inside the far face Δ^p, ramped in near it."""
-    z0 = z[0]
-    if z0 >= FACE_EPS:
-        return z
-    t = 1.0 - z0
-    x = tuple(c / t for c in z[1:])
-    if min(x) >= DISK[p]:
-        return z
-    return _join0(collar_core(p)(x, (1.0 - FACE_RAMP(z0)) * sigma), t)
+    disk, collar = DISK[p], collar_core(p)
+
+    def step(z: Vec, sigma: float) -> Vec:
+        z0 = z[0]
+        if z0 >= FACE_EPS:
+            return z
+        t = 1.0 - z0
+        x = _divided(z[1:], t)
+        if min(x) >= disk:
+            return z
+        return _join0(collar(x, (1.0 - FACE_RAMP(z0)) * sigma), t)
+
+    return step
 
 
 @cache
@@ -256,8 +259,8 @@ def _full_horn_stages(n: int) -> tuple[tuple[str, Step], ...]:
     vertex 0."""
     far = tuple((f"far-face-dim-{fd}", _nbhd_stage(n, fd, eps, range(1, n + 1)))
                 for fd, eps in FAR_STAGES[n])
-    return (("softened-horn", partial(_cone_step, n - 1, softened=True)),
-            *far, ("face-flow", partial(_face_flow, n - 1)))
+    return (("softened-horn", _cone_step(n - 1, softened=True)),
+            *far, ("face-flow", _face_flow(n - 1)))
 
 
 # -- public wrappers ----------------------------------------------------------
@@ -300,14 +303,14 @@ class EvaluableHomotopy:
         return self.schedule[-1][0]
 
 
-def _conjugated(core: Step, k: int) -> Step:
+def _conjugated(core: Step, n: int, k: int) -> Step:
+    """``core`` with coordinates 0 and ``k`` swapped on the way in and out."""
     if k == 0:
         return core
-
-    def ev(z: Vec, s: float) -> Vec:
-        return _swap(core(_swap(z, 0, k), s), 0, k)
-
-    return ev
+    order = list(range(n + 1))
+    order[0], order[k] = k, 0
+    swap = itemgetter(*order)
+    return lambda z, s: swap(core(swap(z), s))
 
 
 def _check_horn(n: int, k: int) -> None:
@@ -328,7 +331,7 @@ def build_halfopen_deformation(n: int, k: int) -> EvaluableHomotopy:
         name=f"halfopen({n},{k})",
         domain=f"half-open simplex z_{k}>0 in dim {n}",
         p=n, schedule=_schedule(names),
-        _eval=_conjugated(half_open_core(n), k),
+        _eval=_conjugated(half_open_core(n), n, k),
         _domain_check=lambda z: z[k] > 0.0)
 
 
@@ -344,7 +347,7 @@ def build_full_horn_deformation(n: int, k: int) -> EvaluableHomotopy:
     return EvaluableHomotopy(
         name=f"fullhorn({n},{k})",
         domain=f"Δ^{n}",
-        p=n, schedule=_schedule(names), _eval=_conjugated(core, k))
+        p=n, schedule=_schedule(names), _eval=_conjugated(core, n, k))
 
 
 def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
@@ -376,12 +379,8 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
         target = theta + (1.0 - push_ramp(theta)) * (theta_mid - theta)
         theta1 = theta + s1 * (target - theta)
         scale = theta1 / theta
-        z = _renorm(tuple(b + scale * (c - b) for b, c in zip(bary, z)))
-        if s2 <= 0.0:
-            return z
-        if min(z) < c_disk:
-            return collar(z, s2)
-        return z
+        z = _renorm([b + scale * (c - b) for b, c in zip(bary, z)])
+        return collar(z, s2) if s2 > 0.0 and min(z) < c_disk else z
 
     return EvaluableHomotopy(
         name=f"boundaryT({p},{eps})",

@@ -8,15 +8,8 @@ produce exact fixed points and exact landings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-
-def _bump(t: float) -> float:
-    # exp(-1/t) for t > 0, flat zero otherwise
-    if t <= 0.0:
-        return 0.0
-    return math.exp(-1.0 / t)
+from math import exp
 
 
 @dataclass(frozen=True)
@@ -30,13 +23,16 @@ class SmoothStep:
 
     def __call__(self, t: float) -> float:
         t = float(t)
-        if t <= self.a:
+        a, b = self.a, self.b
+        if t <= a:
             return 0.0
-        if t >= self.b:
+        if t >= b:
             return 1.0
-        u = (t - self.a) / (self.b - self.a)
-        num = _bump(u)
-        return num / (num + _bump(1.0 - u))
+        # the bump exp(-1/u), flat zero for u <= 0, at u and at 1 - u
+        u = (t - a) / (b - a)
+        num = 0.0 if u <= 0.0 else exp(-1.0 / u)
+        w = 1.0 - u
+        return num / (num + (0.0 if w <= 0.0 else exp(-1.0 / w)))
 
 
 #: reparametrization used to splice two homotopies smoothly; flat near the

@@ -7,6 +7,7 @@ import pytest
 
 from smoothsimplex import cli, homotopy
 from smoothsimplex.cli import Report, main, named_complex, named_map, run
+from smoothsimplex.geometry import Bary, float_grid
 
 
 def invoke(argv):
@@ -198,6 +199,94 @@ def test_cross_argument_errors_show_the_subcommand_usage(argv, usage, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(usage)
+
+
+#: one command of each subcommand, each followed by a usage error of its own
+ONE_OF_EACH = [
+    (["verify-axiom1", "--p", "2", "--grid", "4"], ["--p", "0"]),
+    (["verify-axiom2", "--p", "1", "--q", "2", "--trials", "1"], ["--tol", "-1"]),
+    (["verify-axiom3", "--p", "2", "--trials", "50"], ["--trials", "0"]),
+    (["verify-axiom4", "--p", "2", "--k", "1", "--grid", "3"], ["--k", "3"]),
+    (["fill-horn", "--p", "2", "--k", "1", "--grid", "4"], ["--k", "-1"]),
+    (["rlp", "--map", "delta1_to_delta0", "--gens", "J"], ["--max-dim", "0"]),
+    (["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-stages", "1"],
+     ["--max-stages", "-1"]),
+    (["pi", "--complex", "boundary2"], ["--complex", "x", "--complex-file", "y"]),
+    (["homotopy-eval", "--p", "2", "--point", "0.2,0.3,0.5", "--s", "0.4"],
+     ["--s", "nan"]),
+]
+
+
+def test_one_parser_serves_every_command(monkeypatch, capsys):
+    # reference: a fresh parser for every command
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = []
+    for argv, _ in ONE_OF_EACH:
+        fresh.append((main(argv + ["--format", "json"]), capsys.readouterr().out))
+    monkeypatch.undo()
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for (argv, bad), want in zip(ONE_OF_EACH, fresh):
+            assert (main(argv + ["--format", "json"]), capsys.readouterr().out) == want
+            with pytest.raises(SystemExit) as exc:
+                main(argv + bad)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith(f"usage: smoothsimplex {argv[0]} ")
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+
+
+def _replaced(H, replace):
+    """``H`` with ``H(z, 1)`` replaced by ``replace(z, H(z, 1))``."""
+    def ev(z, s):
+        out = H(z, s)
+        return Bary.of_floats(replace(tuple(z), out.coords)) if s == 1.0 else out
+    return ev
+
+
+def _direct_idempotency(H, pts):
+    """The worst ``|H(H(z, 1), 1) - H(z, 1)|`` over ``pts`` and the first
+    point reaching it, with every value evaluated."""
+    worst, arg = 0.0, None
+    for z in pts:
+        once = H(z, 1.0).coords
+        d = max(abs(a - b) for a, b in zip(once, H(once, 1.0).coords))
+        if d > worst:
+            worst, arg = d, z
+    return worst, arg
+
+
+@pytest.mark.parametrize("lands_on_grid", [True, False], ids=["hit", "miss"])
+def test_idempotency_reuse_keeps_failures(lands_on_grid, monkeypatch):
+    n, k = 2, 0
+    H = homotopy.build_full_horn_deformation(n, k)
+    pts = float_grid(n, 25)   # the grid verify-axiom4 --p 2 --grid 1 uses
+    grid = set(pts)
+    end = {z: H(z, 1.0).coords for z in pts}
+    if lands_on_grid:
+        # a grid point that other grid points land on is sent elsewhere
+        w = next(end[z] for z in pts if end[z] in grid and end[z] != z)
+        w2 = next(z for z in pts if end[z] == z != w)
+        bad = _replaced(H, lambda z, out: w2 if z == w else out)
+    else:
+        # H(y, 1) is moved a little wherever y is not a grid point
+        bad = _replaced(H, lambda z, out: out if z in grid else
+                        tuple(0.999 * c + 0.001 / (n + 1) for c in out))
+    worst, arg = _direct_idempotency(bad, pts)
+    assert worst > 1e-6 and (end[arg] in grid) == lands_on_grid
+
+    monkeypatch.setattr(homotopy, "build_full_horn_deformation", lambda n, k: bad)
+    report, code = run(["verify-axiom4", "--p", str(n), "--k", str(k), "--grid", "1"])
+    (check,) = [c for c in report.checks
+                if c["name"].startswith("retraction-idempotent")]
+    assert code == 1 and check["status"] == "fail"
+    assert check["max_violation"] == worst
+    assert check["witness"]["argmax_point"] == list(arg)
 
 
 def _fails_mid_check(args):

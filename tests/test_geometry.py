@@ -23,6 +23,8 @@ from smoothsimplex.geometry import (
     good_nbhd_Phi,
     good_nbhd_Phi_inverse,
     in_good_neighborhood,
+    phi_I,
+    phi_I_inverse,
     phi_chart,
     transition_identity_gap,
 )
@@ -306,6 +308,48 @@ def test_phi_round_trip_exact_all_I(p):
             z2 = good_nbhd_Phi_inverse(I, u2, v2, p)
             u3, v3 = good_nbhd_Phi(I, z2)
             assert u3.coords == u2.coords and v3.coords == v2.coords
+
+
+def _float_point(rng, p):
+    raw = [rng.randrange(1, 10**6) for _ in range(p + 1)]
+    tot = sum(raw)
+    return tuple(r / tot for r in raw)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_phi_kernel_is_good_nbhd_Phi_on_floats(p):
+    rng = random.Random(40 + p)
+    for I in _proper_subsets(p):
+        J = tuple(j for j in range(p + 1) if j not in I)
+        for _ in range(50):
+            z = _float_point(rng, p)
+            u, v = phi_I(z, I, J)
+            # the formula: S summed over I from the left
+            S = 0.0
+            for i in I:
+                S += z[i]
+            assert u == tuple(z[i] / S for i in I)
+            assert v == (S,) + tuple(z[j] for j in J)
+            bu, bv = good_nbhd_Phi(I, Bary(z))
+            assert (bu.coords, bv.coords) == (u, v)
+            x = phi_I_inverse(u, v, I, J)
+            assert [x[i] for i in I] == [S * c for c in u]
+            assert [x[j] for j in J] == list(z[j] for j in J)
+            assert good_nbhd_Phi_inverse(I, bu, bv, p).coords == tuple(x)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_phi_kernel_round_trip_exact(p):
+    rng = random.Random(70 + p)
+    for I in _proper_subsets(p):
+        J = tuple(j for j in range(p + 1) if j not in I)
+        for _ in range(40):
+            raw = [F(rng.randrange(1, 12)) for _ in range(p + 1)]
+            z = tuple(r / sum(raw) for r in raw)
+            u, v = phi_I(z, I, J)
+            assert tuple(phi_I_inverse(u, v, I, J)) == z
+            assert phi_I(phi_I_inverse(u, v, I, J), I, J) == (u, v)
+            assert all(isinstance(c, F) for c in u + v)
 
 
 def test_phi_rejects_outside_U_I():

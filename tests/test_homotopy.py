@@ -6,7 +6,10 @@ at time one, and idempotence of the induced retraction.  The grids are the
 independent oracle; no value below was produced by the code under test.
 """
 
+import hashlib
 import math
+import random
+from itertools import product
 
 import pytest
 
@@ -16,10 +19,8 @@ from smoothsimplex.homotopy import (
     DISK,
     FAR_STAGES,
     EvaluableHomotopy,
-    _class_sets,
     _full_horn_stages,
     _run_stages,
-    active_sets,
     build_boundary_homotopy_T,
     build_full_horn_deformation,
     build_halfopen_deformation,
@@ -257,6 +258,74 @@ def test_homotopy_output_is_validated(out):
         H((0.5, 0.5), 0.5)
 
 
+# -- bit-identity of the float evaluation ----------------------------------------
+
+
+def _digest_points(n, rng):
+    """Grid points, seeded interior points, points with exact zeros and
+    points near a face, built from integer ratios so that every Python
+    version gets the same floats."""
+    pts = [tuple(c / 5 for c in comp)
+           for comp in product(range(6), repeat=n + 1) if sum(comp) == 5]
+    for kind in ("interior", "zeros", "near-face"):
+        for _ in range(10):
+            raw = [rng.randrange(1, 10**6) for _ in range(n + 1)]
+            if kind == "zeros":
+                for i in rng.sample(range(n + 1), rng.randrange(1, n + 1)):
+                    raw[i] = 0
+            elif kind == "near-face":
+                raw[rng.randrange(n + 1)] = rng.randrange(1, 30000)
+            tot = sum(raw)
+            pts.append(tuple(r / tot for r in raw))
+    return pts
+
+
+def _digest_times(m, rng):
+    """0, 1, every stage boundary and splice breakpoint of an ``m``-stage
+    schedule with its neighbours one ulp away, and a few seeded times."""
+    times = {0.0, 1.0}
+    for k in range(m):
+        for f in (0.0, 0.1, 0.9):
+            b = (k + f) / m
+            times.update((b, math.nextafter(b, -1.0), math.nextafter(b, 2.0)))
+    times.update(rng.random() for _ in range(6))
+    return sorted(t for t in times if 0.0 <= t <= 1.0)
+
+
+def _evaluation_digest():
+    rng = random.Random(8)
+    h = hashlib.sha256()
+    count = 0
+    for n in (1, 2, 3):
+        pts = _digest_points(n, rng)
+        builds = [(f"full-{k}", build_full_horn_deformation(n, k), k)
+                  for k in range(n + 1)]
+        builds += [(f"halfopen-{k}", build_halfopen_deformation(n, k), k)
+                   for k in range(n + 1)]
+        builds += [(f"boundary-t-{eps}", build_boundary_homotopy_T(n, eps), None)
+                   for eps in (0.05, 0.2)]
+        for name, H, k in builds:
+            times = _digest_times(len(H.schedule), rng)
+            for z in pts:
+                if name.startswith("halfopen") and z[k] <= 0.0:
+                    continue
+                for s in times:
+                    h.update(f"{name} {z} {s} {H(z, s).coords}\n".encode())
+                    count += 1
+    return count, h.hexdigest()
+
+
+#: evaluations and SHA-256 of ``_evaluation_digest``
+EVALUATION_COUNT = 38445
+EVALUATION_DIGEST = "8b910fa834ce4714f2e5d54dc1ef35287bd33ea5eaac65c72ee16c7453a7bb7e"
+
+
+def test_evaluations_are_bit_identical_to_the_recorded_digest():
+    # recorded on the stage evaluator before the flat kernel; the floats are
+    # written with repr, which round-trips every bit
+    assert _evaluation_digest() == (EVALUATION_COUNT, EVALUATION_DIGEST)
+
+
 # -- schedule and domain metadata ----------------------------------------------
 
 def test_schedule_names():
@@ -335,21 +404,31 @@ def test_collar_retracts_onto_boundary(p):
             assert max_dev(collar(z, s), z) <= TOL
 
 
+def _acting(step, z):
+    """The index sets whose good neighborhood acts on ``z`` in ``step``."""
+    acting = []
+    step(z, 1.0, acting)
+    return acting
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_collar_same_class_supports_disjoint(p):
     # within one stage, at most one good neighborhood acts on any point
-    for fd, eps in COLLAR_STAGES[p]:
-        isets = _class_sets(p, fd, range(p + 1))
+    stages = collar_core(p).args[0]
+    assert len(stages) == len(COLLAR_STAGES[p])
+    for step in stages:
         for z in grid(p, 16):
-            assert len(active_sets(z, fd, eps, isets)) <= 1
+            assert len(_acting(step, z)) <= 1
 
 
 def test_far_class_supports_disjoint():
     for n in (2, 3):
-        for fd, eps in FAR_STAGES[n]:
-            isets = _class_sets(n, fd, range(1, n + 1))
+        far = [step for name, step in _full_horn_stages(n)
+               if name.startswith("far-face")]
+        assert len(far) == len(FAR_STAGES[n])
+        for step in far:
             for z in grid(n, 12):
-                assert len(active_sets(z, fd, eps, isets)) <= 1
+                assert len(_acting(step, z)) <= 1
 
 
 # -- boundary homotopy T ---------------------------------------------------------
