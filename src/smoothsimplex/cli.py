@@ -299,9 +299,8 @@ def _add_contract(rep: Report, contract: str, at: str, tol: float, items,
         "argmax_point": None if argmax is None else witness(argmax)})
 
 
-def _horn_grid(n: int, k: int, steps: int):
-    return [z for z in float_grid(n, steps)
-            if any(z[i] == 0 for i in range(n + 1) if i != k)]
+def _on_horn(grid, k: int):
+    return [z for z in grid if any(z[i] == 0 for i in range(len(z)) if i != k)]
 
 
 def run_axiom4(args) -> Report:
@@ -313,6 +312,7 @@ def run_axiom4(args) -> Report:
         ks = [args.k] if args.k is not None else list(range(n + 1))
         steps = max(args.grid, {1: 200, 2: 25, 3: 12}[n])
         pts = float_grid(n, steps)
+        coarse = pts if steps <= 12 else float_grid(n, 12)   # horn-fixed's grid
         for k in ks:
             H = homotopy.build_full_horn_deformation(n, k)
             end = {z: H(z, 1.0).coords for z in pts}
@@ -325,7 +325,7 @@ def run_axiom4(args) -> Report:
             _add_contract(rep, "identity-at-0", at, 1e-12, pts,
                           lambda z: _dist(image(z, 0.0), z))
             _add_contract(rep, "horn-fixed", at, args.tol,
-                          ((z, s) for z in _horn_grid(n, k, min(steps, 12))
+                          ((z, s) for z in _on_horn(coarse, k)
                            for s in (0.2, 0.45, 0.7, 0.9, 1.0)),
                           lambda zs: _dist(image(*zs), zs[0]),
                           witness=lambda zs: {"point": list(zs[0]), "s": zs[1]})
@@ -341,7 +341,7 @@ def run_fill_horn(args) -> Report:
                                "tol": args.tol})
     filled = engine.fill_horn_numeric(lambda z: z, args.p, args.k)
     _add_contract(rep, "restriction-reproduces-input", "", args.tol,
-                  _horn_grid(args.p, args.k, args.grid),
+                  _on_horn(float_grid(args.p, args.grid), args.k),
                   lambda z: _dist(filled(z).coords, z))
     return rep
 

@@ -10,8 +10,9 @@ residual-problem lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
 from .geometry import Bary
@@ -22,10 +23,10 @@ from .simplicial import (
     Simplex,
     SimplexRef,
     SimplicialMap,
+    _extend_by_copy,
     boundary_complex,
     enumerate_maps,
     horn_complex,
-    pushout,
 )
 
 
@@ -40,18 +41,49 @@ class Generator:
 
     @property
     def name(self) -> str:
-        if self.kind == "I":
-            return f"I({self.p})"
-        return f"J({self.p},{self.k})"
+        return f"I({self.p})" if self.kind == "I" else f"J({self.p},{self.k})"
 
-    def pins(self, m: SimplicialMap) -> dict[int, Simplex]:
-        """The pins of a map out of ``Δ[p]`` extending ``m`` (a map out of
-        the generator's source): ``m``'s image of each source cell, keyed by
-        the cell's id in ``Δ[p]``."""
-        # boundary_complex and horn_complex build subcomplex inclusions, so
-        # every source cell goes to a nondegenerate cell of Δ[p]
-        return {tgt.id: m.assignment[a]
-                for a, (_, tgt) in self.incl.assignment.items()}
+    @cached_property
+    def cells(self) -> tuple[list[tuple[SimplexRef, tuple, Optional[int]]], list]:
+        """``(pinned, free)``: the cells of ``Δ[p]`` in dimension order, each
+        with its face ids and the id of the source cell on it (None if free)."""
+        # a subcomplex inclusion: each source cell is on a cell of Δ[p],
+        # and every face in Δ[p] is a nondegenerate cell
+        B, on = self.incl.target, {t.id: a for a, (_, t) in self.incl.assignment.items()}
+        cells = [(ref, tuple(t.id for _, t in B._faces.get(ref.id, ())), on.get(ref.id))
+                 for ref in B.nondegenerate()]
+        return [c for c in cells if c[2] is not None], [c for c in cells if c[2] is None]
+
+    def extensions(self, X: FiniteSimplicialSet, m: dict[int, Simplex],
+                   keep: Optional[Callable] = None) -> Iterator[dict[int, Simplex]]:
+        """The maps ``Δ[p] → X`` extending ``m`` (an assignment of the source)
+        whose every image ``keep(ref, img)`` accepts, in :func:`enumerate_maps`
+        order: pinned cells are checked, free ones looked up in ``faces_index``."""
+        pinned, free = self.cells
+        index = [X.faces_index(n) for n in range(self.p + 1)]
+        image: dict[int, Simplex] = {}
+        for ref, faces, a in pinned:   # in dimension order, so faces come first
+            img = image[ref.id] = m[a]
+            if (index[ref.dim][0].get(img) != tuple(map(image.__getitem__, faces))
+                    or keep is not None and not keep(ref, img)):
+                return iter(())
+
+        def extend(depth: int) -> Iterator[dict[int, Simplex]]:
+            if depth == len(free):
+                yield dict(image)
+                return
+            ref, faces, _ = free[depth]
+            for img in index[ref.dim][1].get(tuple(map(image.__getitem__, faces)), ()):
+                if keep is None or keep(ref, img):
+                    image[ref.id] = img
+                    yield from extend(depth + 1)
+        return extend(0)
+
+
+@cache
+def _generator(kind: str, p: int, k: Optional[int]) -> Generator:
+    _, incl = boundary_complex(p) if kind == "I" else horn_complex(p, k)
+    return Generator(kind, p, k, incl)
 
 
 @dataclass(frozen=True)
@@ -69,17 +101,11 @@ class GeneratingSet:
             raise ValueError("max_dim must be nonnegative")
 
     def generators(self) -> list[Generator]:
-        out = []
+        # a fresh list of generators built once per (kind, p, k) and shared
         if self.kind == "I":
-            for p in range(self.max_dim + 1):
-                _, incl = boundary_complex(p)
-                out.append(Generator("I", p, None, incl))
-        else:
-            for p in range(1, self.max_dim + 1):
-                for k in range(p + 1):
-                    _, incl = horn_complex(p, k)
-                    out.append(Generator("J", p, k, incl))
-        return out
+            return [_generator("I", p, None) for p in range(self.max_dim + 1)]
+        return [_generator("J", p, k)
+                for p in range(1, self.max_dim + 1) for k in range(p + 1)]
 
 
 @dataclass
@@ -91,18 +117,19 @@ class LiftingProblem:
     bottom: SimplicialMap    # B -> Y
     f: SimplicialMap         # X -> Y
 
+    def _lifts(self) -> Iterator[dict[int, Simplex]]:
+        bottom = self.bottom.assignment
+        return self.generator.extensions(self.f.source, self.top.assignment,
+                                         lambda ref, img: self.f(img) == bottom[ref.id])
+
     def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
         """The first ``limit`` (all for ``None``) diagonal fillers
         ``B -> X``, commuting on both triangles."""
-        def over_bottom(ref: SimplexRef, img: Simplex) -> bool:
-            return self.f(img) == self.bottom.assignment[ref.id]
-
-        return list(islice(enumerate_maps(
-            self.generator.incl.target, self.f.source,
-            pinned=self.generator.pins(self.top), cell_filter=over_bottom), limit))
+        B, X = self.generator.incl.target, self.f.source
+        return [SimplicialMap(B, X, a) for a in islice(self._lifts(), limit)]
 
     def has_lift(self) -> bool:
-        return bool(self.lifts(limit=1))
+        return next(self._lifts(), None) is not None
 
     def to_json_dict(self) -> dict:
         return {"generator": self.generator.name,
@@ -115,10 +142,11 @@ def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
     """All commutative squares from the generating set to ``f``, in a fixed
     lexicographic order (generator, top map, bottom map)."""
     for gen in gens.generators():
+        B = gen.incl.target
         for top in enumerate_maps(gen.incl.source, f.source):
-            for bottom in enumerate_maps(gen.incl.target, f.target,
-                                         pinned=gen.pins(f.compose(top))):
-                yield LiftingProblem(gen, top, bottom, f)
+            along = {a: f(img) for a, img in top.assignment.items()}
+            for bottom in gen.extensions(f.target, along):
+                yield LiftingProblem(gen, top, SimplicialMap(B, f.target, bottom), f)
 
 
 @dataclass
@@ -140,10 +168,8 @@ class RLPReport:
 def rlp_check(f: SimplicialMap, gens: GeneratingSet) -> RLPReport:
     """Brute-force right-lifting-property check of ``f`` against the
     generating set, with every failing square reported."""
-    failures = []
-    checked = 0
-    for prob in iter_lifting_problems(f, gens):
-        checked += 1
+    checked, failures = 0, []
+    for checked, prob in enumerate(iter_lifting_problems(f, gens), 1):
         if not prob.has_lift():
             failures.append(prob)
     return RLPReport(gens, checked, failures)
@@ -180,6 +206,8 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
     """
     if max_stages < 0:
         raise ValueError("max_stages must be nonnegative")
+    if max_problems is not None and max_problems < 1:
+        raise ValueError("max_problems must be at least 1")
 
     def unsolved(q: SimplicialMap) -> list[LiftingProblem]:
         return list(islice((prob for prob in iter_lifting_problems(q, gens)
@@ -188,31 +216,34 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
     birth = {r.id: 0 for r in f.source.nondegenerate()}
     stages = [FactorizationStage(0, f.source, 0, SimplicialMap.identity(f.source),
                                  f, unsolved(f), birth)]
-    for n in range(1, max_stages + 1):
-        prev = stages[-1]
-        if not prev.residual:
-            break
-        # One pushout per problem, in order (its ids are the stage's ids).
-        # q and birth are carried through each one: moved to the new ids of
-        # the old cells, then extended by the new cell, which q sends where
-        # the problem's bottom map does.
-        emb = SimplicialMap.identity(prev.complex)
-        q, birth = prev.q.assignment, prev.birth
-        for prob in prev.residual:
-            _, in_cell, in_old = pushout(prob.generator.incl, emb.compose(prob.top))
-            emb = in_old.compose(emb)
-            moved = {i: tgt.id for i, (_, tgt) in in_old.assignment.items()}
-            q = {moved[i]: img for i, img in q.items()}
-            birth = {moved[i]: s for i, s in birth.items()}
-            for r, (word, tgt) in in_cell.assignment.items():
-                if word == EMPTY and tgt.id not in q:
-                    q[tgt.id] = prob.bottom.assignment[r]
-                    birth[tgt.id] = n
-        q_n = SimplicialMap(emb.target, f.target, q, name=f"q_{n}")
+    while stages[-1].residual and len(stages) <= max_stages:
+        prev, n = stages[-1], len(stages)
+        # One pushout along the coproduct of the problems' generators.  Its
+        # ids are those of a chain of one `pushout` per problem, each copying
+        # the complex it extends in nondegenerate() order: the old cells and
+        # the new cells of problems 1..m-1 stably sorted by dimension, then
+        # the new cells of problem m.  A cell's faces all come before it, and
+        # its id is its place in that order.
+        G, probs = prev.complex, prev.residual
+        new = [[(i, c[0]) for c in p.generator.cells[1]] for i, p in enumerate(probs)]
+        order = sorted(chain([(-1, ref) for ref in G.nondegenerate()], *new[:-1]),
+                       key=lambda cell: cell[1].dim) + new[-1]
+        P, q, birth = FiniteSimplicialSet(f"G^{n}"), {}, {}
+        into = SimplicialMap(G, P, {}, "into")
+        legs = [SimplicialMap(prob.generator.incl.target, P, {}) for prob in probs]
+        for cell, (i, ref) in enumerate(order):
+            leg = into if i < 0 else legs[i]
+            if i >= 0 and not leg.assignment:   # glued along the top map
+                leg.assignment.update((c.id, into(probs[i].top.assignment[a]))
+                                      for c, _, a in probs[i].generator.cells[0])
+            _extend_by_copy(leg, ref)
+            q[cell] = (prev.q if i < 0 else probs[i].bottom).assignment[ref.id]
+            birth[cell] = prev.birth[ref.id] if i < 0 else n
+        q_n = SimplicialMap(P, f.target, q, name=f"q_{n}")
         q_n.validate()
-        stages.append(FactorizationStage(
-            n, emb.target, len(birth) - len(prev.birth), emb.compose(prev.j), q_n,
-            unsolved(q_n), birth))
+        stages.append(FactorizationStage(n, P, len(birth) - len(prev.birth),
+                                         into.compose(prev.j), q_n, unsolved(q_n),
+                                         birth))
     return stages
 
 
@@ -223,11 +254,8 @@ def factors_through_stage(stages: list[FactorizationStage],
     top = stages[-1]
     if m.target is not top.complex:
         raise ValueError("map does not land in the tower's top stage")
-    needed = 0
-    for r in m.source.nondegenerate():
-        _, tgt = m.assignment[r.id]
-        needed = max(needed, top.birth[tgt.id])
-    return needed
+    return max((top.birth[m.assignment[r.id][1].id]
+                for r in m.source.nondegenerate()), default=0)
 
 
 # -- numeric horn filling -------------------------------------------------------
@@ -311,15 +339,9 @@ def edge_group_rank(X: FiniteSimplicialSet) -> dict:
 def _matrix_rank(rows: list[list[Fraction]]) -> int:
     if not rows or not rows[0]:
         return 0
-    mat = [row[:] for row in rows]
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+    mat, rank = [row[:] for row in rows], 0
+    for col in range(len(mat[0])):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
@@ -328,7 +350,5 @@ def _matrix_rank(rows: list[list[Fraction]]) -> int:
             if r != rank and mat[r][col] != 0:
                 factor = mat[r][col] / pv
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
+        rank += 1   # once every row is a pivot row, no column finds a pivot
     return rank

@@ -498,36 +498,19 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
 # -- map enumeration and bounded Kan checks --------------------------------
 
 
-def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
-                   pinned: Optional[dict[int, Simplex]] = None,
-                   cell_filter: Optional[Callable[[SimplexRef, Simplex], bool]] = None,
+def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
                    ) -> Iterator[SimplicialMap]:
     """All simplicial maps ``A → X``, lazily, by dimension-ordered
     backtracking on an explicit stack (no recursion limit on ``A``).
-
-    ``pinned`` fixes the image of selected nondegenerate simplices of ``A``;
-    ``cell_filter`` prunes candidate images cell by cell.
 
     Cells are visited by dimension, so the faces of a cell already have
     images when the cell is reached; its candidates are the simplices of
     ``X`` with exactly those faces, looked up in ``X.faces_index``.
     """
     order = A.nondegenerate()
-    index = {n: X.faces_index(n) for n in {ref.dim for ref in order}}
+    with_faces = {n: X.faces_index(n)[1] for n in {ref.dim for ref in order}}
     partial = SimplicialMap(A, X, {})
     assignment = partial.assignment
-
-    def candidates(ref: SimplexRef) -> Iterator[Simplex]:
-        faces_of, with_faces = index[ref.dim]
-        expect = tuple(map(partial, A._faces[ref.id])) if ref.dim else ()
-        if pinned and ref.id in pinned:
-            img = pinned[ref.id]
-            opts = [img] if faces_of.get(img) == expect else []
-        else:
-            opts = with_faces.get(expect, [])
-        if cell_filter is None:
-            return iter(opts)
-        return (img for img in opts if cell_filter(ref, img))
 
     # stack[i] holds the untried images of order[i], whose current image is
     # in the assignment.  Entries for cells past the stack are left over from
@@ -537,7 +520,9 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
         if len(stack) == len(order):
             yield SimplicialMap(A, X, dict(assignment))
         else:
-            stack.append(candidates(order[len(stack)]))
+            ref = order[len(stack)]
+            expect = tuple(map(partial, A._faces[ref.id])) if ref.dim else ()
+            stack.append(iter(with_faces[ref.dim].get(expect, ())))
         while stack:   # the deepest cell with an untried image takes it
             img = next(stack[-1], None)
             if img is not None:

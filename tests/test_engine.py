@@ -5,6 +5,7 @@ import pytest
 
 from smoothsimplex.engine import (
     GeneratingSet,
+    LiftingProblem,
     edge_group_rank,
     factors_through_stage,
     fill_horn_numeric,
@@ -23,7 +24,9 @@ from smoothsimplex.simplicial import (
     horn_complex,
     pushout,
     standard_simplicial_set,
+    vertex_ref,
 )
+from smoothsimplex.cli import named_map
 
 
 def collapse_map(X, target=None):
@@ -293,3 +296,158 @@ def test_pi0_rank_invariant_under_horn_attachment(seed):
         pytest.skip("no attaching map")
     after = (pi0(P)[0], edge_group_rank(P)["rank"])
     assert before == after
+
+
+# -- the square kernel -----------------------------------------------------------
+
+def product_maps(B, X, pins):
+    """Every map ``B -> X`` that agrees with ``pins``: the product of the
+    images of the cells of ``B`` in ``B.nondegenerate()`` order (a pinned
+    cell's pin, every simplex of its dimension for the others), kept when
+    ``SimplicialMap.validate`` accepts it."""
+    cells = B.nondegenerate()
+    out = []
+    for imgs in product(*([pins[r.id]] if r.id in pins else list(X.simplices(r.dim))
+                          for r in cells)):
+        m = SimplicialMap(B, X, {r.id: img for r, img in zip(cells, imgs)})
+        try:
+            m.validate()
+        except ValueError:
+            continue
+        out.append(m.assignment)
+    return out
+
+
+def pins_of(gen, m):
+    """A map out of the generator's source, keyed by the ids in Δ[p] of its
+    cells (a subcomplex inclusion puts each on a nondegenerate cell)."""
+    return {tgt.id: m[a] for a, (_, tgt) in gen.incl.assignment.items()}
+
+
+def _kernel_targets():
+    D1, D2 = standard_simplicial_set(1), standard_simplicial_set(2)
+    squash = SimplicialMap(D2, D1, {   # vertices 0, 1, 2 to 0, 0, 1
+        r.id: img for r, img in zip(D2.nondegenerate(), [
+            (EMPTY, D1.ref(0)), (EMPTY, D1.ref(0)), (EMPTY, D1.ref(1)),
+            ((0,), D1.ref(0)), (EMPTY, D1.ref(2)), (EMPTY, D1.ref(2)),
+            ((0,), D1.ref(2))])})
+    squash.validate()
+    return {"Delta[1]->pt": collapse_map(D1),
+            "Boundary[2]->pt": collapse_map(boundary_complex(2)[0]),
+            "Horn[2,1]->Delta[2]": horn_complex(2, 1)[1],
+            "Delta[2]->Delta[1]": squash}
+
+
+@pytest.mark.parametrize("target", list(_kernel_targets()))
+def test_square_kernel_matches_product_of_images(target):
+    """Bottoms and every lift of every square from I<=2 and J<=3, against
+    the product of images filtered by validity, the pins and the bottom."""
+    f = _kernel_targets()[target]
+    X, Y = f.source, f.target
+    for gens in (GeneratingSet("I", 2), GeneratingSet("J", 3)):
+        squares = list(iter_lifting_problems(f, gens))
+        want = []
+        for gen in gens.generators():
+            B = gen.incl.target
+            for top in enumerate_maps(gen.incl.source, X):
+                pins = {c: f(img) for c, img in pins_of(gen, top.assignment).items()}
+                want += [(gen.name, top.assignment, b) for b in product_maps(B, Y, pins)]
+        assert [(s.generator.name, s.top.assignment, s.bottom.assignment)
+                for s in squares] == want
+        for s in squares:
+            bottom = s.bottom.assignment
+            lifts = [a for a in product_maps(s.generator.incl.target, X,
+                                             pins_of(s.generator, s.top.assignment))
+                     if all(f(img) == bottom[c] for c, img in a.items())]
+            assert [m.assignment for m in s.lifts(None)] == lifts
+            assert s.has_lift() == bool(lifts)
+
+
+def test_square_kernel_checks_the_pinned_cells():
+    # the free cells of these squares have images that agree with the
+    # bottom, so only the checks on the pinned cells find them unsolvable
+    D1, D2 = standard_simplicial_set(1), standard_simplicial_set(2)
+    J10 = GeneratingSet("J", 1).generators()[0]
+    assert J10.name == "J(1,0)"
+    v0, v1, edge = D1.nondegenerate()
+    # bottom sends the horn's vertex 0 to v1, f∘top sends it to v0
+    square = LiftingProblem(
+        J10, SimplicialMap(J10.incl.source, D1, {0: (EMPTY, v0)}),
+        SimplicialMap(D1, D1, {v0.id: (EMPTY, v1), v1.id: (EMPTY, v1),
+                               edge.id: (EMPTY, edge)}),
+        SimplicialMap.identity(D1))
+    assert square.lifts(None) == [] and not square.has_lift()
+
+    # top sends vertex 1 of Λ[2,1] to vertex 0, not to a face of its edges
+    J21 = [g for g in GeneratingSet("J", 2).generators() if g.name == "J(2,1)"][0]
+    H = J21.incl.source
+    top = {r.id: (EMPTY, D2.ref(J21.incl.assignment[r.id][1].id))
+           for r in H.nondegenerate()}
+    top[vertex_ref(H, (1,)).id] = (EMPTY, vertex_ref(D2, (0,)))
+    bottom = pins_of(J21, top)
+    for r in D2.nondegenerate():
+        bottom.setdefault(r.id, (EMPTY, r))
+    square = LiftingProblem(J21, SimplicialMap(H, D2, top),
+                            SimplicialMap(D2, D2, bottom), SimplicialMap.identity(D2))
+    assert square.lifts(None) == [] and not square.has_lift()
+
+
+def test_generators_are_built_once_and_listed_fresh():
+    gens = GeneratingSet("J", 2)
+    first, second = gens.generators(), gens.generators()
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert len(gens.generators()) == 5
+    assert GeneratingSet("J", 3).generators()[:5] == second
+
+
+# -- one pushout per stage ---------------------------------------------------------
+
+def chain_stage(prev, n):
+    """Stage ``n`` glued the way the small-object argument is usually
+    written out: one public ``pushout`` per residual problem, in order, with
+    ``q`` and ``birth`` moved to each pushout's new ids."""
+    emb = SimplicialMap.identity(prev.complex)
+    q, birth = prev.q.assignment, prev.birth
+    for prob in prev.residual:
+        _, in_cell, in_old = pushout(prob.generator.incl, emb.compose(prob.top))
+        emb = in_old.compose(emb)
+        moved = {i: tgt.id for i, (_, tgt) in in_old.assignment.items()}
+        q = {moved[i]: img for i, img in q.items()}
+        birth = {moved[i]: s for i, s in birth.items()}
+        for r, (word, tgt) in in_cell.assignment.items():
+            if word == EMPTY and tgt.id not in q:
+                q[tgt.id] = prob.bottom.assignment[r]
+                birth[tgt.id] = n
+    return emb.target, q, emb.compose(prev.j).assignment, birth
+
+
+STAGE_MAPS = ["delta1_to_delta0", "boundary1_to_delta0", "delta0_identity",
+              "empty_to_delta0", "horn1_0_incl", "horn1_1_incl", "horn2_0_incl",
+              "horn2_1_incl", "horn2_2_incl", "collapse_delta1", "collapse_delta2",
+              "collapse_boundary2", "collapse_horn2_0", "collapse_horn2_1"]
+#: the towers that take over 2 s (8 s to many minutes): J<=2, no cap
+SLOW_TOWERS = {(name, "J", None) for name in STAGE_MAPS
+               if name == "delta1_to_delta0" or name.startswith("collapse_")}
+
+
+@pytest.mark.parametrize("name", STAGE_MAPS)
+def test_one_pushout_per_stage_matches_the_chain(name):
+    for kind, cap in product("IJ", (1, 8, None)):
+        if (name, kind, cap) in SLOW_TOWERS:
+            continue
+        stages = igc_factor(named_map(name), GeneratingSet(kind, 2), 3, cap)
+        for prev, st in zip(stages, stages[1:]):
+            P, q, j, birth = chain_stage(prev, st.n)
+            assert (st.complex.to_json_dict(), sorted(st.complex.labels.items())) == \
+                (P.to_json_dict(), sorted(P.labels.items()))
+            assert st.q.assignment == q and st.j.assignment == j
+            assert sorted(st.birth.items()) == sorted(birth.items())
+            assert st.attached == len(birth) - len(prev.birth)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_igc_rejects_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="max_problems"):
+        igc_factor(named_map("horn2_1_incl"), GeneratingSet("J", 2), 1, cap)
