@@ -21,12 +21,12 @@ from .simplicial import (
     EMPTY,
     FiniteSimplicialSet,
     Simplex,
-    SimplexRef,
     SimplicialMap,
     _extend_by_copy,
     boundary_complex,
     enumerate_maps,
     horn_complex,
+    search_maps,
 )
 
 
@@ -44,40 +44,18 @@ class Generator:
         return f"I({self.p})" if self.kind == "I" else f"J({self.p},{self.k})"
 
     @cached_property
-    def cells(self) -> tuple[list[tuple[SimplexRef, tuple, Optional[int]]], list]:
-        """``(pinned, free)``: the cells of ``Δ[p]`` in dimension order, each
-        with its face ids and the id of the source cell on it (None if free)."""
-        # a subcomplex inclusion: each source cell is on a cell of Δ[p],
-        # and every face in Δ[p] is a nondegenerate cell
-        B, on = self.incl.target, {t.id: a for a, (_, t) in self.incl.assignment.items()}
-        cells = [(ref, tuple(t.id for _, t in B._faces.get(ref.id, ())), on.get(ref.id))
-                 for ref in B.nondegenerate()]
-        return [c for c in cells if c[2] is not None], [c for c in cells if c[2] is None]
+    def pins(self) -> dict[int, int]:
+        """``{Δ[p] cell id: id of the source cell on it}``; the inclusion is
+        onto a subcomplex, so each source cell is on a cell of its own."""
+        return {t.id: a for a, (_, t) in self.incl.assignment.items()}
 
     def extensions(self, X: FiniteSimplicialSet, m: dict[int, Simplex],
                    keep: Optional[Callable] = None) -> Iterator[dict[int, Simplex]]:
         """The maps ``Δ[p] → X`` extending ``m`` (an assignment of the source)
-        whose every image ``keep(ref, img)`` accepts, in :func:`enumerate_maps`
-        order: pinned cells are checked, free ones looked up in ``faces_index``."""
-        pinned, free = self.cells
-        index = [X.faces_index(n) for n in range(self.p + 1)]
-        image: dict[int, Simplex] = {}
-        for ref, faces, a in pinned:   # in dimension order, so faces come first
-            img = image[ref.id] = m[a]
-            if (index[ref.dim][0].get(img) != tuple(map(image.__getitem__, faces))
-                    or keep is not None and not keep(ref, img)):
-                return iter(())
-
-        def extend(depth: int) -> Iterator[dict[int, Simplex]]:
-            if depth == len(free):
-                yield dict(image)
-                return
-            ref, faces, _ = free[depth]
-            for img in index[ref.dim][1].get(tuple(map(image.__getitem__, faces)), ()):
-                if keep is None or keep(ref, img):
-                    image[ref.id] = img
-                    yield from extend(depth + 1)
-        return extend(0)
+        whose every image ``keep(ref, img)`` accepts, in :func:`search_maps`
+        order."""
+        return search_maps(self.incl.target, X,
+                           {c: m[a] for c, a in self.pins.items()}, keep)
 
 
 @cache
@@ -97,8 +75,9 @@ class GeneratingSet:
     def __post_init__(self) -> None:
         if self.kind not in ("I", "J"):
             raise ValueError("kind must be 'I' or 'J'")
-        if self.max_dim < 0:
-            raise ValueError("max_dim must be nonnegative")
+        if self.max_dim < (self.kind == "J"):   # J has no generator below Δ[1]
+            raise ValueError(f"max_dim must be at least {int(self.kind == 'J')} "
+                             f"for {self.kind}")
 
     def generators(self) -> list[Generator]:
         # a fresh list of generators built once per (kind, p, k) and shared
@@ -225,7 +204,8 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
         # the new cells of problem m.  A cell's faces all come before it, and
         # its id is its place in that order.
         G, probs = prev.complex, prev.residual
-        new = [[(i, c[0]) for c in p.generator.cells[1]] for i, p in enumerate(probs)]
+        new = [[(i, ref) for ref in p.generator.incl.target.nondegenerate()
+                if ref.id not in p.generator.pins] for i, p in enumerate(probs)]
         order = sorted(chain([(-1, ref) for ref in G.nondegenerate()], *new[:-1]),
                        key=lambda cell: cell[1].dim) + new[-1]
         P, q, birth = FiniteSimplicialSet(f"G^{n}"), {}, {}
@@ -234,8 +214,8 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
         for cell, (i, ref) in enumerate(order):
             leg = into if i < 0 else legs[i]
             if i >= 0 and not leg.assignment:   # glued along the top map
-                leg.assignment.update((c.id, into(probs[i].top.assignment[a]))
-                                      for c, _, a in probs[i].generator.cells[0])
+                leg.assignment.update((c, into(probs[i].top.assignment[a]))
+                                      for c, a in probs[i].generator.pins.items())
             _extend_by_copy(leg, ref)
             q[cell] = (prev.q if i < 0 else probs[i].bottom).assignment[ref.id]
             birth[cell] = prev.birth[ref.id] if i < 0 else n

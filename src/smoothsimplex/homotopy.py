@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .geometry import Bary, OutOfDomain, phi_I, phi_I_inverse
+from .geometry import Bary, OutOfDomain, _check_floats, phi_I, phi_I_inverse
 from .steps import SPLICE, SmoothStep, two_phase
 
 Vec = tuple[float, ...]
@@ -287,6 +287,8 @@ class EvaluableHomotopy:
              else tuple(map(float, point)))
         if len(z) != self.p + 1:
             raise ValueError(f"expected a point of Δ^{self.p}")
+        if not isinstance(point, Bary):   # a Bary was checked when it was built
+            _check_floats(z)
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"homotopy time {s} outside [0, 1]")
         if self._domain_check is not None and not self._domain_check(z):

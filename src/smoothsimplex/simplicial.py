@@ -8,6 +8,7 @@ stored as ``(word, target_ref)`` pairs as well.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -263,6 +264,9 @@ class SimplicialMap:
         return (words.concat(word, inner_word), tgt)
 
     def validate(self) -> None:
+        extra = self.assignment.keys() - self.source._refs.keys()
+        if extra:
+            raise ValueError(f"assignment for id {min(extra)}, not a source cell")
         for ref in self.source.nondegenerate():
             if ref.id not in self.assignment:
                 raise ValueError(f"no assignment for {ref}")
@@ -272,15 +276,9 @@ class SimplicialMap:
             if img[1] not in self.target:
                 raise ValueError(f"assignment for {ref} leaves the target")
         for ref in self.source.nondegenerate():
-            if ref.dim == 0:
-                continue
-            sx: Simplex = (EMPTY, ref)
-            for i in range(ref.dim + 1):
-                lhs = self.target.face(self(sx), i)
-                rhs = self(self.source.face(sx, i))
-                if lhs != rhs:
-                    raise ValueError(
-                        f"map does not commute with d_{i} on {ref}")
+            for i, face in enumerate(self.source._faces.get(ref.id, ())):
+                if self.target.face(self.assignment[ref.id], i) != self(face):
+                    raise ValueError(f"map does not commute with d_{i} on {ref}")
 
     def is_injective(self) -> bool:
         seen = set()
@@ -426,11 +424,9 @@ def enumerate_simplices(X: FiniteSimplicialSet, n: int) -> list[Simplex]:
 def _extend_by_copy(m: SimplicialMap, ref: SimplexRef) -> None:
     """Add a copy of ``ref`` to ``m.target``, its faces pushed through ``m``,
     and map ``ref`` to it."""
-    K = m.source
-    faces = [m(K.face((EMPTY, ref), i))
-             for i in range(ref.dim + 1)] if ref.dim else None
+    faces = [m(face) for face in m.source._faces.get(ref.id, ())]
     m.assignment[ref.id] = (EMPTY, m.target.add_simplex(
-        ref.dim, faces, label=K.labels.get(ref.id)))
+        ref.dim, faces, label=m.source.labels.get(ref.id)))
 
 
 def pushout(f: SimplicialMap, g: SimplicialMap
@@ -484,53 +480,75 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
     for ref in L.nondegenerate():
         _extend_by_copy(incl, ref)
     for ref in L.nondegenerate():
-        n = ref.dim
-        faces = [incl.assignment[ref.id]]
-        if n == 0:
-            faces.append((EMPTY, apex))
-        else:
-            for i in range(1, n + 2):
-                faces.append(push_cone(L.face((EMPTY, ref), i - 1)))
-        lifted[ref.id] = (EMPTY, C.add_simplex(n + 1, faces))
+        faces = [push_cone(face) for face in L._faces.get(ref.id, ())]
+        lifted[ref.id] = (EMPTY, C.add_simplex(
+            ref.dim + 1, [incl.assignment[ref.id]] + (faces or [(EMPTY, apex)])))
     return C, incl, apex
 
 
 # -- map enumeration and bounded Kan checks --------------------------------
 
 
-def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
-                   ) -> Iterator[SimplicialMap]:
-    """All simplicial maps ``A → X``, lazily, by dimension-ordered
+def search_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
+                pins: dict[int, Simplex],
+                keep: Optional[Callable[[SimplexRef, Simplex], bool]] = None
+                ) -> Iterator[dict[int, Simplex]]:
+    """The assignments of the maps ``A → X`` that send each cell id of ``pins``
+    to its pin and whose every image ``keep(ref, img)`` accepts, lazily, by
     backtracking on an explicit stack (no recursion limit on ``A``).
 
-    Cells are visited by dimension, so the faces of a cell already have
-    images when the cell is reached; its candidates are the simplices of
-    ``X`` with exactly those faces, looked up in ``X.faces_index``.
+    Cells are visited in ``A.nondegenerate()`` order, so a cell's faces have
+    images when it is reached.  A free cell's candidates are the simplices of
+    ``X`` with those faces (``X.faces_index``); a pinned cell's one candidate
+    is its pin, if the pin has those faces.
     """
-    order = A.nondegenerate()
-    with_faces = {n: X.faces_index(n)[1] for n in {ref.dim for ref in order}}
+    # per cell, its face ids, or None when a face carries a degeneracy word
+    cells = A._cached("search", lambda: [
+        (ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
+         else tuple(t.id for _, t in A._faces.get(ref.id, ())))
+        for ref in A.nondegenerate()])
+    index = [X.faces_index(n) for n in range(A.dimension + 1)]
     partial = SimplicialMap(A, X, {})
-    assignment = partial.assignment
+    image = partial.assignment
 
-    # stack[i] holds the untried images of order[i], whose current image is
+    # stack[i] holds the untried images of cells[i], whose current image is
     # in the assignment.  Entries for cells past the stack are left over from
     # abandoned branches; they are overwritten before anything reads them.
     stack: list[Iterator[Simplex]] = []
     while True:
-        if len(stack) == len(order):
-            yield SimplicialMap(A, X, dict(assignment))
+        if len(stack) == len(cells):
+            yield dict(image)
         else:
-            ref = order[len(stack)]
-            expect = tuple(map(partial, A._faces[ref.id])) if ref.dim else ()
-            stack.append(iter(with_faces[ref.dim].get(expect, ())))
+            ref, ids = cells[len(stack)]
+            faces = (tuple(map(image.__getitem__, ids)) if ids is not None
+                     else tuple(map(partial, A._faces[ref.id])))
+            pin = pins.get(ref.id)
+            if pin is None:
+                found = index[ref.dim][1].get(faces, ())
+                stack.append(iter(found) if keep is None
+                             else filter(functools.partial(keep, ref), found))
+            elif (index[ref.dim][0].get(pin) == faces
+                  and (keep is None or keep(ref, pin))):
+                # a pin is the cell's one candidate: take it, with none left
+                # untried; a pin that fails sends the search back at once
+                image[ref.id] = pin
+                stack.append(iter(()))
+                continue
         while stack:   # the deepest cell with an untried image takes it
             img = next(stack[-1], None)
             if img is not None:
-                assignment[order[len(stack) - 1].id] = img
+                image[cells[len(stack) - 1][0].id] = img
                 break
             stack.pop()
         else:
             return
+
+
+def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
+                   ) -> Iterator[SimplicialMap]:
+    """All simplicial maps ``A → X``, lazily, in :func:`search_maps` order."""
+    for a in search_maps(A, X, {}):
+        yield SimplicialMap(A, X, a)
 
 
 def horn_fillers(X: FiniteSimplicialSet, horn_map: SimplicialMap,

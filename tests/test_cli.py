@@ -351,6 +351,9 @@ _PI = ["pi", "--complex-file", "{file}"]
       "--s", "0.5"], None),
     (["homotopy-eval", "--p", "2", "--kind", "boundary-t", "--eps", "0.5",
       "--point", "0.2,0.3,0.5", "--s", "0.5"], None),
+    # an assignment key that is not a cell of the source
+    (_RLP, {"source": _POINT, "target": _POINT,
+            "assignment": {"0": [[], 0], "7": [[], 0]}}),
 ])
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"

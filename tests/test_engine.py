@@ -451,3 +451,12 @@ def test_one_pushout_per_stage_matches_the_chain(name):
 def test_igc_rejects_a_cap_below_one(cap):
     with pytest.raises(ValueError, match="max_problems"):
         igc_factor(named_map("horn2_1_incl"), GeneratingSet("J", 2), 1, cap)
+
+
+@pytest.mark.parametrize("kind, max_dim", [("J", 0), ("J", -1), ("I", -1)])
+def test_generating_set_rejects_a_bound_with_no_generators(kind, max_dim):
+    # J has no generator below Δ[1]: an empty J would check nothing and
+    # report the lifting property
+    with pytest.raises(ValueError, match="max_dim"):
+        GeneratingSet(kind, max_dim)
+    assert GeneratingSet("I", 0).generators() and GeneratingSet("J", 1).generators()

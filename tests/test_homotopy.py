@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from smoothsimplex.geometry import barycentric_grid
+from smoothsimplex.geometry import Bary, barycentric_grid
 from smoothsimplex.homotopy import (
     COLLAR_STAGES,
     DISK,
@@ -383,6 +383,16 @@ def test_halfopen_rejects_points_off_its_domain():
         H((0.5, 0.0, 0.5), 0.5)
     # the full deformation accepts the whole simplex
     build_full_horn_deformation(2, 1)((0.5, 0.0, 0.5), 0.5)
+
+
+@pytest.mark.parametrize("point", [(0.6, 0.6, 0.6), (0.5, 0.5, 1e-11),
+                                   (0.6, 0.5, -0.1), (0.5, 0.5 + 1e-9, -1e-9)])
+def test_tuple_points_are_checked_to_lie_in_the_simplex(point):
+    # a sum off by more than 1e-12, or a negative coordinate
+    H = build_full_horn_deformation(2, 0)
+    with pytest.raises(ValueError):
+        H(point, 0.5)
+    assert H((0.6, 0.2, 0.2), 0.5) == H(Bary.of_floats((0.6, 0.2, 0.2)), 0.5)
 
 
 # -- collar machinery -----------------------------------------------------------

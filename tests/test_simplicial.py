@@ -375,7 +375,31 @@ SEARCH_TARGETS = {
     "Boundary[3]": lambda: boundary_complex(3)[0],
     "Cone(Boundary[2])": lambda: cone(boundary_complex(2)[0])[0],
 }
-SEARCH_HORNS = [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+def rp2():
+    """RP^2: one loop ``a`` and one 2-simplex with faces ``(a, s_0 v, a)``."""
+    X = FiniteSimplicialSet("RP2")
+    v = X.add_simplex(0)
+    a = X.add_simplex(1, [(EMPTY, v), (EMPTY, v)])
+    X.add_simplex(2, [(EMPTY, a), ((0,), v), (EMPTY, a)])
+    X.validate()
+    return X
+
+
+def sphere2():
+    """S^2 = Delta[2]/Boundary[2]: one 2-simplex whose faces are all ``s_0 v``."""
+    X = FiniteSimplicialSet("S2")
+    v = X.add_simplex(0)
+    X.add_simplex(2, [((0,), v)] * 3)
+    X.validate()
+    return X
+
+
+# the horns' faces are all nondegenerate; RP^2's and S^2's are not
+SEARCH_SOURCES = {f"{p}-{k}": (lambda p=p, k=k: horn_complex(p, k)[0])
+                  for p, k in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]}
+SEARCH_SOURCES.update({"RP2": rp2, "S2": sphere2})
 
 
 def brute_force_maps(A, X):
@@ -395,10 +419,10 @@ def brute_force_maps(A, X):
 
 
 @pytest.mark.parametrize("target", SEARCH_TARGETS)
-@pytest.mark.parametrize("p, k", SEARCH_HORNS)
-def test_enumerate_maps_matches_brute_force(target, p, k):
+@pytest.mark.parametrize("source", SEARCH_SOURCES)
+def test_enumerate_maps_matches_brute_force(target, source):
     X = SEARCH_TARGETS[target]()
-    A, _ = horn_complex(p, k)
+    A = SEARCH_SOURCES[source]()
     brute = brute_force_maps(A, X)
     assert brute
     assert [m.assignment for m in enumerate_maps(A, X)] == brute
