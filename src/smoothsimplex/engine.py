@@ -26,7 +26,6 @@ from .simplicial import (
     boundary_complex,
     enumerate_maps,
     horn_complex,
-    search_maps,
 )
 
 
@@ -49,13 +48,48 @@ class Generator:
         onto a subcomplex, so each source cell is on a cell of its own."""
         return {t.id: a for a, (_, t) in self.incl.assignment.items()}
 
-    def extensions(self, X: FiniteSimplicialSet, m: dict[int, Simplex],
-                   keep: Optional[Callable] = None) -> Iterator[dict[int, Simplex]]:
-        """The maps ``Δ[p] → X`` extending ``m`` (an assignment of the source)
-        whose every image ``keep(ref, img)`` accepts, in :func:`search_maps`
-        order."""
-        return search_maps(self.incl.target, X,
-                           {c: m[a] for c, a in self.pins.items()}, keep)
+    @cached_property
+    def top(self) -> int:
+        """The id of the top cell of ``Δ[p]``."""
+        return self.incl.target.nondegenerate()[-1].id
+
+    @cached_property
+    def _shape(self) -> tuple:
+        """The source cells with their dimensions and face ids; the id of
+        ``d_k`` (None for ``I(p)``); and the source cells on the top's faces
+        but ``d_k`` (on all of them for ``I(p)``)."""
+        A = self.incl.source
+        facets = [t.id for _, t in self.incl.target._faces.get(self.top, ())]
+        return ([(r.id, r.dim, tuple(t.id for _, t in A._faces.get(r.id, ())))
+                 for r in A.nondegenerate()],
+                None if self.k is None else facets[self.k],
+                tuple(self.pins[c] for i, c in enumerate(facets) if i != self.k))
+
+    def _fillers(self, X: FiniteSimplicialSet, m: dict[int, Simplex]) -> list[Simplex]:
+        """The top-cell images ``x`` of :meth:`extensions`, in order: one
+        lookup of ``x`` by its faces but ``d_k``, which are ``m``'s images,
+        once ``m`` is checked to be a map.  The list is the index's own."""
+        cells, _, key = self._shape
+        faces_of = X._cached(("faces_of", self.p), lambda: [
+            X.faces_index(n)[0] for n in range(self.p)])
+        for a, n, faces in cells:
+            if faces_of[n].get(m[a]) != tuple(map(m.__getitem__, faces)):
+                return []
+        index = (X.faces_index(self.p)[1] if self.k is None
+                 else X.horn_index(self.p, self.k))
+        return index.get(tuple(map(m.__getitem__, key)), [])
+
+    def extensions(self, X: FiniteSimplicialSet, m: dict[int, Simplex]
+                   ) -> Iterator[dict[int, Simplex]]:
+        """The maps ``Δ[p] → X`` extending ``m`` (an assignment of the source;
+        none if it is not a map), lazily, in :func:`enumerate_maps` order:
+        the top cell goes to each filler ``x``, and ``d_k`` (for ``J(p,k)``)
+        to ``d_k x``."""
+        dk, faces_of = self._shape[1], X.faces_index(self.p)[0]
+        pinned = {c: m[a] for c, a in self.pins.items()}
+        for x in self._fillers(X, m):
+            yield ({**pinned, self.top: x} if dk is None
+                   else {**pinned, dk: faces_of[x][self.k], self.top: x})
 
 
 @cache
@@ -87,6 +121,19 @@ class GeneratingSet:
                 for p in range(1, self.max_dim + 1) for k in range(p + 1)]
 
 
+class _OnTop:
+    """What the squares on one top map share: ``f ∘ top`` and, found on first
+    use, the image under ``f`` of the top cell of each extension of ``top``."""
+
+    def __init__(self, gen: Generator, top: SimplicialMap, f: SimplicialMap) -> None:
+        self.gen, self.top, self.f = gen, top, f
+        self.along = {a: f(img) for a, img in top.assignment.items()}
+
+    @cached_property
+    def images(self) -> set[Simplex]:
+        return set(map(self.f, self.gen._fillers(self.f.source, self.top.assignment)))
+
+
 @dataclass
 class LiftingProblem:
     """A commutative square from a generator to ``f``."""
@@ -95,20 +142,29 @@ class LiftingProblem:
     top: SimplicialMap       # A -> X
     bottom: SimplicialMap    # B -> Y
     f: SimplicialMap         # X -> Y
+    on_top: Optional[_OnTop] = field(default=None, compare=False, repr=False)
 
-    def _lifts(self) -> Iterator[dict[int, Simplex]]:
-        bottom = self.bottom.assignment
-        return self.generator.extensions(self.f.source, self.top.assignment,
-                                         lambda ref, img: self.f(img) == bottom[ref.id])
+    def __post_init__(self) -> None:
+        self.on_top = self.on_top or _OnTop(self.generator, self.top, self.f)
+
+    def _over(self) -> Optional[Simplex]:
+        """The bottom's top cell if the square commutes on the source: a lift
+        lies over the bottom once its top cell does, as ``d_k`` is a face."""
+        bottom, along = self.bottom.assignment, self.on_top.along
+        if all(bottom[c] == along[a] for c, a in self.generator.pins.items()):
+            return bottom[self.generator.top]
+        return None
 
     def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
         """The first ``limit`` (all for ``None``) diagonal fillers
         ``B -> X``, commuting on both triangles."""
-        B, X = self.generator.incl.target, self.f.source
-        return [SimplicialMap(B, X, a) for a in islice(self._lifts(), limit)]
+        gen, X, want = self.generator, self.f.source, self._over()
+        found = (a for a in gen.extensions(X, self.top.assignment)
+                 if self.f(a[gen.top]) == want)
+        return [SimplicialMap(gen.incl.target, X, a) for a in islice(found, limit)]
 
     def has_lift(self) -> bool:
-        return next(self._lifts(), None) is not None
+        return self._over() in self.on_top.images
 
     def to_json_dict(self) -> dict:
         return {"generator": self.generator.name,
@@ -119,13 +175,15 @@ class LiftingProblem:
 def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
                           ) -> Iterator[LiftingProblem]:
     """All commutative squares from the generating set to ``f``, in a fixed
-    lexicographic order (generator, top map, bottom map)."""
+    lexicographic order (generator, top map, bottom map).  The squares on
+    one top map share one ``_OnTop``."""
     for gen in gens.generators():
         B = gen.incl.target
         for top in enumerate_maps(gen.incl.source, f.source):
-            along = {a: f(img) for a, img in top.assignment.items()}
-            for bottom in gen.extensions(f.target, along):
-                yield LiftingProblem(gen, top, SimplicialMap(B, f.target, bottom), f)
+            on_top = _OnTop(gen, top, f)
+            for bottom in gen.extensions(f.target, on_top.along):
+                yield LiftingProblem(gen, top, SimplicialMap(B, f.target, bottom),
+                                     f, on_top)
 
 
 @dataclass

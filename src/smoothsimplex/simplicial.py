@@ -8,19 +8,17 @@ stored as ``(word, target_ref)`` pairs as well.
 
 from __future__ import annotations
 
-import functools
 import json
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import words
 from .words import EMPTY, Word
 
 
-@dataclass(frozen=True)
-class SimplexRef:
-    """Handle for one nondegenerate simplex of a fixed complex."""
+class SimplexRef(NamedTuple):
+    """Handle for one nondegenerate simplex of a fixed complex (a tuple, so
+    that hashing it, on every index lookup, runs in C)."""
 
     id: int
     dim: int
@@ -156,11 +154,15 @@ class FiniteSimplicialSet:
         return self._cached(("faces", n), build)
 
     def horn_index(self, n: int, k: int) -> dict[tuple[Simplex, ...], list[Simplex]]:
-        """The ``n``-simplices by their faces other than ``d_k``, in
-        :meth:`simplices` order: the fillers of each ``Λ[n,k]``-shaped horn."""
+        """The ``n``-simplices by their faces other than ``d_k``: the fillers
+        of each ``Λ[n,k]``-shaped horn, in the order a search that fills
+        ``d_k`` first meets them (by ``d_k`` in ``simplices(n - 1)`` order,
+        then in :meth:`simplices` order)."""
         def build():
+            rank = {y: i for i, y in enumerate(self.faces_index(n - 1)[0])}
             out: dict[tuple[Simplex, ...], list[Simplex]] = {}
-            for z, t in self.faces_index(n)[0].items():
+            for z, t in sorted(self.faces_index(n)[0].items(),
+                               key=lambda zt: rank[zt[1][k]]):
                 out.setdefault(t[:k] + t[k + 1:], []).append(z)
             return out
         return self._cached(("horn", n, k), build)
@@ -232,6 +234,8 @@ class FiniteSimplicialSet:
             if not isinstance(ids, list) or not all(type(i) is int for i in ids):
                 raise ValueError(f'"dims"[{dim}] must be a list of simplex ids')
             for ident in ids:
+                if ident in id_map:
+                    raise ValueError(f"simplex id {ident} is listed twice")
                 if dim == 0:
                     id_map[ident] = out.add_simplex(0)
                     continue
@@ -240,6 +244,9 @@ class FiniteSimplicialSet:
                     raise ValueError(f"simplex {ident} needs a list of faces")
                 id_map[ident] = out.add_simplex(
                     dim, [_simplex_from_json(e, id_map) for e in face_list])
+        unknown = faces_raw.keys() - id_map.keys()
+        if unknown:
+            raise ValueError(f'"faces" names simplex {min(unknown)}, not in "dims"')
         out.validate()
         return out
 
@@ -489,25 +496,21 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
 # -- map enumeration and bounded Kan checks --------------------------------
 
 
-def search_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
-                pins: dict[int, Simplex],
-                keep: Optional[Callable[[SimplexRef, Simplex], bool]] = None
-                ) -> Iterator[dict[int, Simplex]]:
-    """The assignments of the maps ``A → X`` that send each cell id of ``pins``
-    to its pin and whose every image ``keep(ref, img)`` accepts, lazily, by
-    backtracking on an explicit stack (no recursion limit on ``A``).
+def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
+                   ) -> Iterator[SimplicialMap]:
+    """All simplicial maps ``A → X``, lazily, by backtracking on an explicit
+    stack (no recursion limit on ``A``).
 
     Cells are visited in ``A.nondegenerate()`` order, so a cell's faces have
-    images when it is reached.  A free cell's candidates are the simplices of
-    ``X`` with those faces (``X.faces_index``); a pinned cell's one candidate
-    is its pin, if the pin has those faces.
+    images when it is reached; its candidates are the simplices of ``X``
+    with those faces (``X.faces_index``).
     """
     # per cell, its face ids, or None when a face carries a degeneracy word
     cells = A._cached("search", lambda: [
         (ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
          else tuple(t.id for _, t in A._faces.get(ref.id, ())))
         for ref in A.nondegenerate()])
-    index = [X.faces_index(n) for n in range(A.dimension + 1)]
+    index = [X.faces_index(n)[1] for n in range(A.dimension + 1)]
     partial = SimplicialMap(A, X, {})
     image = partial.assignment
 
@@ -517,23 +520,12 @@ def search_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
     stack: list[Iterator[Simplex]] = []
     while True:
         if len(stack) == len(cells):
-            yield dict(image)
+            yield SimplicialMap(A, X, image)
         else:
             ref, ids = cells[len(stack)]
             faces = (tuple(map(image.__getitem__, ids)) if ids is not None
                      else tuple(map(partial, A._faces[ref.id])))
-            pin = pins.get(ref.id)
-            if pin is None:
-                found = index[ref.dim][1].get(faces, ())
-                stack.append(iter(found) if keep is None
-                             else filter(functools.partial(keep, ref), found))
-            elif (index[ref.dim][0].get(pin) == faces
-                  and (keep is None or keep(ref, pin))):
-                # a pin is the cell's one candidate: take it, with none left
-                # untried; a pin that fails sends the search back at once
-                image[ref.id] = pin
-                stack.append(iter(()))
-                continue
+            stack.append(iter(index[ref.dim].get(faces, ())))
         while stack:   # the deepest cell with an untried image takes it
             img = next(stack[-1], None)
             if img is not None:
@@ -542,13 +534,6 @@ def search_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet,
             stack.pop()
         else:
             return
-
-
-def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
-                   ) -> Iterator[SimplicialMap]:
-    """All simplicial maps ``A → X``, lazily, in :func:`search_maps` order."""
-    for a in search_maps(A, X, {}):
-        yield SimplicialMap(A, X, a)
 
 
 def horn_fillers(X: FiniteSimplicialSet, horn_map: SimplicialMap,

@@ -354,6 +354,11 @@ _PI = ["pi", "--complex-file", "{file}"]
     # an assignment key that is not a cell of the source
     (_RLP, {"source": _POINT, "target": _POINT,
             "assignment": {"0": [[], 0], "7": [[], 0]}}),
+    # a simplex id listed twice, within a dimension or across two
+    (_PI, {"dims": [[0, 0]]}),
+    (_PI, {"dims": [[0], [0]], "faces": {"0": [[[], 0], [[], 0]]}}),
+    # a face entry for an id that is no cell
+    (_PI, {"dims": [[0], [5]], "faces": {"5": [[[], 0], [[], 0]], "9": [[[], 0]]}}),
 ])
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -20,6 +20,7 @@ from smoothsimplex.simplicial import (
     FiniteSimplicialSet,
     SimplicialMap,
     boundary_complex,
+    cone,
     enumerate_maps,
     horn_complex,
     pushout,
@@ -390,6 +391,45 @@ def test_square_kernel_checks_the_pinned_cells():
     square = LiftingProblem(J21, SimplicialMap(H, D2, top),
                             SimplicialMap(D2, D2, bottom), SimplicialMap.identity(D2))
     assert square.lifts(None) == [] and not square.has_lift()
+
+
+def _lookup_targets():
+    return {"Delta[3]": standard_simplicial_set(3),
+            "Boundary[3]": boundary_complex(3)[0],
+            "Cone(Boundary[2])": cone(boundary_complex(2)[0])[0],
+            "Delta[0]": standard_simplicial_set(0)}
+
+
+@pytest.mark.parametrize("target", list(_lookup_targets()))
+def test_extensions_are_the_search_restricted_to_the_source(target):
+    """A generator's extensions of every map out of its source, for I<=3 and
+    J<=3, are the maps out of Δ[p] that restrict to it, in search order."""
+    X = _lookup_targets()[target]
+    for gen in GeneratingSet("I", 3).generators() + GeneratingSet("J", 3).generators():
+        every = [m.assignment for m in enumerate_maps(gen.incl.target, X)]
+        for m in enumerate_maps(gen.incl.source, X):
+            pinned = pins_of(gen, m.assignment)
+            want = [a for a in every if a.items() >= pinned.items()]
+            assert list(gen.extensions(X, m.assignment)) == want, gen.name
+
+
+@pytest.mark.parametrize("name", ["horn2_1_incl", "collapse_boundary2",
+                                  "delta1_to_delta0", "collapse_horn3_2"])
+def test_squares_match_brute_force(name):
+    """Every square against I<=3 and J<=3: its lifts are the maps out of Δ[p]
+    that restrict to the top and lie over the bottom, in search order."""
+    f = named_map(name)
+    for gens in (GeneratingSet("I", 3), GeneratingSet("J", 3)):
+        every = {gen.name: [m.assignment
+                            for m in enumerate_maps(gen.incl.target, f.source)]
+                 for gen in gens.generators()}
+        for s in iter_lifting_problems(f, gens):
+            pinned = pins_of(s.generator, s.top.assignment).items()
+            bottom = s.bottom.assignment
+            want = [a for a in every[s.generator.name] if a.items() >= pinned
+                    and all(f(img) == bottom[c] for c, img in a.items())]
+            assert [m.assignment for m in s.lifts(None)] == want
+            assert s.has_lift() == bool(want)
 
 
 def test_generators_are_built_once_and_listed_fresh():
