@@ -303,6 +303,10 @@ def _on_horn(grid, k: int):
     return [z for z in grid if any(z[i] == 0 for i in range(len(z)) if i != k)]
 
 
+#: the times of the horn-fixed check
+HORN_TIMES = (0.2, 0.45, 0.7, 0.9, 1.0)
+
+
 def run_axiom4(args) -> Report:
     rep = Report("verify-axiom4",
                  {"p": args.p, "k": args.k, "grid": args.grid,
@@ -315,24 +319,28 @@ def run_axiom4(args) -> Report:
         coarse = pts if steps <= 12 else float_grid(n, 12)   # horn-fixed's grid
         for k in ks:
             H = homotopy.build_full_horn_deformation(n, k)
-            end = {z: H(z, 1.0).coords for z in pts}
-
-            def image(z, s):
-                # H is pure, so end[z] is H(z, 1) wherever z is a grid point
-                return end[z] if s == 1.0 and z in end else H(z, s).coords
+            horn = _on_horn(coarse, k)
+            # one path per point: H(z, 0), then H(z, 1) or, on the horn, H at
+            # each horn-fixed time
+            times = dict.fromkeys(pts, (0.0, 1.0))
+            times.update(dict.fromkeys(horn, (0.0, *HORN_TIMES)))
+            path = {z: H.path(z, ts) for z, ts in times.items()}
+            end = {z: images[-1] for z, images in path.items()}
 
             at = f"-({n},{k})"
             _add_contract(rep, "identity-at-0", at, 1e-12, pts,
-                          lambda z: _dist(image(z, 0.0), z))
+                          lambda z: _dist(path[z][0], z))
             _add_contract(rep, "horn-fixed", at, args.tol,
-                          ((z, s) for z in _on_horn(coarse, k)
-                           for s in (0.2, 0.45, 0.7, 0.9, 1.0)),
-                          lambda zs: _dist(image(*zs), zs[0]),
-                          witness=lambda zs: {"point": list(zs[0]), "s": zs[1]})
+                          ((z, i, s) for z in horn
+                           for i, s in enumerate(HORN_TIMES, 1)),
+                          lambda zis: _dist(path[zis[0]][zis[1]], zis[0]),
+                          witness=lambda zis: {"point": list(zis[0]), "s": zis[2]})
             _add_contract(rep, "lands-in-horn", at, args.tol, pts,
                           lambda z: min(end[z][:k] + end[z][k + 1:]))
+            # H is pure, so end[w] is H(w, 1) wherever w is a grid point
             _add_contract(rep, "retraction-idempotent", at, args.tol, pts,
-                          lambda z: _dist(end[z], image(end[z], 1.0)))
+                          lambda z: _dist(end[z], end[end[z]] if end[z] in end
+                                          else H(end[z], 1.0).coords))
     return rep
 
 

@@ -143,15 +143,25 @@ class LiftingProblem:
     bottom: SimplicialMap    # B -> Y
     f: SimplicialMap         # X -> Y
     on_top: Optional[_OnTop] = field(default=None, compare=False, repr=False)
+    _bottom_is_map: bool = field(default=True, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.on_top = self.on_top or _OnTop(self.generator, self.top, self.f)
+        # a square built by hand may have a bottom that is not a map; those
+        # from iter_lifting_problems share an _OnTop and have map bottoms
+        if self.on_top is None:
+            self.on_top = _OnTop(self.generator, self.top, self.f)
+            try:
+                self.bottom.validate()
+            except ValueError:
+                self._bottom_is_map = False
 
     def _over(self) -> Optional[Simplex]:
-        """The bottom's top cell if the square commutes on the source: a lift
-        lies over the bottom once its top cell does, as ``d_k`` is a face."""
+        """The bottom's top cell if the bottom is a map commuting with the
+        top on the source: a lift lies over it once its top cell does, as
+        ``d_k`` is a face."""
         bottom, along = self.bottom.assignment, self.on_top.along
-        if all(bottom[c] == along[a] for c, a in self.generator.pins.items()):
+        pins = self.generator.pins.items()
+        if self._bottom_is_map and all(bottom[c] == along[a] for c, a in pins):
             return bottom[self.generator.top]
         return None
 

@@ -125,17 +125,19 @@ def _splice(t: float) -> float:
     return 0.0 if t <= _FLAT0 else 1.0 if t >= _FLAT1 else SPLICE(t)
 
 
-def _run_stages(stages: Sequence[Step], z: Vec, s: float) -> Vec:
-    """The composite of ``stages`` on equal subintervals of [0, 1]; each
-    local time is computed when its stage is reached, and a 0 one ends it."""
+def _run_stages(stages: Sequence[Step], z: Vec, s: float, first: int = 0) -> Vec:
+    """The composite of ``stages`` on equal subintervals of [0, 1], resumed
+    at stage ``first`` from its input ``z``; each local time is computed
+    when its stage is reached, and a 0 one ends it."""
     if s <= 0.0:
         return z
-    m = len(stages)
-    for k, step in enumerate(stages):
+    m, k = len(stages), first
+    while k < m:   # a while loop: cheaper than a range on Python 3.11
         local = _splice(m * s - k)
         if local <= 0.0:
             break
-        z = step(z, local)
+        z = stages[k](z, local)
+        k += 1
     return z
 
 
@@ -277,9 +279,34 @@ class EvaluableHomotopy:
     schedule: tuple[tuple[str, tuple[float, float]], ...]
     _eval: Step = field(repr=False)
     _domain_check: Callable[[Vec], bool] = field(repr=False, default=None)
+    #: the top-level stages ``_eval`` runs, between two swaps of coordinates,
+    #: when it runs a stage table
+    _stages: tuple[Step, ...] = field(repr=False, default=())
+    _swap: Callable[[Vec], Vec] = field(repr=False, default=None)
 
     def __call__(self, point, s: float) -> Bary:
         return Bary.of_floats(self._eval(self.checked_point(point, s), float(s)))
+
+    def path(self, point, times: Sequence[float]) -> list[Vec]:
+        """``[H(point, s).coords for s in times]``, times non-decreasing in
+        [0, 1], with the point checked once: each stage that has ended by a
+        time runs to its end once, and later times resume after it."""
+        ts = [float(s) for s in times]
+        if not ts or not all(0.0 <= a <= b <= 1.0 for a, b in zip(ts, ts[1:] + [1.0])):
+            raise ValueError(f"homotopy times {ts} are not non-decreasing in [0, 1]")
+        z, stages = self.checked_point(point, ts[0]), self._stages
+        if not stages:
+            out = [self._eval(z, s) for s in ts]
+        else:
+            m, first, done, out = len(stages), 0, self._swap(z), []
+            for s in ts:
+                while first < m and _splice(m * s - first) >= 1.0:
+                    done = stages[first](done, 1.0)
+                    first += 1
+                out.append(self._swap(_run_stages(stages, done, s, first)))
+        for w in out:
+            _check_floats(w)
+        return out
 
     def checked_point(self, point, s: float) -> Vec:
         """``point`` as floats, checked to lie in the domain at ``s`` in [0, 1]."""
@@ -305,13 +332,18 @@ class EvaluableHomotopy:
         return self.schedule[-1][0]
 
 
+def _swap(n: int, k: int) -> Callable[[Vec], Vec]:
+    """Coordinates 0 and ``k`` of a point of Δ^n swapped."""
+    order = list(range(n + 1))
+    order[0], order[k] = k, 0
+    return itemgetter(*order)
+
+
 def _conjugated(core: Step, n: int, k: int) -> Step:
     """``core`` with coordinates 0 and ``k`` swapped on the way in and out."""
     if k == 0:
         return core
-    order = list(range(n + 1))
-    order[0], order[k] = k, 0
-    swap = itemgetter(*order)
+    swap = _swap(n, k)
     return lambda z, s: swap(core(swap(z), s))
 
 
@@ -342,14 +374,15 @@ def build_full_horn_deformation(n: int, k: int) -> EvaluableHomotopy:
     _check_horn(n, k)
     if n == 1:
         # the formula itself, also at s = 0
-        names, core = CONE_PHASES[:1], _radial1
+        names, steps, core = CONE_PHASES[:1], (), _radial1
     else:
         names, steps = zip(*_full_horn_stages(n))
         core = partial(_run_stages, steps)
     return EvaluableHomotopy(
         name=f"fullhorn({n},{k})",
         domain=f"Δ^{n}",
-        p=n, schedule=_schedule(names), _eval=_conjugated(core, n, k))
+        p=n, schedule=_schedule(names), _eval=_conjugated(core, n, k),
+        _stages=steps, _swap=_swap(n, k))
 
 
 def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:

@@ -7,7 +7,7 @@ import pytest
 
 from smoothsimplex import cli, homotopy
 from smoothsimplex.cli import Report, main, named_complex, named_map, run
-from smoothsimplex.geometry import Bary, float_grid
+from smoothsimplex.geometry import float_grid
 
 
 def invoke(argv):
@@ -244,9 +244,9 @@ def test_one_parser_serves_every_command(monkeypatch, capsys):
 def _replaced(H, replace):
     """``H`` with ``H(z, 1)`` replaced by ``replace(z, H(z, 1))``."""
     def ev(z, s):
-        out = H(z, s)
-        return Bary.of_floats(replace(tuple(z), out.coords)) if s == 1.0 else out
-    return ev
+        out = H(z, s).coords
+        return replace(tuple(z), out) if s == 1.0 else out
+    return homotopy.EvaluableHomotopy(H.name, H.domain, H.p, H.schedule, ev)
 
 
 def _direct_idempotency(H, pts):
@@ -287,6 +287,52 @@ def test_idempotency_reuse_keeps_failures(lands_on_grid, monkeypatch):
     assert code == 1 and check["status"] == "fail"
     assert check["max_violation"] == worst
     assert check["witness"]["argmax_point"] == list(arg)
+
+
+def _axiom4_by_point(args):
+    """``verify-axiom4`` as it was before paths: one ``H(z, s)`` per point
+    and time, ``H(z, 1)`` read from a table of the grid's images."""
+    rep = Report("verify-axiom4",
+                 {"p": args.p, "k": args.k, "grid": args.grid, "tol": args.tol})
+    for n in [args.p] if args.p else [1, 2, 3]:
+        ks = [args.k] if args.k is not None else list(range(n + 1))
+        steps = max(args.grid, {1: 200, 2: 25, 3: 12}[n])
+        pts = float_grid(n, steps)
+        coarse = pts if steps <= 12 else float_grid(n, 12)
+        for k in ks:
+            H = homotopy.build_full_horn_deformation(n, k)
+            end = {z: H(z, 1.0).coords for z in pts}
+
+            def image(z, s):
+                return end[z] if s == 1.0 and z in end else H(z, s).coords
+
+            at = f"-({n},{k})"
+            cli._add_contract(rep, "identity-at-0", at, 1e-12, pts,
+                              lambda z: cli._dist(image(z, 0.0), z))
+            cli._add_contract(rep, "horn-fixed", at, args.tol,
+                              ((z, s) for z in cli._on_horn(coarse, k)
+                               for s in (0.2, 0.45, 0.7, 0.9, 1.0)),
+                              lambda zs: cli._dist(image(*zs), zs[0]),
+                              witness=lambda zs: {"point": list(zs[0]), "s": zs[1]})
+            cli._add_contract(rep, "lands-in-horn", at, args.tol, pts,
+                              lambda z: min(end[z][:k] + end[z][k + 1:]))
+            cli._add_contract(rep, "retraction-idempotent", at, args.tol, pts,
+                              lambda z: cli._dist(end[z], image(end[z], 1.0)))
+    return rep
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("flags", [[], ["--tol", "1e-18"],
+                                   ["--grid", "30", "--tol", "1e-18"]], ids=" ".join)
+def test_axiom4_paths_report_as_pointwise_calls(n, flags):
+    # every witness holds its argmax, and at --tol 1e-18 the failing checks
+    # hold their times too
+    for k in range(n + 1):
+        argv = ["verify-axiom4", "--p", str(n), "--k", str(k), *flags]
+        report, code = run(argv)
+        want = _axiom4_by_point(cli._parse_args(argv))
+        assert report.to_json_dict() == want.to_json_dict()
+        assert code == (0 if want.ok else 1)
 
 
 def _fails_mid_check(args):

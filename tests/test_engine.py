@@ -393,6 +393,26 @@ def test_square_kernel_checks_the_pinned_cells():
     assert square.lifts(None) == [] and not square.has_lift()
 
 
+def test_hand_built_square_with_a_non_map_bottom_has_no_lift():
+    # the bottom sends the edge to itself but both vertices to vertex 0, so
+    # it does not commute with d_0; the square commutes on the source, and
+    # the edge is the image of a filler of the top
+    D1 = standard_simplicial_set(1)
+    J10 = GeneratingSet("J", 1).generators()[0]
+    v0, v1, edge = D1.nondegenerate()
+    bottom = SimplicialMap(D1, D1, {v0.id: (EMPTY, v0), v1.id: (EMPTY, v0),
+                                    edge.id: (EMPTY, edge)})
+    with pytest.raises(ValueError):
+        bottom.validate()
+    square = LiftingProblem(J10, SimplicialMap(J10.incl.source, D1, {0: (EMPTY, v0)}),
+                            bottom, SimplicialMap.identity(D1))
+    assert square.lifts(None) == [] and not square.has_lift()
+    # with a map bottom (every cell to its own cell) the same square lifts
+    square = LiftingProblem(square.generator, square.top,
+                            SimplicialMap.identity(D1), square.f)
+    assert len(square.lifts(None)) == 1 and square.has_lift()
+
+
 def _lookup_targets():
     return {"Delta[3]": standard_simplicial_set(3),
             "Boundary[3]": boundary_complex(3)[0],

@@ -258,6 +258,78 @@ def test_homotopy_output_is_validated(out):
         H((0.5, 0.5), 0.5)
 
 
+# -- paths ----------------------------------------------------------------------
+
+
+#: every kind and n <= 3, with every k (two collar widths for boundary-T)
+PATH_HOMOTOPIES = {
+    **{f"full-{n}-{k}": (build_full_horn_deformation, n, k)
+       for n in (1, 2, 3) for k in range(n + 1)},
+    **{f"halfopen-{n}-{k}": (build_halfopen_deformation, n, k)
+       for n in (1, 2, 3) for k in range(n + 1)},
+    **{f"boundary-t-{n}-{eps}": (build_boundary_homotopy_T, n, eps)
+       for n in (1, 2, 3) for eps in (0.05, 0.2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_HOMOTOPIES))
+def test_path_is_the_pointwise_evaluation(name):
+    build, n, arg = PATH_HOMOTOPIES[name]
+    H = build(n, arg)
+    m = len(H.schedule)
+    times = {0.0, 1.0}
+    for j in range(m + 1):
+        times.update((j / m, (j - 0.1) / m, (j + 0.1) / m, (j + 0.9) / m))
+    times = sorted(t for t in times if 0.0 <= t <= 1.0)
+    rng = random.Random(12)
+    pts = grid(n, 6)
+    for _ in range(20):
+        raw = [rng.random() for _ in range(n + 1)]
+        pts.append(tuple(r / sum(raw) for r in raw))
+    if name.startswith("halfopen"):
+        pts = [z for z in pts if z[arg] > 0.0]
+    for z in pts:
+        got, want = H.path(z, times), [H(z, s).coords for s in times]
+        # repr tells -0.0 from 0.0 and round-trips every other bit
+        assert repr(got) == repr(want), z
+        assert H.path(z, [times[-2]]) == want[-2:-1]
+
+
+#: a point of Δ^n, one whose sum is off and one with a negative coordinate
+PATH_POINTS = {"valid": lambda n: (0.4, 0.6) + (0.0,) * (n - 1),
+               "sum-off": lambda n: (0.6,) * (n + 1),
+               "negative": lambda n: (1.1, -0.1) + (0.0,) * (n - 1)}
+
+
+@pytest.mark.parametrize("name", ["full-1-0", "full-3-1", "halfopen-2-0"])
+@pytest.mark.parametrize("point, times", [
+    ("valid", [0.5, 0.4]),
+    ("valid", [0.2, float("nan"), 0.9]),
+    ("valid", [float("nan")]),
+    ("valid", [0.5, 1.0 + 1e-9]),
+    ("valid", [-0.1, 0.5]),
+    ("valid", []),
+    ("sum-off", [0.5]),
+    ("negative", [0.0, 1.0]),
+], ids=["decreasing", "nan", "only-nan", "above-1", "below-0", "empty",
+        "sum-off", "negative"])
+def test_path_rejects_bad_times_and_points(name, point, times):
+    build, n, arg = PATH_HOMOTOPIES[name]
+    H = build(n, arg)
+    with pytest.raises(ValueError):
+        H.path(PATH_POINTS[point](n), times)
+    assert len(H.path(PATH_POINTS["valid"](n), [0.0, 0.4, 0.4, 1.0])) == 4
+
+
+@pytest.mark.parametrize("out", [(float("nan"), 1.0), (0.5, 0.6)], ids=repr)
+def test_path_output_is_validated(out):
+    H = EvaluableHomotopy("stub", "Δ^1", 1, (("stub", (0.0, 1.0)),),
+                          lambda z, s: out if s > 0.5 else z)
+    assert H.path((0.5, 0.5), [0.5]) == [(0.5, 0.5)]
+    with pytest.raises(ValueError):
+        H.path((0.5, 0.5), [0.5, 1.0])
+
+
 # -- bit-identity of the float evaluation ----------------------------------------
 
 
