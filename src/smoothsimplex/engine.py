@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .geometry import Bary
@@ -22,7 +22,9 @@ from .simplicial import (
     FiniteSimplicialSet,
     Simplex,
     SimplicialMap,
-    _extend_by_copy,
+    _cells,
+    _facet_ids,
+    _glue,
     boundary_complex,
     enumerate_maps,
     horn_complex,
@@ -55,15 +57,13 @@ class Generator:
 
     @cached_property
     def _shape(self) -> tuple:
-        """The source cells with their dimensions and face ids; the id of
-        ``d_k`` (None for ``I(p)``); and the source cells on the top's faces
-        but ``d_k`` (on all of them for ``I(p)``)."""
-        A = self.incl.source
-        facets = [t.id for _, t in self.incl.target._faces.get(self.top, ())]
-        return ([(r.id, r.dim, tuple(t.id for _, t in A._faces.get(r.id, ())))
-                 for r in A.nondegenerate()],
-                None if self.k is None else facets[self.k],
-                tuple(self.pins[c] for i, c in enumerate(facets) if i != self.k))
+        """The source's cell table (:func:`_cells`); the id of ``d_k`` (None
+        for ``I(p)``); and the source cells on the top's faces but ``d_k``
+        (on all of them for ``I(p)``)."""
+        A, B = self.incl.source, self.incl.target
+        return (_cells(A),
+                None if self.k is None else B._faces[self.top][self.k][1].id,
+                _facet_ids(A, self.p, self.k))
 
     def _fillers(self, X: FiniteSimplicialSet, m: dict[int, Simplex]) -> list[Simplex]:
         """The top-cell images ``x`` of :meth:`extensions`, in order: one
@@ -72,7 +72,7 @@ class Generator:
         cells, _, key = self._shape
         faces_of = X._cached(("faces_of", self.p), lambda: [
             X.faces_index(n)[0] for n in range(self.p)])
-        for a, n, faces in cells:
+        for (a, n), faces in cells:
             if faces_of[n].get(m[a]) != tuple(map(m.__getitem__, faces)):
                 return []
         index = (X.faces_index(self.p)[1] if self.k is None
@@ -121,19 +121,6 @@ class GeneratingSet:
                 for p in range(1, self.max_dim + 1) for k in range(p + 1)]
 
 
-class _OnTop:
-    """What the squares on one top map share: ``f ∘ top`` and, found on first
-    use, the image under ``f`` of the top cell of each extension of ``top``."""
-
-    def __init__(self, gen: Generator, top: SimplicialMap, f: SimplicialMap) -> None:
-        self.gen, self.top, self.f = gen, top, f
-        self.along = {a: f(img) for a, img in top.assignment.items()}
-
-    @cached_property
-    def images(self) -> set[Simplex]:
-        return set(map(self.f, self.gen._fillers(self.f.source, self.top.assignment)))
-
-
 @dataclass
 class LiftingProblem:
     """A commutative square from a generator to ``f``."""
@@ -142,39 +129,36 @@ class LiftingProblem:
     top: SimplicialMap       # A -> X
     bottom: SimplicialMap    # B -> Y
     f: SimplicialMap         # X -> Y
-    on_top: Optional[_OnTop] = field(default=None, compare=False, repr=False)
-    _bottom_is_map: bool = field(default=True, init=False, compare=False, repr=False)
+    # f(x) for the top cells x of the extensions of top, one set shared by
+    # the squares on one top map
+    on_top: Optional[set[Simplex]] = field(default=None, compare=False, repr=False)
+    # the bottom's top cell, which a lift's top cell must cover; None when a
+    # square built by hand does not commute or its bottom is not a map
+    over: Optional[Simplex] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # a square built by hand may have a bottom that is not a map; those
-        # from iter_lifting_problems share an _OnTop and have map bottoms
         if self.on_top is None:
-            self.on_top = _OnTop(self.generator, self.top, self.f)
+            gen, top, f = self.generator, self.top.assignment, self.f
+            self.on_top = set(map(f, gen._fillers(f.source, top)))
+            self.over = None
             try:
                 self.bottom.validate()
             except ValueError:
-                self._bottom_is_map = False
-
-    def _over(self) -> Optional[Simplex]:
-        """The bottom's top cell if the bottom is a map commuting with the
-        top on the source: a lift lies over it once its top cell does, as
-        ``d_k`` is a face."""
-        bottom, along = self.bottom.assignment, self.on_top.along
-        pins = self.generator.pins.items()
-        if self._bottom_is_map and all(bottom[c] == along[a] for c, a in pins):
-            return bottom[self.generator.top]
-        return None
+                return
+            bottom = self.bottom.assignment
+            if all(bottom[c] == f(top[a]) for c, a in gen.pins.items()):
+                self.over = bottom[gen.top]
 
     def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
         """The first ``limit`` (all for ``None``) diagonal fillers
         ``B -> X``, commuting on both triangles."""
-        gen, X, want = self.generator, self.f.source, self._over()
+        gen, X = self.generator, self.f.source
         found = (a for a in gen.extensions(X, self.top.assignment)
-                 if self.f(a[gen.top]) == want)
+                 if self.f(a[gen.top]) == self.over)
         return [SimplicialMap(gen.incl.target, X, a) for a in islice(found, limit)]
 
     def has_lift(self) -> bool:
-        return self._over() in self.on_top.images
+        return self.over in self.on_top
 
     def to_json_dict(self) -> dict:
         return {"generator": self.generator.name,
@@ -186,14 +170,16 @@ def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
                           ) -> Iterator[LiftingProblem]:
     """All commutative squares from the generating set to ``f``, in a fixed
     lexicographic order (generator, top map, bottom map).  The squares on
-    one top map share one ``_OnTop``."""
+    one top map share one set of images, built for the first of them."""
     for gen in gens.generators():
         B = gen.incl.target
         for top in enumerate_maps(gen.incl.source, f.source):
-            on_top = _OnTop(gen, top, f)
-            for bottom in gen.extensions(f.target, on_top.along):
+            along, images = {a: f(img) for a, img in top.assignment.items()}, None
+            for bottom in gen.extensions(f.target, along):
+                if images is None:
+                    images = set(map(f, gen._fillers(f.source, top.assignment)))
                 yield LiftingProblem(gen, top, SimplicialMap(B, f.target, bottom),
-                                     f, on_top)
+                                     f, images, bottom[gen.top])
 
 
 @dataclass
@@ -265,28 +251,15 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
                                  f, unsolved(f), birth)]
     while stages[-1].residual and len(stages) <= max_stages:
         prev, n = stages[-1], len(stages)
-        # One pushout along the coproduct of the problems' generators.  Its
-        # ids are those of a chain of one `pushout` per problem, each copying
-        # the complex it extends in nondegenerate() order: the old cells and
-        # the new cells of problems 1..m-1 stably sorted by dimension, then
-        # the new cells of problem m.  A cell's faces all come before it, and
-        # its id is its place in that order.
-        G, probs = prev.complex, prev.residual
-        new = [[(i, ref) for ref in p.generator.incl.target.nondegenerate()
-                if ref.id not in p.generator.pins] for i, p in enumerate(probs)]
-        order = sorted(chain([(-1, ref) for ref in G.nondegenerate()], *new[:-1]),
-                       key=lambda cell: cell[1].dim) + new[-1]
-        P, q, birth = FiniteSimplicialSet(f"G^{n}"), {}, {}
-        into = SimplicialMap(G, P, {}, "into")
-        legs = [SimplicialMap(prob.generator.incl.target, P, {}) for prob in probs]
-        for cell, (i, ref) in enumerate(order):
-            leg = into if i < 0 else legs[i]
-            if i >= 0 and not leg.assignment:   # glued along the top map
-                leg.assignment.update((c, into(probs[i].top.assignment[a]))
-                                      for c, a in probs[i].generator.pins.items())
-            _extend_by_copy(leg, ref)
-            q[cell] = (prev.q if i < 0 else probs[i].bottom).assignment[ref.id]
-            birth[cell] = prev.birth[ref.id] if i < 0 else n
+        # one pushout along the coproduct of the problems' generators, glued
+        # by their top maps; an old cell keeps its q and birth, a new one
+        # takes its problem's bottom and stage n
+        P, (into, *_), order = _glue(
+            prev.complex, [(p.generator.incl, p.top) for p in prev.residual], f"G^{n}")
+        maps = [prev.q] + [p.bottom for p in prev.residual]
+        q = {cell: maps[i].assignment[ref.id] for cell, (i, ref) in enumerate(order)}
+        birth = {cell: n if i else prev.birth[ref.id]
+                 for cell, (i, ref) in enumerate(order)}
         q_n = SimplicialMap(P, f.target, q, name=f"q_{n}")
         q_n.validate()
         stages.append(FactorizationStage(n, P, len(birth) - len(prev.birth),

@@ -9,7 +9,7 @@ stored as ``(word, target_ref)`` pairs as well.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import words
@@ -236,10 +236,9 @@ class FiniteSimplicialSet:
             for ident in ids:
                 if ident in id_map:
                     raise ValueError(f"simplex id {ident} is listed twice")
-                if dim == 0:
-                    id_map[ident] = out.add_simplex(0)
-                    continue
-                face_list = faces_raw.get(ident)
+                # a vertex's entry, if any, goes to add_simplex, which
+                # rejects a non-empty one
+                face_list = faces_raw.get(ident, [] if dim == 0 else None)
                 if not isinstance(face_list, list):
                     raise ValueError(f"simplex {ident} needs a list of faces")
                 id_map[ident] = out.add_simplex(
@@ -282,6 +281,7 @@ class SimplicialMap:
                 raise ValueError(f"assignment for {ref} has wrong dimension")
             if img[1] not in self.target:
                 raise ValueError(f"assignment for {ref} leaves the target")
+            words.check_valid(img[0], img[1].dim)
         for ref in self.source.nondegenerate():
             for i, face in enumerate(self.source._faces.get(ref.id, ())):
                 if self.target.face(self.assignment[ref.id], i) != self(face):
@@ -436,6 +436,36 @@ def _extend_by_copy(m: SimplicialMap, ref: SimplexRef) -> None:
         ref.dim, faces, label=m.source.labels.get(ref.id)))
 
 
+def _glue(B: FiniteSimplicialSet,
+          spans: list[tuple[SimplicialMap, SimplicialMap]], name: str
+          ) -> tuple[FiniteSimplicialSet, list[SimplicialMap],
+                     list[tuple[int, SimplexRef]]]:
+    """Glue ``B`` along spans ``(f_i : A_i ↪ X_i, g_i : A_i → B)``, each
+    ``f_i`` a subcomplex inclusion, with the ids of one :func:`pushout` per
+    span in turn.  Returns ``(P, legs, order)``: ``legs`` are ``B → P`` and
+    then each ``X_i → P``, and cell c of ``P`` copies cell ``order[c][1]`` of
+    the source of ``legs[order[c][0]]``."""
+    P = FiniteSimplicialSet(name)
+    legs, to_b, cells = [SimplicialMap(B, P, {}, "in_B")], [{}], []
+    for i, (f, g) in enumerate(spans, 1):
+        legs.append(SimplicialMap(f.target, P, {}, "in_X"))
+        to_b.append({t.id: g.assignment[a] for a, (_, t) in f.assignment.items()})
+        cells.append([(i, r) for r in f.target.nondegenerate()])
+    order = []
+    # Each pushout copies the complex it extends in nondegenerate() order:
+    # B's cells and those of spans 1..m-1 stably sorted by dimension, then
+    # those of span m.  A cell of X_i on A_i goes where g_i sends it, to a
+    # cell of B of no higher dimension, which is copied before it.
+    for i, ref in sorted(chain([(0, r) for r in B.nondegenerate()], *cells[:-1]),
+                         key=lambda cell: cell[1].dim) + cells[-1]:
+        if ref.id in to_b[i]:
+            legs[i].assignment[ref.id] = legs[0](to_b[i][ref.id])
+        else:
+            _extend_by_copy(legs[i], ref)
+            order.append((i, ref))
+    return P, legs, order
+
+
 def pushout(f: SimplicialMap, g: SimplicialMap
             ) -> tuple[FiniteSimplicialSet, SimplicialMap, SimplicialMap]:
     """Pushout of ``X ←f− A −g→ B`` where ``f`` is a subcomplex inclusion.
@@ -448,20 +478,7 @@ def pushout(f: SimplicialMap, g: SimplicialMap
         raise ValueError("pushout legs must share their source")
     if not f.is_subcomplex_inclusion():
         raise ValueError("first leg must be a subcomplex inclusion")
-    X, B, A = f.target, g.target, f.source
-    hit = {f.assignment[a.id][1].id: a for a in A.nondegenerate()}
-
-    P = FiniteSimplicialSet(f"{X.name}∪{B.name}")
-    in_b = SimplicialMap(B, P, {}, "in_B")
-    in_x = SimplicialMap(X, P, {}, "in_X")
-
-    for ref in B.nondegenerate():
-        _extend_by_copy(in_b, ref)
-    for ref in X.nondegenerate():
-        if ref.id in hit:
-            in_x.assignment[ref.id] = in_b(g.assignment[hit[ref.id].id])
-        else:
-            _extend_by_copy(in_x, ref)
+    P, (in_b, in_x), _ = _glue(g.target, [(f, g)], f"{f.target.name}∪{g.target.name}")
     return P, in_x, in_b
 
 
@@ -496,6 +513,15 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
 # -- map enumeration and bounded Kan checks --------------------------------
 
 
+def _cells(A: FiniteSimplicialSet) -> list[tuple[SimplexRef, Optional[tuple[int, ...]]]]:
+    """``A``'s cells in ``nondegenerate()`` order, each with the ids of its
+    faces, or None when a face carries a degeneracy word."""
+    return A._cached("cells", lambda: [
+        (ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
+         else tuple(t.id for _, t in A._faces.get(ref.id, ())))
+        for ref in A.nondegenerate()])
+
+
 def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
                    ) -> Iterator[SimplicialMap]:
     """All simplicial maps ``A → X``, lazily, by backtracking on an explicit
@@ -505,11 +531,7 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
     images when it is reached; its candidates are the simplices of ``X``
     with those faces (``X.faces_index``).
     """
-    # per cell, its face ids, or None when a face carries a degeneracy word
-    cells = A._cached("search", lambda: [
-        (ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
-         else tuple(t.id for _, t in A._faces.get(ref.id, ())))
-        for ref in A.nondegenerate()])
+    cells = _cells(A)
     index = [X.faces_index(n)[1] for n in range(A.dimension + 1)]
     partial = SimplicialMap(A, X, {})
     image = partial.assignment
@@ -536,14 +558,19 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
             return
 
 
+def _facet_ids(A: FiniteSimplicialSet, p: int, k: Optional[int]) -> tuple[int, ...]:
+    """The ids of the cells of ``A``, a vertex-labelled subcomplex of
+    ``Δ[p]``, on the facets ``d_i`` of ``Δ[p]`` with ``i ≠ k``, by ``i``."""
+    return A._cached(("facets", p, k), lambda: tuple(
+        vertex_ref(A, tuple(j for j in range(p + 1) if j != i)).id
+        for i in range(p + 1) if p and i != k))
+
+
 def horn_fillers(X: FiniteSimplicialSet, horn_map: SimplicialMap,
                  p: int, k: int) -> list[Simplex]:
     """All p-simplices of ``X`` filling a horn map ``Λ[p,k] → X``."""
-    A = horn_map.source
-    horn_faces = tuple(
-        horn_map.assignment[vertex_ref(A, tuple(j for j in range(p + 1) if j != i)).id]
-        for i in range(p + 1) if i != k)
-    return list(X.horn_index(p, k).get(horn_faces, []))
+    faces = map(horn_map.assignment.__getitem__, _facet_ids(horn_map.source, p, k))
+    return list(X.horn_index(p, k).get(tuple(faces), []))
 
 
 def is_kan_up_to(X: FiniteSimplicialSet, n_max: int) -> list[dict]:

@@ -405,6 +405,14 @@ _PI = ["pi", "--complex-file", "{file}"]
     (_PI, {"dims": [[0], [0]], "faces": {"0": [[[], 0], [[], 0]]}}),
     # a face entry for an id that is no cell
     (_PI, {"dims": [[0], [5]], "faces": {"5": [[[], 0], [[], 0]], "9": [[[], 0]]}}),
+    # an edge sent to a degeneracy word that is not valid on a vertex
+    *((["rlp", "--map-file", "{file}", "--gens", "I", "--max-dim", "1"], {
+        "source": {"dims": [[0, 1], [2]], "faces": {"2": [[[], 1], [[], 0]]}},
+        "target": _POINT,
+        "assignment": {"0": [[], 0], "1": [[], 0], "2": [word, 0]}})
+      for word in ([5], [-1])),
+    # a face entry for a vertex
+    (_PI, {"dims": [[0]], "faces": {"0": [[[], 0]]}}),
 ])
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"

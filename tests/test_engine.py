@@ -23,6 +23,7 @@ from smoothsimplex.simplicial import (
     cone,
     enumerate_maps,
     horn_complex,
+    horn_fillers,
     pushout,
     standard_simplicial_set,
     vertex_ref,
@@ -423,7 +424,8 @@ def _lookup_targets():
 @pytest.mark.parametrize("target", list(_lookup_targets()))
 def test_extensions_are_the_search_restricted_to_the_source(target):
     """A generator's extensions of every map out of its source, for I<=3 and
-    J<=3, are the maps out of Δ[p] that restrict to it, in search order."""
+    J<=3, are the maps out of Δ[p] that restrict to it, in search order; for
+    J(p,k), horn_fillers lists their top-cell images, in the same order."""
     X = _lookup_targets()[target]
     for gen in GeneratingSet("I", 3).generators() + GeneratingSet("J", 3).generators():
         every = [m.assignment for m in enumerate_maps(gen.incl.target, X)]
@@ -431,13 +433,17 @@ def test_extensions_are_the_search_restricted_to_the_source(target):
             pinned = pins_of(gen, m.assignment)
             want = [a for a in every if a.items() >= pinned.items()]
             assert list(gen.extensions(X, m.assignment)) == want, gen.name
+            if gen.kind == "J":
+                assert horn_fillers(X, m, gen.p, gen.k) == [a[gen.top] for a in want]
 
 
 @pytest.mark.parametrize("name", ["horn2_1_incl", "collapse_boundary2",
                                   "delta1_to_delta0", "collapse_horn3_2"])
 def test_squares_match_brute_force(name):
     """Every square against I<=3 and J<=3: its lifts are the maps out of Δ[p]
-    that restrict to the top and lie over the bottom, in search order."""
+    that restrict to the top and lie over the bottom, in search order.  The
+    same square built by hand, which finds the cell a lift must cover
+    itself, has the same lifts."""
     f = named_map(name)
     for gens in (GeneratingSet("I", 3), GeneratingSet("J", 3)):
         every = {gen.name: [m.assignment
@@ -450,6 +456,10 @@ def test_squares_match_brute_force(name):
                     and all(f(img) == bottom[c] for c, img in a.items())]
             assert [m.assignment for m in s.lifts(None)] == want
             assert s.has_lift() == bool(want)
+            by_hand = LiftingProblem(s.generator, s.top, s.bottom, f)
+            assert by_hand.over == s.over == bottom[s.generator.top]
+            assert [m.assignment for m in by_hand.lifts(None)] == want
+            assert by_hand.has_lift() == bool(want)
 
 
 def test_generators_are_built_once_and_listed_fresh():
