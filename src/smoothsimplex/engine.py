@@ -134,20 +134,21 @@ class LiftingProblem:
     on_top: Optional[set[Simplex]] = field(default=None, compare=False, repr=False)
     # the bottom's top cell, which a lift's top cell must cover; None when a
     # square built by hand does not commute or its bottom is not a map
-    over: Optional[Simplex] = field(default=None, compare=False, repr=False)
+    over: Optional[Simplex] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        gen, bottom = self.generator, self.bottom.assignment
         if self.on_top is None:
-            gen, top, f = self.generator, self.top.assignment, self.f
-            self.on_top = set(map(f, gen._fillers(f.source, top)))
-            self.over = None
+            top, f = self.top.assignment, self.f
+            self.on_top = set()
             try:
                 self.bottom.validate()
             except ValueError:
                 return
-            bottom = self.bottom.assignment
-            if all(bottom[c] == f(top[a]) for c, a in gen.pins.items()):
-                self.over = bottom[gen.top]
+            if not all(bottom[c] == f(top[a]) for c, a in gen.pins.items()):
+                return
+            self.on_top = set(map(f, gen._fillers(f.source, top)))
+        self.over = bottom[gen.top]
 
     def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
         """The first ``limit`` (all for ``None``) diagonal fillers
@@ -179,7 +180,7 @@ def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
                 if images is None:
                     images = set(map(f, gen._fillers(f.source, top.assignment)))
                 yield LiftingProblem(gen, top, SimplicialMap(B, f.target, bottom),
-                                     f, images, bottom[gen.top])
+                                     f, images)
 
 
 @dataclass
