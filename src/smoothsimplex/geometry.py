@@ -324,13 +324,7 @@ def phi_chart(i: int, x: Bary, t: Number) -> Bary:
         raise ValueError(f"chart index {i} out of range")
     if not 0 <= t <= 1:
         raise OutOfDomain(f"chart parameter t={t} outside [0, 1)")
-    coords = []
-    for j in range(p + 1):
-        if j == i:
-            coords.append(1 - t)
-        else:
-            coords.append(t * x[j if j < i else j - 1])
-    return Bary(tuple(coords))
+    return Bary(tuple(_chart_core(i, x.coords, 1, t, 1)[0]))
 
 
 def phi_chart_ratio(i: int, nums: Sequence[int], den: int, tn: int, td: int
@@ -343,9 +337,15 @@ def phi_chart_ratio(i: int, nums: Sequence[int], den: int, tn: int, td: int
     _check_ratio(nums, den)
     if not 0 <= tn <= td:
         raise OutOfDomain(f"chart parameter t={Fraction(tn, td)} outside [0, 1)")
+    return Bary.of_ratio(*_chart_core(i, nums, den, tn, td))
+
+
+def _chart_core(i: int, nums: Sequence[Number], den: Number, tn: Number, td: Number):
+    """The chart formula, unchecked: the numerators of the image of
+    ``x = nums / den`` at ``t = tn / td``, and their denominator ``td * den``."""
     coords = [tn * n for n in nums]
     coords.insert(i, (td - tn) * den)
-    return Bary.of_ratio(tuple(coords), td * den)
+    return coords, td * den
 
 
 def chart_decompose(z: Bary, i: int) -> ChartDecomp:
@@ -379,32 +379,47 @@ def chart_transition(i: int, j: int, y: Bary, tau: Number, t: Number
     ``(1-tau)(j) + tau * y``; the return value ``(y, s, t')`` satisfies
     ``phi_j((1-s)(i) + s*y, t') = phi_i((1-tau)(j) + tau*y, t)``.
     """
-    if i == j:
-        raise ValueError("transition needs two distinct charts")
-    if not (0 < tau <= 1):
+    p = y.p + 2
+    if i == j or not (0 <= i <= p and 0 <= j <= p):
+        raise ValueError(f"{i} and {j} are not two distinct charts of Δ^{p}")
+    exact = isinstance(tau, (int, Fraction)) and isinstance(t, (int, Fraction))
+    # tau = a/b and t = c/d, on integers when both are exact
+    a, b, c, d = ((tau.numerator, tau.denominator, t.numerator, t.denominator)
+                  if exact else (tau, 1, t, 1))
+    if not 0 < a <= b:
         raise OutOfDomain(f"tau={tau} outside (0, 1]")
-    if not (0 < t < 1):
+    if not 0 < c < d:
         raise OutOfDomain(f"t={t} outside (0, 1)")
-    # 0 <= 1 - tau < 1 forces denom >= 1 - t > 0
-    denom = 1 - t * (1 - tau)
-    s = t * tau / denom
-    t_new = 1 - t * (1 - tau)
-    return (y, s, t_new)
+    # 1 - t(1 - tau) = n / (db), and 0 <= 1 - tau < 1 forces it >= 1 - t > 0
+    n = d * b - c * (b - a)
+    if exact:
+        return (y, Fraction(c * a, n), Fraction(n, d * b))
+    return (y, c * a / n, n / (d * b))
 
 
 def transition_identity_gap(p: int, i: int, j: int, y: Bary, tau: Number,
                             t: Number) -> Number:
     """Max-norm difference of the two sides of the chart-compatibility
     identity; identically zero in rational arithmetic."""
+    if y.p != p - 2:
+        raise ValueError(f"expected a point of Δ^{p - 2}, not of Δ^{y.p}")
     _, s, t_new = chart_transition(i, j, y, tau, t)
     # the chart-i input (1-tau)(j) + tau*y and the chart-j input
     # (1-s)(i) + s*y, as points of Δ^{p-1} (vertices past the chart's own
     # vertex shift down by one)
-    lhs = phi_chart(i, phi_chart(j if j < i else j - 1, y, tau), t)
-    rhs = phi_chart(j, phi_chart(i if i < j else i - 1, y, s), t_new)
-    if lhs.ratio is not None and rhs.ratio is not None:
-        (ln, ld), (rn, rd) = lhs.ratio, rhs.ratio
+    ji, ij = (j if j < i else j - 1), (i if i < j else i - 1)
+    if y.ratio is not None and isinstance(s, Fraction):
+        # s is a Fraction when tau and t are exact: both sides on integers.
+        # As tau, s, t, t' > 0, the check of a side covers its chart input.
+        (ln, ld), (rn, rd) = sides = [
+            _chart_core(k, *_chart_core(h, *y.ratio, u.numerator, u.denominator),
+                        v.numerator, v.denominator)
+            for k, h, u, v in ((i, ji, tau, t), (j, ij, s, t_new))]
+        for nums, den in sides:
+            _check_ratio(nums, den)
         return Fraction(max(abs(a * rd - b * ld) for a, b in zip(ln, rn)), ld * rd)
+    lhs = phi_chart(i, phi_chart(ji, y, tau), t)
+    rhs = phi_chart(j, phi_chart(ij, y, s), t_new)
     return max(abs(a - b) for a, b in zip(lhs.coords, rhs.coords))
 
 

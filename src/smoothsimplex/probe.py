@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .geometry import Bary, phi_chart_ratio
+from .geometry import AffineSimplexMap, Bary, phi_chart_ratio
 
 PointMap = Callable[[Bary], object]
 
@@ -123,29 +123,39 @@ class ProbeCurve:
 
 def random_curve(p: int, chart: int, rng: random.Random) -> ProbeCurve:
     """A quadratic curve staying inside the chart domain for |tau| <= radius."""
+    # the coefficients are drawn as integers: x0 over the sum of its draws,
+    # x1 and x2 over 16m, t0 and t1 over 10
     m = p  # chart domain is Δ^{p-1} x [0,1): m coordinates on the simplex part
-    base = [Fraction(rng.randrange(2, 7), 1) for _ in range(m)]
+    base = [rng.randrange(2, 7) for _ in range(m)]
     tot = sum(base)
-    x0 = tuple(b / tot for b in base)
-    margin = min(x0)
 
-    def sum_zero() -> tuple[Fraction, ...]:
+    def sum_zero() -> list[int]:
+        # m sixteenths less their mean, over 16m
         if m == 1:
-            return (Fraction(0),)
-        raw = [Fraction(rng.randrange(-8, 9), 16) for _ in range(m)]
-        mean = sum(raw) / m
-        return tuple(r - mean for r in raw)
+            return [0]
+        raw = [rng.randrange(-8, 9) for _ in range(m)]
+        return [m * r - sum(raw) for r in raw]
 
-    x1, x2 = sum_zero(), sum_zero()
-    t0 = Fraction(rng.randrange(3, 8), 10)
-    t1 = Fraction(rng.randrange(-4, 5), 10)
-    # conservative radius keeping every coordinate positive and t in (0,1)
-    denom = max(max(abs(c) for c in x1), max(abs(c) for c in x2),
-                abs(t1), Fraction(1))
-    radius = min(float(margin) / (4 * float(denom)),
-                 float(min(t0, 1 - t0)) / (4 * float(denom) + 1e-9),
-                 0.25)
-    return ProbeCurve(chart, x0, x1, x2, t0, t1, radius)
+    d1, d2 = sum_zero(), sum_zero()
+    tenths = (rng.randrange(3, 8), rng.randrange(-4, 5))
+    # conservative radius keeping every coordinate positive and t in (0,1):
+    # |x1_k|, |x2_k| <= 1 and |t1| < 1 bound the speed by 1, and n / d of
+    # two ints is float(Fraction(n, d))
+    radius = min(min(base) / tot / 4,
+                 min(tenths[0], 10 - tenths[0]) / 10 / (4 + 1e-9), 0.25)
+    # the numerators over L, then over their least common denominator
+    L = math.lcm(tot, 16 * m, 10)
+    groups = [[n * (L // d) for n in ns]
+              for ns, d in ((base, tot), (d1, 16 * m), (d2, 16 * m), (tenths, 10))]
+    g = math.gcd(L, *(n for ns in groups for n in ns))
+    den, ints = L // g, [tuple(n // g for n in ns) for ns in groups]
+    x0, x1, x2, (t0, t1) = [tuple(Fraction(n, den) for n in ns) for ns in ints]
+    # the curve ProbeCurve(chart, x0, x1, x2, t0, t1, radius) builds, without
+    # the lcm pass of its __post_init__
+    curve = object.__new__(ProbeCurve)
+    vars(curve).update(chart=chart, x0=x0, x1=x1, x2=x2, t0=t0, t1=t1,
+                       radius=radius, _ints=(den, *ints))
+    return curve
 
 
 @dataclass
@@ -235,12 +245,14 @@ def smoothness_probe(map_eval: PointMap, p: int, order: int, tol: float,
     return report
 
 
-def affine_curve_derivative(matrix: Sequence[Sequence[object]],
+def affine_curve_derivative(matrix: Sequence[Sequence[object]] | AffineSimplexMap,
                             curve: ProbeCurve, tau0: float) -> tuple[float, ...]:
     """Exact derivative of (affine map) ∘ phi_chart ∘ curve at tau0.
 
     The chart composite is polynomial with rational coefficients; its
     derivative is computed symbolically and pushed through the matrix.
+    ``matrix`` is the map's matrix or the map itself; a map of exact columns
+    is read through the integer matrix it was built with.
     """
     a, b = _rational(tau0)
     den, _, X1, X2, (_, T1) = curve._ints
@@ -250,8 +262,13 @@ def affine_curve_derivative(matrix: Sequence[Sequence[object]],
     # dz_i = -dt and dz_j = dt x_k + t dx_k, all over den² b²
     dz = [T1 * x + tn * (c1 * b + 2 * c2 * a) for x, c1, c2 in zip(xs, X1, X2)]
     dz.insert(curve.chart, -T1 * den * b * b)
-    entries = [[Fraction(m) for m in row] for row in matrix]
-    mden = math.lcm(*(m.denominator for row in entries for m in row))
-    rows = [[m.numerator * (mden // m.denominator) for m in row] for row in entries]
+    if isinstance(matrix, AffineSimplexMap) and matrix._int_matrix is not None:
+        rows, mden = matrix._int_matrix
+    else:
+        if isinstance(matrix, AffineSimplexMap):
+            matrix = matrix.matrix()
+        entries = [[Fraction(m) for m in row] for row in matrix]
+        mden = math.lcm(*(m.denominator for row in entries for m in row))
+        rows = [[m.numerator * (mden // m.denominator) for m in row] for row in entries]
     out_den = mden * den * den * b * b
     return tuple(sum(map(mul, row, dz)) / out_den for row in rows)

@@ -6,6 +6,7 @@ validating constructor ``Bary(...)`` again, and its float output is
 ``float(Fraction)`` bit for bit.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from smoothsimplex import geometry
 from smoothsimplex.geometry import (
     AffineSimplexMap,
     Bary,
@@ -195,6 +197,45 @@ def test_transition_gap_is_exactly_zero(m, i, j, tau, t, data):
     assert transition_identity_gap(p, i, j, y, tau, t) == 0
 
 
+def ref_transition_sides(i, j, y, tau, t):
+    """Both sides of ``phi_j((1-s)(i) + s*y, t') = phi_i((1-tau)(j) + tau*y, t)``
+    as Fraction coordinates on Δ^p, from the cone formula ``phi_i(x, t) =
+    (1-t)(i) + t x`` with no index shifting: the vertices other than i and j
+    carry ``y`` in order."""
+    t_new = 1 - t * (1 - tau)
+    s = t * tau / t_new
+
+    def side(a, b, inner, outer):
+        rest = iter(y.coords)
+        return [1 - outer if k == a else outer * (1 - inner) if k == b
+                else outer * inner * next(rest) for k in range(y.p + 3)]
+
+    return side(i, j, tau, t), side(j, i, s, t_new)
+
+
+def test_transition_gap_checks_both_sides_against_the_formula(monkeypatch):
+    # every verify-axiom1 item for p = 2, 3, 4: the gap checks exactly the
+    # two sides of the identity, left then right, and returns their distance
+    checked, real = [], geometry._check_ratio
+
+    def spy(nums, den):
+        checked.append([F(n, den) for n in nums])
+        return real(nums, den)
+
+    monkeypatch.setattr(geometry, "_check_ratio", spy)
+    taus, ts = (F(1, 4), F(1, 2), F(4, 5), F(1)), (F(1, 5), F(1, 2), F(6, 7))
+    for p in (2, 3, 4):
+        for i, j, y, tau, t in product(range(p + 1), range(p + 1),
+                                       barycentric_grid(p - 2, 3), taus, ts):
+            if i == j:
+                continue
+            checked.clear()
+            gap = transition_identity_gap(p, i, j, y, tau, t)
+            lhs, rhs = ref_transition_sides(i, j, y, tau, t)
+            assert checked == [lhs, rhs]
+            assert gap == max(abs(a - b) for a, b in zip(lhs, rhs)) == 0
+
+
 # -- probe curves ------------------------------------------------------------------
 
 
@@ -251,9 +292,54 @@ def test_probe_curve_point(args):
 def test_affine_curve_derivative(args, q, data):
     p, curve, tau = args
     columns = [Bary(data.draw(fraction_point(q))) for _ in range(p + 1)]
-    matrix = AffineSimplexMap(tuple(columns)).matrix()
+    f = AffineSimplexMap(tuple(columns))
+    matrix = f.matrix()
     assert affine_curve_derivative(matrix, curve, tau) == \
+        affine_curve_derivative(f, curve, tau) == \
         ref_derivative(matrix, curve, tau)
+    # a map of float columns has no integer matrix
+    g = AffineSimplexMap(tuple(Bary.of_floats(c.as_floats()) for c in columns))
+    assert affine_curve_derivative(g, curve, tau) == \
+        ref_derivative(g.matrix(), curve, tau)
+
+
+def ref_random_curve(p, chart, rng):
+    """``random_curve`` in Fraction arithmetic: the reference of the integer draw."""
+    m = p
+    base = [F(rng.randrange(2, 7), 1) for _ in range(m)]
+    tot = sum(base)
+    x0 = tuple(b / tot for b in base)
+    margin = min(x0)
+
+    def sum_zero():
+        if m == 1:
+            return (F(0),)
+        raw = [F(rng.randrange(-8, 9), 16) for _ in range(m)]
+        mean = sum(raw) / m
+        return tuple(r - mean for r in raw)
+
+    x1, x2 = sum_zero(), sum_zero()
+    t0 = F(rng.randrange(3, 8), 10)
+    t1 = F(rng.randrange(-4, 5), 10)
+    denom = max(max(abs(c) for c in x1), max(abs(c) for c in x2),
+                abs(t1), F(1))
+    radius = min(float(margin) / (4 * float(denom)),
+                 float(min(t0, 1 - t0)) / (4 * float(denom) + 1e-9),
+                 0.25)
+    return ProbeCurve(chart, x0, x1, x2, t0, t1, radius)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_random_curve_draws_the_fraction_curve(p):
+    for chart, seed in product(range(p + 1), range(2000)):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        curve, ref = random_curve(p, chart, rng), ref_random_curve(p, chart, ref_rng)
+        assert all(getattr(curve, f.name) == getattr(ref, f.name)
+                   for f in dataclasses.fields(ProbeCurve))
+        assert curve._ints == ref._ints
+        assert repr(curve.radius) == repr(ref.radius)
+        # every later draw of the rng is the same
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_probe_curve_checks_x_and_t():

@@ -253,6 +253,21 @@ def test_transition_domain_checks():
         chart_transition(1, 1, y, F(1, 2), F(1, 2))
 
 
+def test_transition_rejects_charts_and_points_outside_delta_p():
+    half = F(1, 2)
+    with pytest.raises(ValueError):     # y is a point of Δ^0, not of Δ^5
+        transition_identity_gap(7, 0, 1, Bary.of(F(1)), half, half)
+    with pytest.raises(ValueError):     # y is a point of Δ^1, not of Δ^0
+        transition_identity_gap(2, 0, 3, Bary.of(half, half), half, half)
+    for i, j in ((0, 3), (3, 0), (-1, 1), (1, -1)):   # no chart 3 or -1 on Δ^2
+        with pytest.raises(ValueError):
+            transition_identity_gap(2, i, j, Bary.of(F(1)), half, half)
+        with pytest.raises(ValueError):
+            chart_transition(i, j, Bary.of(F(1)), half, half)
+    with pytest.raises(ValueError):
+        chart_transition(0, 7, Bary.of(F(1)), half, half)
+
+
 @pytest.mark.parametrize("t, tau", [
     (1 - F(1, 10**12), F(1)),
     (1 - F(1, 10**12), F(1, 10**12)),
