@@ -23,6 +23,9 @@ PointMap = Callable[[Bary], object]
 #: below this, a finite-difference residual is considered exact
 NOISE_FLOOR = 1e-9
 
+#: random curves probed through each chart
+CURVES_PER_CHART = 3
+
 
 def _as_floats(value: object) -> tuple[float, ...]:
     if isinstance(value, Bary):
@@ -78,42 +81,28 @@ class ProbeCurve:
 
     Coefficients are rational so the composite with an affine map stays a
     low-degree polynomial with an exactly differentiable formula.  They
-    are kept as integers over one denominator, so that a point of the
-    curve is computed on integers.
+    are stored as integers over one denominator ``den``:
+    ``x_k(tau) = (X0_k + X1_k tau + X2_k tau²) / den`` and
+    ``t(tau) = (T0 + T1 tau) / den``, so a point of the curve is computed
+    on integers.
     """
 
     chart: int
-    x0: tuple[Fraction, ...]
-    x1: tuple[Fraction, ...]
-    x2: tuple[Fraction, ...]
-    t0: Fraction
-    t1: Fraction
+    den: int
+    X0: tuple[int, ...]
+    X1: tuple[int, ...]
+    X2: tuple[int, ...]
+    T0: int
+    T1: int
     radius: float
-
-    def __post_init__(self) -> None:
-        m = len(self.x0)
-        cs = [Fraction(c) for c in (*self.x0, *self.x1, *self.x2, self.t0, self.t1)]
-        den = math.lcm(*(c.denominator for c in cs))
-        ns = [c.numerator * (den // c.denominator) for c in cs]
-        # (den, X0, X1, X2, (T0, T1)): every coefficient times den
-        self._ints = (den, tuple(ns[:m]), tuple(ns[m:2 * m]),
-                      tuple(ns[2 * m:3 * m]), tuple(ns[3 * m:]))
 
     def _x_t(self, a: int, b: int) -> tuple[tuple[int, ...], int, int, int]:
         """At ``tau = a / b``: the numerators of ``x`` over ``den b²`` and
         ``t`` as ``tn / td``."""
-        den, X0, X1, X2, (T0, T1) = self._ints
         bb, ab, aa = b * b, a * b, a * a
-        xs = tuple(c0 * bb + c1 * ab + c2 * aa for c0, c1, c2 in zip(X0, X1, X2))
-        return xs, den * bb, T0 * b + T1 * a, den * b
-
-    def x(self, tau: Fraction) -> Bary:
-        xs, xden, _, _ = self._x_t(*_rational(tau))
-        return Bary.of_ratio(xs, xden)
-
-    def t(self, tau: Fraction) -> Fraction:
-        _, _, tn, td = self._x_t(*_rational(tau))
-        return Fraction(tn, td)
+        xs = tuple(c0 * bb + c1 * ab + c2 * aa
+                   for c0, c1, c2 in zip(self.X0, self.X1, self.X2))
+        return xs, self.den * bb, self.T0 * b + self.T1 * a, self.den * b
 
     def point(self, tau) -> Bary:
         """``phi_chart(chart, x(tau), t(tau))``, a float ``tau`` read as
@@ -148,14 +137,8 @@ def random_curve(p: int, chart: int, rng: random.Random) -> ProbeCurve:
     groups = [[n * (L // d) for n in ns]
               for ns, d in ((base, tot), (d1, 16 * m), (d2, 16 * m), (tenths, 10))]
     g = math.gcd(L, *(n for ns in groups for n in ns))
-    den, ints = L // g, [tuple(n // g for n in ns) for ns in groups]
-    x0, x1, x2, (t0, t1) = [tuple(Fraction(n, den) for n in ns) for ns in ints]
-    # the curve ProbeCurve(chart, x0, x1, x2, t0, t1, radius) builds, without
-    # the lcm pass of its __post_init__
-    curve = object.__new__(ProbeCurve)
-    vars(curve).update(chart=chart, x0=x0, x1=x1, x2=x2, t0=t0, t1=t1,
-                       radius=radius, _ints=(den, *ints))
-    return curve
+    X0, X1, X2, (T0, T1) = [tuple(n // g for n in ns) for ns in groups]
+    return ProbeCurve(chart, L // g, X0, X1, X2, T0, T1, radius)
 
 
 @dataclass
@@ -191,30 +174,33 @@ class ProbeReport:
 
 
 def _stencil(F: Callable[[float], tuple[float, ...]], tau0: float, h: float,
-             order: int) -> tuple[float, ...]:
-    if order == 1:
-        lo, hi = F(tau0 - h), F(tau0 + h)
+             mid: Optional[tuple[float, ...]]) -> tuple[float, ...]:
+    """The centered first difference of ``F`` at ``tau0``, or, given
+    ``mid = F(tau0)``, the centered second difference."""
+    lo, hi = F(tau0 - h), F(tau0 + h)
+    if mid is None:
         return tuple((b - a) / (2 * h) for a, b in zip(lo, hi))
-    lo, mid, hi = F(tau0 - h), F(tau0), F(tau0 + h)
     return tuple((a - 2 * b + c) / (h * h) for a, b, c in zip(lo, mid, hi))
 
 
 def smoothness_probe(map_eval: PointMap, p: int, order: int, tol: float,
-                     seed: int, curves: int = 3,
+                     seed: int,
                      oracle: Optional[Callable[[ProbeCurve, float], Sequence[float]]] = None,
                      ) -> ProbeReport:
     """Probe ``map_eval`` on Δ^p through every chart.
 
     ``oracle``, when given, maps ``(curve, tau0)`` to the exact derivative of
-    the chart-composed curve (first derivative only); the probe then also
-    checks the finite-difference estimate against it within ``tol``.
+    the chart-composed curve; the probe then also checks the first-order
+    estimate against it within ``tol``.  An oracle needs ``order == 1``.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    if oracle is not None and order != 1:
+        raise ValueError("an oracle gives first derivatives: order must be 1")
     rng = random.Random(seed)
     report = ProbeReport(p=p, order=order, tol=tol, seed=seed)
     for chart in range(p + 1):
-        for _ in range(curves):
+        for _ in range(CURVES_PER_CHART):
             curve = random_curve(p, chart, rng)
 
             def F(tau: float) -> tuple[float, ...]:
@@ -223,16 +209,15 @@ def smoothness_probe(map_eval: PointMap, p: int, order: int, tol: float,
             for frac_pos in (0.0, 0.5, -0.5):
                 tau0 = curve.radius * frac_pos
                 h0 = curve.radius / 8
-                d_h = _stencil(F, tau0, h0, order)
-                d_h2 = _stencil(F, tau0, h0 / 2, order)
-                d_h4 = _stencil(F, tau0, h0 / 4, order)
+                mid = F(tau0) if order == 2 else None
+                d_h, d_h2, d_h4 = (_stencil(F, tau0, h0 / k, mid) for k in (1, 2, 4))
                 e1 = max(abs(a - b) for a, b in zip(d_h, d_h2))
                 e2 = max(abs(a - b) for a, b in zip(d_h2, d_h4))
                 scale = 1.0 + max(abs(c) for c in d_h2)
                 floor = NOISE_FLOOR * scale
                 converges = e2 <= max(e1 / 2.0, floor)
                 oracle_err = None
-                if oracle is not None and order == 1:
+                if oracle is not None:
                     exact = oracle(curve, tau0)
                     # Richardson-extrapolated estimate
                     best = tuple((4 * b - a) / 3 for a, b in zip(d_h, d_h2))
@@ -255,7 +240,7 @@ def affine_curve_derivative(matrix: Sequence[Sequence[object]] | AffineSimplexMa
     is read through the integer matrix it was built with.
     """
     a, b = _rational(tau0)
-    den, _, X1, X2, (_, T1) = curve._ints
+    den, X1, X2, T1 = curve.den, curve.X1, curve.X2, curve.T1
     xs, _, tn, _ = curve._x_t(a, b)
     # with x_k = xs_k / (den b²), dx_k = (X1_k b + 2 X2_k a) / (den b),
     # t = tn / (den b) and dt = T1 / den, the chart coordinates have

@@ -197,16 +197,10 @@ def _crossing_curve(a: SimplexRef, b: SimplexRef, slot_a: int, slot_b: int
         t = Fraction(t)
         if not -1 < t < 1:
             raise ValueError("curve parameter outside (-1, 1)")
-        if t < 0:
-            w = -t
-            na = a.dim + 1
-            coords = tuple(w * Fraction(1, na) +
-                           ((1 - w) if i == slot_a else 0) for i in range(na))
-            return (a, Bary(coords))
-        w = t
-        nb = b.dim + 1
-        coords = tuple(w * Fraction(1, nb) +
-                       ((1 - w) if i == slot_b else 0) for i in range(nb))
-        return (b, Bary(coords))
+        ref, slot = (a, slot_a) if t < 0 else (b, slot_b)
+        w, n = abs(t), ref.dim + 1
+        coords = tuple(w * Fraction(1, n) +
+                       ((1 - w) if i == slot else 0) for i in range(n))
+        return (ref, Bary(coords))
 
     return curve

@@ -5,6 +5,9 @@ import pytest
 
 from smoothsimplex.geometry import AffineSimplexMap, Bary
 from smoothsimplex.probe import (
+    CURVES_PER_CHART,
+    NOISE_FLOOR,
+    ProbeRecord,
     affine_curve_derivative,
     random_curve,
     smoothness_probe,
@@ -56,16 +59,56 @@ def test_random_affine_passes_order_two():
     assert report.passed
 
 
+def kink(z: Bary):
+    v = abs(float(z[0]) - float(z[1]))
+    return (v, 1.0 - v)
+
+
 def test_probe_rejects_bad_order():
     with pytest.raises(ValueError):
         smoothness_probe(lambda z: z, 1, order=3, tol=1e-6, seed=0)
+    # an oracle gives first derivatives: at order 2 it would check nothing
+    calls = []
+    with pytest.raises(ValueError):
+        smoothness_probe(kink, 1, order=2, tol=1e-6, seed=11,
+                         oracle=lambda curve, tau0: calls.append(tau0))
+    assert calls == []
+
+
+def ref_order_two_records(map_eval, p, seed):
+    """The records of an order-2 probe whose stencil evaluates
+    ``F(tau0 - h)``, ``F(tau0)`` and ``F(tau0 + h)`` for each step ``h``."""
+    rng = random.Random(seed)
+    records = []
+    for chart in range(p + 1):
+        for _ in range(CURVES_PER_CHART):
+            curve = random_curve(p, chart, rng)
+            for frac_pos in (0.0, 0.5, -0.5):
+                tau0, h0 = curve.radius * frac_pos, curve.radius / 8
+                d = []
+                for h in (h0, h0 / 2, h0 / 4):
+                    lo, mid, hi = (map_eval(curve.point(tau))
+                                   for tau in (tau0 - h, tau0, tau0 + h))
+                    d.append([(a - 2 * b + c) / (h * h) for a, b, c in zip(lo, mid, hi)])
+                e1 = max(abs(a - b) for a, b in zip(d[0], d[1]))
+                e2 = max(abs(a - b) for a, b in zip(d[1], d[2]))
+                floor = NOISE_FLOOR * (1.0 + max(abs(c) for c in d[1]))
+                records.append(ProbeRecord(chart, tau0, 2, e1, e2, None,
+                                           e2 <= max(e1 / 2.0, floor)))
+    return records
 
 
 def test_kink_fails():
-    def kink(z: Bary):
-        v = abs(float(z[0]) - float(z[1]))
-        return (v, 1.0 - v)
+    points = []
 
-    report = smoothness_probe(kink, 1, order=2, tol=1e-6, seed=11)
+    def counted(z):
+        points.append(z)
+        return kink(z)
+
+    report = smoothness_probe(counted, 1, order=2, tol=1e-6, seed=11)
     assert not report.passed
     assert report.failures()
+    # 18 stencil points, each evaluated at tau0 once and at tau0 -+ h for
+    # three steps h
+    assert len(points) == 18 * 7 == 126
+    assert report.records == ref_order_two_records(kink, 1, 11)

@@ -5,6 +5,7 @@ import pytest
 
 from smoothsimplex.geometry import Bary
 from smoothsimplex.realization import (
+    _crossing_curve,
     canonical_injection,
     maximal_simplices,
     normalize,
@@ -14,6 +15,7 @@ from smoothsimplex.realization import (
 )
 from smoothsimplex.simplicial import (
     EMPTY,
+    SimplexRef,
     SimplicialMap,
     boundary_complex,
     enumerate_simplices,
@@ -250,6 +252,20 @@ def test_witness_horn_2_0():
     right = c(F(1, 2))
     assert left[0] == w["sigma"] and min(left[1].coords) > 0
     assert right[0] == w["tau"] and min(right[1].coords) > 0
+
+
+def test_crossing_curve_values():
+    a, b = SimplexRef(0, 1), SimplexRef(1, 2)
+    c = _crossing_curve(a, b, 1, 2)
+    # t < 0: |t| of the way from the vertex (slot 1 of a) to a's barycenter
+    assert c(F(-1, 2)) == (a, Bary((F(1, 4), F(3, 4))))
+    assert c(-0.25) == (a, Bary((F(1, 8), F(7, 8))))
+    # t >= 0: the same on b, from slot 2; t = 0 is the vertex, on b
+    assert c(F(1, 3)) == (b, Bary((F(1, 9), F(1, 9), F(7, 9))))
+    assert c(0) == (b, Bary((F(0), F(0), F(1))))
+    for t in (F(-1), F(1), F(3, 2), -2):
+        with pytest.raises(ValueError, match="outside"):
+            c(t)
 
 
 def test_witness_none_for_standard_simplex():
