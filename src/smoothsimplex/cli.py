@@ -129,11 +129,20 @@ def _collapse_to_point(X: FiniteSimplicialSet) -> SimplicialMap:
         for r in X.nondegenerate()}, name=f"{X.name}->pt")
 
 
+def _read_json(path: str) -> object:
+    """The JSON value in the file at ``path``; JSON nested too deeply to
+    parse is a ``ValueError``, as malformed JSON is."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def load_map_file(path: str) -> SimplicialMap:
     """A simplicial map from a JSON file: ``{"source": <complex>,
     "target": <complex>, "assignment": {...}}`` in the library formats."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict) or not {"source", "target"} <= data.keys():
         raise ValueError(f'{path}: a map file must be a JSON object with '
                          '"source", "target" and "assignment"')
@@ -579,8 +588,7 @@ def _read_inputs(args: argparse.Namespace) -> None:
                   else named_map(args.map))
         args.f.validate()
     elif args.command == "pi" and args.complex_file:
-        with open(args.complex_file) as fh:
-            args.X = FiniteSimplicialSet.from_json(fh.read())
+        args.X = FiniteSimplicialSet.from_json_dict(_read_json(args.complex_file))
     elif args.command == "pi":
         args.X = named_complex(args.complex)
     elif args.command == "homotopy-eval":

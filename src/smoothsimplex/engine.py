@@ -123,7 +123,14 @@ class GeneratingSet:
 
 @dataclass
 class LiftingProblem:
-    """A commutative square from a generator to ``f``."""
+    """A commutative square from a generator to ``f``.
+
+    A square built by hand is not checked to commute, because that cannot
+    change :meth:`has_lift` or :meth:`lifts`: a map out of ``Δ[p]`` is fixed
+    by the image of its top cell, so a bottom that is a map and sends the
+    top cell to ``f(x)``, for ``x`` the top cell of an extension of ``top``,
+    is ``f`` after that extension and commutes.
+    """
 
     generator: Generator
     top: SimplicialMap       # A -> X
@@ -132,23 +139,20 @@ class LiftingProblem:
     # f(x) for the top cells x of the extensions of top, one set shared by
     # the squares on one top map
     on_top: Optional[set[Simplex]] = field(default=None, compare=False, repr=False)
-    # the bottom's top cell, which a lift's top cell must cover; None when a
-    # square built by hand does not commute or its bottom is not a map
+    # the bottom's top cell, which a lift's top cell must cover; None when
+    # the bottom is not a map
     over: Optional[Simplex] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        gen, bottom = self.generator, self.bottom.assignment
+        gen, f = self.generator, self.f
         if self.on_top is None:
-            top, f = self.top.assignment, self.f
             self.on_top = set()
             try:
                 self.bottom.validate()
             except ValueError:
                 return
-            if not all(bottom[c] == f(top[a]) for c, a in gen.pins.items()):
-                return
-            self.on_top = set(map(f, gen._fillers(f.source, top)))
-        self.over = bottom[gen.top]
+            self.on_top = set(map(f, gen._fillers(f.source, self.top.assignment)))
+        self.over = self.bottom.assignment[gen.top]
 
     def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
         """The first ``limit`` (all for ``None``) diagonal fillers
@@ -220,7 +224,6 @@ class FactorizationStage:
     j: SimplicialMap          # X -> G^n, a subcomplex inclusion
     q: SimplicialMap          # G^n -> Y with q ∘ j = f
     residual: list[LiftingProblem]
-    birth: dict[int, int]     # cell id -> stage that created it
 
     def to_json_dict(self) -> dict:
         return {"stage": self.n, "attached": self.attached,
@@ -247,37 +250,22 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
         return list(islice((prob for prob in iter_lifting_problems(q, gens)
                             if not prob.has_lift()), max_problems))
 
-    birth = {r.id: 0 for r in f.source.nondegenerate()}
     stages = [FactorizationStage(0, f.source, 0, SimplicialMap.identity(f.source),
-                                 f, unsolved(f), birth)]
+                                 f, unsolved(f))]
     while stages[-1].residual and len(stages) <= max_stages:
         prev, n = stages[-1], len(stages)
         # one pushout along the coproduct of the problems' generators, glued
-        # by their top maps; an old cell keeps its q and birth, a new one
-        # takes its problem's bottom and stage n
+        # by their top maps; an old cell keeps its q, a new one takes its
+        # problem's bottom
         P, (into, *_), order = _glue(
             prev.complex, [(p.generator.incl, p.top) for p in prev.residual], f"G^{n}")
         maps = [prev.q] + [p.bottom for p in prev.residual]
         q = {cell: maps[i].assignment[ref.id] for cell, (i, ref) in enumerate(order)}
-        birth = {cell: n if i else prev.birth[ref.id]
-                 for cell, (i, ref) in enumerate(order)}
         q_n = SimplicialMap(P, f.target, q, name=f"q_{n}")
         q_n.validate()
-        stages.append(FactorizationStage(n, P, len(birth) - len(prev.birth),
-                                         into.compose(prev.j), q_n, unsolved(q_n),
-                                         birth))
+        stages.append(FactorizationStage(n, P, sum(1 for i, _ in order if i),
+                                         into.compose(prev.j), q_n, unsolved(q_n)))
     return stages
-
-
-def factors_through_stage(stages: list[FactorizationStage],
-                          m: SimplicialMap) -> int:
-    """Least stage of a gluing tower that a map into its top complex factors
-    through (possible for every map from a finite complex)."""
-    top = stages[-1]
-    if m.target is not top.complex:
-        raise ValueError("map does not land in the tower's top stage")
-    return max((top.birth[m.assignment[r.id][1].id]
-                for r in m.source.nondegenerate()), default=0)
 
 
 # -- numeric horn filling -------------------------------------------------------

@@ -282,12 +282,6 @@ class AffineSimplexMap:
             raise ValueError("not a permutation")
         return cls(tuple(Bary.vertex(p, perm[i]) for i in range(p + 1)))
 
-    @classmethod
-    def transposition(cls, p: int, a: int, b: int) -> "AffineSimplexMap":
-        perm = list(range(p + 1))
-        perm[a], perm[b] = perm[b], perm[a]
-        return cls.permutation(perm)
-
 
 def affine(kind: str, **kw) -> AffineSimplexMap:
     """Dispatcher for the map kinds: 'face', 'degeneracy', 'permutation',

@@ -169,9 +169,6 @@ class ProbeReport:
         errs = [r.oracle_error for r in self.records if r.oracle_error is not None]
         return max(errs) if errs else 0.0
 
-    def failures(self) -> list[ProbeRecord]:
-        return [r for r in self.records if not r.passed]
-
 
 def _stencil(F: Callable[[float], tuple[float, ...]], tau0: float, h: float,
              mid: Optional[tuple[float, ...]]) -> tuple[float, ...]:
@@ -230,15 +227,17 @@ def smoothness_probe(map_eval: PointMap, p: int, order: int, tol: float,
     return report
 
 
-def affine_curve_derivative(matrix: Sequence[Sequence[object]] | AffineSimplexMap,
-                            curve: ProbeCurve, tau0: float) -> tuple[float, ...]:
-    """Exact derivative of (affine map) ∘ phi_chart ∘ curve at tau0.
+def affine_curve_derivative(f: AffineSimplexMap, curve: ProbeCurve,
+                            tau0: float) -> tuple[float, ...]:
+    """Exact derivative of ``f ∘ phi_chart ∘ curve`` at tau0, for an affine
+    map ``f`` of exact columns.
 
     The chart composite is polynomial with rational coefficients; its
-    derivative is computed symbolically and pushed through the matrix.
-    ``matrix`` is the map's matrix or the map itself; a map of exact columns
-    is read through the integer matrix it was built with.
+    derivative is computed symbolically and pushed through the integer
+    matrix ``f`` was built with.  Any other ``f`` is a ``ValueError``.
     """
+    if not isinstance(f, AffineSimplexMap) or f._int_matrix is None:
+        raise ValueError("the derivative oracle needs an affine map of exact columns")
     a, b = _rational(tau0)
     den, X1, X2, T1 = curve.den, curve.X1, curve.X2, curve.T1
     xs, _, tn, _ = curve._x_t(a, b)
@@ -247,13 +246,6 @@ def affine_curve_derivative(matrix: Sequence[Sequence[object]] | AffineSimplexMa
     # dz_i = -dt and dz_j = dt x_k + t dx_k, all over den² b²
     dz = [T1 * x + tn * (c1 * b + 2 * c2 * a) for x, c1, c2 in zip(xs, X1, X2)]
     dz.insert(curve.chart, -T1 * den * b * b)
-    if isinstance(matrix, AffineSimplexMap) and matrix._int_matrix is not None:
-        rows, mden = matrix._int_matrix
-    else:
-        if isinstance(matrix, AffineSimplexMap):
-            matrix = matrix.matrix()
-        entries = [[Fraction(m) for m in row] for row in matrix]
-        mden = math.lcm(*(m.denominator for row in entries for m in row))
-        rows = [[m.numerator * (mden // m.denominator) for m in row] for row in entries]
+    rows, mden = f._int_matrix
     out_den = mden * den * den * b * b
     return tuple(sum(map(mul, row, dz)) / out_den for row in rows)

@@ -36,13 +36,6 @@ class RealPoint:
         if self.coords.p != self.simplex.dim:
             raise ValueError("coordinate dimension does not match the simplex")
 
-    def key(self) -> tuple:
-        return (self.simplex.id, self.coords.coords)
-
-    def to_json_dict(self) -> dict:
-        return {"simplex": self.simplex.id,
-                "coords": [float(c) for c in self.coords.coords]}
-
 
 def _collapse_word(word: tuple[int, ...], coords: tuple[Number, ...]
                    ) -> tuple[Number, ...]:

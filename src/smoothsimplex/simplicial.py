@@ -8,7 +8,6 @@ stored as ``(word, target_ref)`` pairs as well.
 
 from __future__ import annotations
 
-import json
 from itertools import chain, combinations
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -217,9 +216,6 @@ class FiniteSimplicialSet:
         }
         return {"dims": dims, "faces": faces}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: dict, name: str = "") -> "FiniteSimplicialSet":
         if not isinstance(data, dict) or not isinstance(data.get("dims"), list):
@@ -248,10 +244,6 @@ class FiniteSimplicialSet:
             raise ValueError(f'"faces" names simplex {min(unknown)}, not in "dims"')
         out.validate()
         return out
-
-    @classmethod
-    def from_json(cls, text: str, name: str = "") -> "FiniteSimplicialSet":
-        return cls.from_json_dict(json.loads(text), name)
 
 
 class SimplicialMap:

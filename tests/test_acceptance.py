@@ -5,7 +5,10 @@ single pass line once its assertions hold (run with ``pytest -s`` to see
 the lines as they happen).  Expected values come from independent
 computations inside this module: vertex-sequence map calculus for the
 lifting verdicts, direct grid evaluation for the geometric contracts, and
-exact rational arithmetic wherever the formulas are rational.
+exact rational arithmetic wherever the formulas are rational.  The chart
+transitions of criterion 1 and the curve derivatives of criterion 2 are
+computed here in ``Fraction``s from the formulas, never by the package
+functions they check.
 """
 
 import random
@@ -13,6 +16,7 @@ import time
 from fractions import Fraction as F
 from itertools import combinations, islice, product
 
+from smoothsimplex import geometry
 from smoothsimplex.cli import named_map
 from smoothsimplex.engine import (
     GeneratingSet,
@@ -28,18 +32,18 @@ from smoothsimplex.geometry import (
     barycentric_grid,
     beta_map,
     chart_decompose,
+    chart_transition,
     concat_product,
     gamma_map,
     good_nbhd_Phi,
     good_nbhd_Phi_inverse,
     phi_chart,
-    transition_identity_gap,
 )
 from smoothsimplex.homotopy import (
     build_boundary_homotopy_T,
     build_full_horn_deformation,
 )
-from smoothsimplex.probe import affine_curve_derivative, smoothness_probe
+from smoothsimplex.probe import random_curve, smoothness_probe
 from smoothsimplex.realization import (
     canonical_injection,
     normalize,
@@ -92,6 +96,50 @@ def fgrid(p, steps):
     return [z.as_floats() for z in barycentric_grid(p, steps)]
 
 
+def face_insert(i, x):
+    """``d^i(x)``: the point ``x`` of Δ^{p-1} as a point of Δ^p, with a zero
+    coordinate at vertex i."""
+    return tuple(x[:i]) + (F(0),) + tuple(x[i:])
+
+
+def chart(i, x, t):
+    """The chart formula ``phi_i(x, t) = (1-t)(i) + t·d^i(x)``."""
+    return tuple((1 - t) * (k == i) + t * c
+                 for k, c in enumerate(face_insert(i, x)))
+
+
+def transition_mismatches(p):
+    """The cases ``(i, j, y, tau, t)`` of the chart transitions of Δ^p on
+    which ``chart_transition`` or ``phi_chart`` disagree with the chart
+    formula.
+
+    The left side ``phi_i(phi_j'(y, tau), t)`` comes from the formula, with
+    ``j'`` the slot of vertex j in the chart-i domain.  Its chart-j
+    decomposition, ``t' = 1 - z_j`` and ``w = z without slot j over t'``,
+    gives the expected ``s = 1 - w_i'``; ``w`` must then be
+    ``phi_i'(y, s)``.  Both sides of the package must be the left side.
+    """
+    taus = (F(1, 4), F(1, 2), F(2, 3), F(1))
+    ts = (F(1, 5), F(1, 2), F(6, 7))
+    bad = []
+    for i, j in product(range(p + 1), repeat=2):
+        if i == j:
+            continue
+        ji, ij = (j if j < i else j - 1), (i if i < j else i - 1)
+        for y in barycentric_grid(p - 2, 2):
+            for tau, t in product(taus, ts):
+                lhs = chart(i, chart(ji, y.coords, tau), t)
+                t_new = 1 - lhs[j]
+                w = tuple(c / t_new for k, c in enumerate(lhs) if k != j)
+                s = 1 - w[ij]
+                assert w == chart(ij, y.coords, s)
+                if (chart_transition(i, j, y, tau, t) != (y, s, t_new)
+                        or phi_chart(i, phi_chart(ji, y, tau), t).coords != lhs
+                        or phi_chart(j, phi_chart(ij, y, s), t_new).coords != lhs):
+                    bad.append((i, j, y, tau, t))
+    return bad
+
+
 def test_criterion_1_axiom1_charts():
     with budget(1, 5.0, "chart covering and exact transitions"):
         for p in (1, 2, 3):
@@ -103,18 +151,56 @@ def test_criterion_1_axiom1_charts():
                         assert phi_chart(i, dec.x, dec.t).coords == z.coords
                         covered += 1
                 assert covered >= 1
-        taus = (F(1, 4), F(1, 2), F(2, 3), F(1))
-        ts = (F(1, 5), F(1, 2), F(6, 7))
         for p in (2, 3):
-            for i in range(p + 1):
-                for j in range(p + 1):
-                    if i == j:
-                        continue
-                    for y in barycentric_grid(p - 2, 2):
-                        for tau in taus:
-                            for t in ts:
-                                assert transition_identity_gap(
-                                    p, i, j, y, tau, t) == 0
+            assert transition_mismatches(p) == []
+
+
+def _mirrored_chart_core(i, nums, den, tn, td):
+    """``geometry._chart_core`` with the cone coordinate at slot
+    ``len(nums) - i``: consistent with itself, so a gap between two sides
+    both built by it reads 0."""
+    coords = [tn * n for n in nums]
+    coords.insert(len(nums) - i, (td - tn) * den)
+    return coords, td * den
+
+
+def test_transition_oracle_rejects_a_mirrored_chart(monkeypatch):
+    monkeypatch.setattr(geometry, "_chart_core", _mirrored_chart_core)
+    assert phi_chart(0, Bary.of(F(1, 3), F(2, 3)), F(1, 2)).coords == \
+        (F(1, 6), F(1, 3), F(1, 2))
+    for p in (2, 3):
+        assert transition_mismatches(p)
+
+
+def curve_derivative(columns, curve, tau0, x2_weight=2):
+    """The derivative of ``f ∘ phi_chart ∘ curve`` at tau0, for the affine
+    ``f`` with vertex images ``columns``, from the curve's integer fields:
+    ``x(tau) = (X0 + X1 tau + X2 tau²)/den`` and ``t(tau) = (T0 + T1 tau)/den``.
+    ``x2_weight`` is the factor 2 of ``d/dtau (X2 tau²) = 2 X2 tau``."""
+    tau, den = F(tau0), curve.den
+    x = [(a + b * tau + c * tau * tau) / den
+         for a, b, c in zip(curve.X0, curve.X1, curve.X2)]
+    dx = [(b + x2_weight * c * tau) / den for b, c in zip(curve.X1, curve.X2)]
+    t, dt = (curve.T0 + curve.T1 * tau) / den, F(curve.T1, den)
+    # d/dtau [(1-t)(i) + t·d^i(x)] = -dt·(i) + d^i(dt·x + t·dx)
+    dz = [-dt * (k == curve.chart) + c for k, c in enumerate(
+        face_insert(curve.chart, [dt * a + t * b for a, b in zip(x, dx)]))]
+    return tuple(float(sum(d * col[r] for d, col in zip(dz, columns)))
+                 for r in range(len(columns[0])))
+
+
+def random_columns(p, q, rng):
+    """The vertex images of a random affine map Δ^p → Δ^q, in Fractions."""
+    cols = []
+    for _ in range(p + 1):
+        raw = [F(rng.randrange(1, 9)) for _ in range(q + 1)]
+        tot = sum(raw)
+        cols.append(tuple(r / tot for r in raw))
+    return cols
+
+
+def affine_map(columns):
+    return AffineSimplexMap(tuple(Bary(c) for c in columns))
 
 
 def test_criterion_2_axiom2_probes():
@@ -123,18 +209,12 @@ def test_criterion_2_axiom2_probes():
         for p in (1, 2, 3):
             for q in (1, 2, 3):
                 for _ in range(10):
-                    cols = []
-                    for _ in range(p + 1):
-                        raw = [F(rng.randrange(1, 9)) for _ in range(q + 1)]
-                        tot = sum(raw)
-                        cols.append(Bary(tuple(r / tot for r in raw)))
-                    f = AffineSimplexMap(tuple(cols))
-                    mat = f.matrix()
+                    cols = random_columns(p, q, rng)
                     report = smoothness_probe(
-                        f, p, order=1, tol=TOL_DERIV,
+                        affine_map(cols), p, order=1, tol=TOL_DERIV,
                         seed=rng.randrange(10 ** 6),
-                        oracle=lambda curve, tau0: affine_curve_derivative(
-                            mat, curve, tau0))
+                        oracle=lambda curve, tau0: curve_derivative(
+                            cols, curve, tau0))
                     assert report.passed
                     assert report.max_oracle_error <= TOL_DERIV
 
@@ -144,6 +224,24 @@ def test_criterion_2_axiom2_probes():
 
         control = smoothness_probe(kink, 1, order=2, tol=TOL_DERIV, seed=11)
         assert not control.passed
+
+
+def test_derivative_oracle_needs_the_quadratic_term():
+    # p = 1 curves have X2 = 0, so the term shows only for p >= 2
+    rng = random.Random(2)
+    cols = random_columns(2, 3, rng)
+    curve = random_curve(2, 1, rng)
+    assert any(curve.X2)
+    tau0 = curve.radius / 2
+    exact = curve_derivative(cols, curve, tau0)
+    dropped = curve_derivative(cols, curve, tau0, x2_weight=0)
+    assert max(abs(a - b) for a, b in zip(exact, dropped)) > TOL_DERIV
+    # so criterion 2's probe rejects a derivative that lost the term
+    for oracle, passed in ((curve_derivative, True),
+                           (lambda *a: curve_derivative(*a, x2_weight=0), False)):
+        report = smoothness_probe(affine_map(cols), 2, order=1, tol=TOL_DERIV,
+                                  seed=5, oracle=lambda c, t0: oracle(cols, c, t0))
+        assert report.passed is passed
 
 
 def test_criterion_3_axiom3_injectivity():

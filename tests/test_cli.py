@@ -413,10 +413,16 @@ _PI = ["pi", "--complex-file", "{file}"]
       for word in ([5], [-1])),
     # a face entry for a vertex
     (_PI, {"dims": [[0]], "faces": {"0": [[[], 0]]}}),
+    # raw text that is not JSON: nested past the parser's recursion limit,
+    # or cut off inside a list
+    *(pytest.param(argv, text, id=f"{argv[0]}-{name}") for argv in (_RLP, _PI)
+      for name, text in (("nested", "[" * 100000 + "]" * 100000),
+                         ("truncated", '{"dims": [[0'))),
 ])
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(body))
+    # a str body is the file's raw text
+    path.write_text(body if isinstance(body, str) else json.dumps(body))
     try:
         code = main([str(path) if a == "{file}" else a for a in argv])
     except SystemExit as exc:   # argparse usage errors

@@ -308,14 +308,12 @@ def test_affine_curve_derivative(args, q, data):
     p, curve, tau = args
     columns = [Bary(data.draw(fraction_point(q))) for _ in range(p + 1)]
     f = AffineSimplexMap(tuple(columns))
-    matrix = f.matrix()
-    assert affine_curve_derivative(matrix, curve, tau) == \
-        affine_curve_derivative(f, curve, tau) == \
-        ref_derivative(matrix, curve, tau)
+    assert affine_curve_derivative(f, curve, tau) == \
+        ref_derivative(f.matrix(), curve, tau)
     # a map of float columns has no integer matrix
     g = AffineSimplexMap(tuple(Bary.of_floats(c.as_floats()) for c in columns))
-    assert affine_curve_derivative(g, curve, tau) == \
-        ref_derivative(g.matrix(), curve, tau)
+    with pytest.raises(ValueError, match="exact columns"):
+        affine_curve_derivative(g, curve, tau)
 
 
 def ref_random_curve(p, chart, rng):

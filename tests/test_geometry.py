@@ -105,13 +105,6 @@ def test_sk_dk_is_identity():
             assert comp.matrix() == AffineSimplexMap.identity(p).matrix()
 
 
-def test_transposition_is_involution():
-    tr = AffineSimplexMap.transposition(2, 0, 2)
-    z = Bary.of(F(1, 6), F(2, 6), F(3, 6))
-    assert tr(z).coords == (F(3, 6), F(2, 6), F(1, 6))
-    assert tr(tr(z)).coords == z.coords
-
-
 def test_affine_dispatcher():
     assert affine("face", p=2, i=0).matrix() == AffineSimplexMap.face(2, 0).matrix()
     m = affine("matrix", columns=[(F(1, 2), F(1, 2)), (0, 1)])

@@ -38,10 +38,9 @@ def test_random_curves_stay_in_domain():
 def test_affine_maps_pass_with_exact_oracle(p, q):
     rng = random.Random(p * 10 + q)
     f = random_affine(p, q, rng)
-    mat = f.matrix()
     report = smoothness_probe(
         f, p, order=1, tol=1e-6, seed=42,
-        oracle=lambda curve, tau0: affine_curve_derivative(mat, curve, tau0))
+        oracle=lambda curve, tau0: affine_curve_derivative(f, curve, tau0))
     assert report.passed
     assert report.max_oracle_error <= 1e-6
 
@@ -107,7 +106,6 @@ def test_kink_fails():
 
     report = smoothness_probe(counted, 1, order=2, tol=1e-6, seed=11)
     assert not report.passed
-    assert report.failures()
     # 18 stencil points, each evaluated at tau0 once and at tau0 -+ h for
     # three steps h
     assert len(points) == 18 * 7 == 126

@@ -109,9 +109,10 @@ def test_injection_injective_on_random_normal_forms(builder, arg):
         ref = cells[rng.randrange(len(cells))]
         pt = normalize(K, (EMPTY, ref), rand_interior(rng, ref.dim))
         img = canonical_injection(incl, pt).coords
+        key = (pt.simplex.id, pt.coords.coords)
         if img in seen:
-            assert seen[img] == pt.key(), "collision of distinct normal forms"
-        seen[img] = pt.key()
+            assert seen[img] == key, "collision of distinct normal forms"
+        seen[img] = key
 
 
 def test_injection_rejects_foreign_simplex():

@@ -492,7 +492,7 @@ def test_kan_delta2_has_unfillable_horn():
 
 def test_json_round_trip():
     X = random_complex(3)
-    Y = FiniteSimplicialSet.from_json(X.to_json())
+    Y = FiniteSimplicialSet.from_json_dict(X.to_json_dict())
     assert Y.counts() == X.counts()
     for r in X.nondegenerate():
         if r.dim == 0:
