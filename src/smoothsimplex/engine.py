@@ -25,9 +25,9 @@ from .simplicial import (
     _cells,
     _facet_ids,
     _glue,
+    _shared_horn,
     boundary_complex,
     enumerate_maps,
-    horn_complex,
 )
 
 
@@ -94,7 +94,7 @@ class Generator:
 
 @cache
 def _generator(kind: str, p: int, k: Optional[int]) -> Generator:
-    _, incl = boundary_complex(p) if kind == "I" else horn_complex(p, k)
+    _, incl = boundary_complex(p) if kind == "I" else _shared_horn(p, k)
     return Generator(kind, p, k, incl)
 
 

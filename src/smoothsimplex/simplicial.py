@@ -8,6 +8,7 @@ stored as ``(word, target_ref)`` pairs as well.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, combinations
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -505,13 +506,53 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
 # -- map enumeration and bounded Kan checks --------------------------------
 
 
-def _cells(A: FiniteSimplicialSet) -> list[tuple[SimplexRef, Optional[tuple[int, ...]]]]:
+def _cells(A: FiniteSimplicialSet, by_vertex: bool = False
+           ) -> list[tuple[SimplexRef, Optional[tuple[int, ...]]]]:
     """``A``'s cells in ``nondegenerate()`` order, each with the ids of its
-    faces, or None when a face carries a degeneracy word."""
-    return A._cached("cells", lambda: [
+    faces, or None when a face carries a degeneracy word.
+
+    With ``by_vertex``, the same cells sorted by (the last of their vertices
+    in that order, dimension, position): ``v0, v1, e01, v2, e02, e12, t012,
+    ...``.  A cell's vertices are those of its faces, so its faces still
+    come before it."""
+    cells = A._cached("cells", lambda: [
         (ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
          else tuple(t.id for _, t in A._faces.get(ref.id, ())))
         for ref in A.nondegenerate()])
+    if not by_vertex:
+        return cells
+
+    def build():
+        last: dict[int, int] = {}   # cell id -> position of its last vertex
+        for pos, (ref, ids) in enumerate(cells):
+            if ids is None:
+                ids = [t.id for _, t in A._faces[ref.id]]
+            last[ref.id] = max(map(last.__getitem__, ids)) if ref.dim else pos
+        # the cells are in dimension order, and the sort is stable
+        return sorted(cells, key=lambda cell: last[cell[0].id])
+    return A._cached("cells by vertex", build)
+
+
+def _vertex_tuples(X: FiniteSimplicialSet, n: int) -> dict[Simplex, tuple[int, ...]]:
+    """The ids of the vertices ``0, ..., n`` of every ``n``-simplex of ``X``,
+    degenerate ones included: those of ``d_n z`` and the last one of
+    ``d_0 z``."""
+    def build():
+        faces_of = X.faces_index(n)[0]
+        if n == 0:
+            return {z: (z[1].id,) for z in faces_of}
+        below = _vertex_tuples(X, n - 1)
+        return {z: below[t[n]] + below[t[0]][-1:] for z, t in faces_of.items()}
+    return X._cached(("vertices", n), build)
+
+
+def _vertex_determined(X: FiniteSimplicialSet, n: int) -> bool:
+    """True when no two ``n``-simplices of ``X``, degenerate ones included,
+    have the same vertex tuple."""
+    def build():
+        tuples = _vertex_tuples(X, n)
+        return len(set(tuples.values())) == len(tuples)
+    return X._cached(("vertex-determined", n), build)
 
 
 def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
@@ -519,11 +560,23 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
     """All simplicial maps ``A → X``, lazily, by backtracking on an explicit
     stack (no recursion limit on ``A``).
 
-    Cells are visited in ``A.nondegenerate()`` order, so a cell's faces have
-    images when it is reached; its candidates are the simplices of ``X``
-    with those faces (``X.faces_index``).
+    A cell's faces have images when it is reached; its candidates are the
+    simplices of ``X`` with those faces (``X.faces_index``).  The cells are
+    visited in one of two orders of :func:`_cells`:
+
+    - each cell right after its vertices, when ``X`` is vertex-determined:
+      no two of its n-simplices, degenerate ones included, share a vertex
+      tuple, for n = 1, ..., ``A.dimension``.  A cell whose vertices have
+      images then has at most one candidate, so the search branches on the
+      vertices alone, in ``A.nondegenerate()`` order;
+    - ``A.nondegenerate()`` order otherwise.
+
+    Either way the maps come out ordered by their images of the cells in
+    ``A.nondegenerate()`` order, each cell's images in index order: in the
+    first case a map is fixed by its images of the vertices, which come
+    first in that order.
     """
-    cells = _cells(A)
+    cells = _cells(A, all(_vertex_determined(X, n) for n in range(1, A.dimension + 1)))
     index = [X.faces_index(n)[1] for n in range(A.dimension + 1)]
     partial = SimplicialMap(A, X, {})
     image = partial.assignment
@@ -565,13 +618,21 @@ def horn_fillers(X: FiniteSimplicialSet, horn_map: SimplicialMap,
     return list(X.horn_index(p, k).get(tuple(faces), []))
 
 
+@cache
+def _shared_horn(p: int, k: int) -> tuple[FiniteSimplicialSet, SimplicialMap]:
+    """:func:`horn_complex` built once per ``(p, k)`` and shared, with the
+    lookups cached on it.  Nothing may grow it: gluing and cones add cells
+    only to the complexes they create."""
+    return horn_complex(p, k)
+
+
 def is_kan_up_to(X: FiniteSimplicialSet, n_max: int) -> list[dict]:
     """For every horn map ``Λ[p,k] → X`` with p <= n_max, report whether an
     extension to ``Δ[p]`` exists (brute force)."""
     report = []
     for p in range(1, n_max + 1):
         for k in range(p + 1):
-            A, _ = horn_complex(p, k)
+            A, _ = _shared_horn(p, k)
             total = 0
             unfilled = 0
             witness = None

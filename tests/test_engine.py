@@ -23,10 +23,12 @@ from smoothsimplex.simplicial import (
     enumerate_maps,
     horn_complex,
     horn_fillers,
+    is_kan_up_to,
     pushout,
     standard_simplicial_set,
     vertex_ref,
 )
+from smoothsimplex.simplicial import _shared_horn
 from smoothsimplex.cli import named_map
 
 
@@ -456,6 +458,25 @@ def test_generators_are_built_once_and_listed_fresh():
     first.clear()
     assert len(gens.generators()) == 5
     assert GeneratingSet("J", 3).generators()[:5] == second
+
+
+def test_horns_are_shared_and_never_grown():
+    horns = {(p, k): _shared_horn(p, k)[0] for p in (1, 2, 3) for k in range(p + 1)}
+    counts = {pk: A.counts() for pk, A in horns.items()}
+    # one cache: the generators' sources are the shared horns
+    gens = GeneratingSet("J", 3).generators()
+    assert all(g.incl.source is horns[g.p, g.k] for g in gens)
+    X = standard_simplicial_set(1)
+    first, second = is_kan_up_to(X, 3), is_kan_up_to(X, 3)
+    assert first == second
+    assert any(e["witness"] for e in first)
+    # the Kan check keyed its horn fillers on the shared horns
+    assert all(("facets", *pk) in A._cache for pk, A in horns.items())
+    f = named_map("delta1_to_delta0")
+    assert not rlp_check(f, GeneratingSet("J", 3)).has_rlp
+    assert len(igc_factor(f, GeneratingSet("J", 2), 2, max_problems=8)) == 3
+    assert {pk: A.counts() for pk, A in horns.items()} == counts
+    assert all(_shared_horn(*pk)[0] is A for pk, A in horns.items())
 
 
 # -- one pushout per stage ---------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothsimplex import words
+from smoothsimplex.cli import named_map
+from smoothsimplex.engine import GeneratingSet, igc_factor
 from smoothsimplex.simplicial import (
     EMPTY,
     FiniteSimplicialSet,
@@ -21,6 +23,7 @@ from smoothsimplex.simplicial import (
     standard_simplicial_set,
     vertex_ref,
 )
+from smoothsimplex.simplicial import _cells, _vertex_determined
 
 
 # -- independent oracles ----------------------------------------------------
@@ -369,14 +372,6 @@ def test_cone_cell_count(seed):
 
 # -- indexed map search ---------------------------------------------------------
 
-SEARCH_TARGETS = {
-    "Delta[2]": lambda: standard_simplicial_set(2),
-    "Delta[3]": lambda: standard_simplicial_set(3),
-    "Boundary[3]": lambda: boundary_complex(3)[0],
-    "Cone(Boundary[2])": lambda: cone(boundary_complex(2)[0])[0],
-}
-
-
 def rp2():
     """RP^2: one loop ``a`` and one 2-simplex with faces ``(a, s_0 v, a)``."""
     X = FiniteSimplicialSet("RP2")
@@ -396,10 +391,49 @@ def sphere2():
     return X
 
 
-# the horns' faces are all nondegenerate; RP^2's and S^2's are not
+def parallel_edges():
+    """Two edges with the same ends, ``v0 -> v1``."""
+    X = FiniteSimplicialSet("Parallel")
+    v0, v1 = X.add_simplex(0), X.add_simplex(0)
+    for _ in range(2):
+        X.add_simplex(1, [(EMPTY, v1), (EMPTY, v0)])
+    return X
+
+
+def reversed_interval():
+    """An edge ``v0 -> v1`` whose end ``v1`` is listed first."""
+    X = FiniteSimplicialSet("Reversed")
+    v1, v0 = X.add_simplex(0), X.add_simplex(0)
+    X.add_simplex(1, [(EMPTY, v1), (EMPTY, v0)])
+    return X
+
+
+def delta1_tower_stage1():
+    """Stage 1 of the J tower of ``Δ[1] → Δ[0]``: two 2-cells glued on."""
+    stages = igc_factor(named_map("delta1_to_delta0"), GeneratingSet("J", 2), 1)
+    return stages[1].complex
+
+
+# The first four targets are vertex-determined, so the search visits each
+# cell right after its vertices; the others are not (S^2 from dimension 2
+# on), and keep the order of nondegenerate().
+SEARCH_TARGETS = {
+    "Delta[2]": lambda: standard_simplicial_set(2),
+    "Delta[3]": lambda: standard_simplicial_set(3),
+    "Boundary[3]": lambda: boundary_complex(3)[0],
+    "Cone(Boundary[2])": lambda: cone(boundary_complex(2)[0])[0],
+    "RP2": rp2,
+    "S2": sphere2,
+    "Parallel": parallel_edges,
+    "J-tower stage 1": delta1_tower_stage1,
+}
+
+# the horns' faces are all nondegenerate; RP^2's and S^2's are not; the
+# reversed interval lists the end of its edge first, so the edge must wait
+# for both of its vertices, not only for its vertex 1
 SEARCH_SOURCES = {f"{p}-{k}": (lambda p=p, k=k: horn_complex(p, k)[0])
                   for p, k in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]}
-SEARCH_SOURCES.update({"RP2": rp2, "S2": sphere2})
+SEARCH_SOURCES.update({"RP2": rp2, "S2": sphere2, "Reversed": reversed_interval})
 
 
 def brute_force_maps(A, X):
@@ -426,6 +460,38 @@ def test_enumerate_maps_matches_brute_force(target, source):
     brute = brute_force_maps(A, X)
     assert brute
     assert [m.assignment for m in enumerate_maps(A, X)] == brute
+
+
+@pytest.mark.parametrize("p", range(1, 4))
+def test_vertex_determined_complexes(p):
+    complexes = [standard_simplicial_set(p), boundary_complex(p)[0],
+                 *(horn_complex(p, k)[0] for k in range(p + 1))]
+    if p == 2:
+        complexes.append(cone(boundary_complex(2)[0])[0])
+    for X in complexes:
+        assert all(_vertex_determined(X, n) for n in range(1, p + 2)), X.name
+
+
+def test_shared_vertex_tuples_are_not_vertex_determined():
+    # two edges v0 -> v1; the loop of RP^2 and the degenerate edge on its vertex
+    assert not _vertex_determined(parallel_edges(), 1)
+    assert not _vertex_determined(rp2(), 1)
+    # degenerate simplices count: S^2's 2-cell and s_1 s_0 v share (v, v, v)
+    assert _vertex_determined(sphere2(), 1) and not _vertex_determined(sphere2(), 2)
+
+
+def test_vertex_order_visits_each_cell_after_its_vertices():
+    A = standard_simplicial_set(2)
+    assert [A.labels[ref.id] for ref, _ in _cells(A, True)] == [
+        (0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
+    for seed in range(4):
+        A = random_complex(seed)
+        order = [ref for ref, _ in _cells(A, True)]
+        assert sorted(order) == sorted(ref for ref, _ in _cells(A))
+        seen = set()
+        for ref in order:
+            assert all(t in seen for _, t in A._faces.get(ref.id, ()))
+            seen.add(ref)
 
 
 def test_search_runs_on_sources_deeper_than_the_recursion_limit():
