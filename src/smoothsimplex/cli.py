@@ -586,7 +586,6 @@ def _read_inputs(args: argparse.Namespace) -> None:
     if args.command in ("rlp", "factorize"):
         args.f = (load_map_file(args.map_file) if args.map_file
                   else named_map(args.map))
-        args.f.validate()
     elif args.command == "pi" and args.complex_file:
         args.X = FiniteSimplicialSet.from_json_dict(_read_json(args.complex_file))
     elif args.command == "pi":

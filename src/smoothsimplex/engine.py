@@ -22,7 +22,6 @@ from .simplicial import (
     FiniteSimplicialSet,
     Simplex,
     SimplicialMap,
-    _cells,
     _facet_ids,
     _glue,
     _shared_horn,
@@ -57,35 +56,27 @@ class Generator:
 
     @cached_property
     def _shape(self) -> tuple:
-        """The source's cell table (:func:`_cells`); the id of ``d_k`` (None
-        for ``I(p)``); and the source cells on the top's faces but ``d_k``
-        (on all of them for ``I(p)``)."""
+        """The id of ``d_k`` (None for ``I(p)``), and the source cells on the
+        top's faces but ``d_k`` (on all of them for ``I(p)``)."""
         A, B = self.incl.source, self.incl.target
-        return (_cells(A),
-                None if self.k is None else B._faces[self.top][self.k][1].id,
+        return (None if self.k is None else B._faces[self.top][self.k][1].id,
                 _facet_ids(A, self.p, self.k))
 
     def _fillers(self, X: FiniteSimplicialSet, m: dict[int, Simplex]) -> list[Simplex]:
         """The top-cell images ``x`` of :meth:`extensions`, in order: one
-        lookup of ``x`` by its faces but ``d_k``, which are ``m``'s images,
-        once ``m`` is checked to be a map.  The list is the index's own."""
-        cells, _, key = self._shape
-        faces_of = X._cached(("faces_of", self.p), lambda: [
-            X.faces_index(n)[0] for n in range(self.p)])
-        for (a, n), faces in cells:
-            if faces_of[n].get(m[a]) != tuple(map(m.__getitem__, faces)):
-                return []
+        lookup of ``x`` by its faces but ``d_k``, which are ``m``'s images
+        (``m`` must be a map).  The list is the index's own."""
         index = (X.faces_index(self.p)[1] if self.k is None
                  else X.horn_index(self.p, self.k))
-        return index.get(tuple(map(m.__getitem__, key)), [])
+        return index.get(tuple(map(m.__getitem__, self._shape[1])), [])
 
     def extensions(self, X: FiniteSimplicialSet, m: dict[int, Simplex]
                    ) -> Iterator[dict[int, Simplex]]:
-        """The maps ``Δ[p] → X`` extending ``m`` (an assignment of the source;
-        none if it is not a map), lazily, in :func:`enumerate_maps` order:
-        the top cell goes to each filler ``x``, and ``d_k`` (for ``J(p,k)``)
-        to ``d_k x``."""
-        dk, faces_of = self._shape[1], X.faces_index(self.p)[0]
+        """The maps ``Δ[p] → X`` extending ``m``, lazily, in
+        :func:`enumerate_maps` order: the top cell goes to each filler ``x``,
+        and ``d_k`` (for ``J(p,k)``) to ``d_k x``.  ``m``, an assignment of
+        the source, must be a map; it is not checked here."""
+        dk, faces_of = self._shape[0], X.faces_index(self.p)[0]
         pinned = {c: m[a] for c, a in self.pins.items()}
         for x in self._fillers(X, m):
             yield ({**pinned, self.top: x} if dk is None
@@ -125,7 +116,9 @@ class GeneratingSet:
 class LiftingProblem:
     """A commutative square from a generator to ``f``.
 
-    A square built by hand is not checked to commute, because that cannot
+    A square built by hand has no lift unless its ``f``, ``top`` and
+    ``bottom`` are maps; those of :func:`iter_lifting_problems` come from an
+    ``f`` checked there.  It is not checked to commute, because that cannot
     change :meth:`has_lift` or :meth:`lifts`: a map out of ``Δ[p]`` is fixed
     by the image of its top cell, so a bottom that is a map and sends the
     top cell to ``f(x)``, for ``x`` the top cell of an extension of ``top``,
@@ -140,7 +133,7 @@ class LiftingProblem:
     # the squares on one top map
     on_top: Optional[set[Simplex]] = field(default=None, compare=False, repr=False)
     # the bottom's top cell, which a lift's top cell must cover; None when
-    # the bottom is not a map
+    # f, top or bottom of a hand-built square is not a map
     over: Optional[Simplex] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -148,7 +141,8 @@ class LiftingProblem:
         if self.on_top is None:
             self.on_top = set()
             try:
-                self.bottom.validate()
+                for m in (f, self.top, self.bottom):
+                    m.validate()
             except ValueError:
                 return
             self.on_top = set(map(f, gen._fillers(f.source, self.top.assignment)))
@@ -157,6 +151,8 @@ class LiftingProblem:
     def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
         """The first ``limit`` (all for ``None``) diagonal fillers
         ``B -> X``, commuting on both triangles."""
+        if self.over is None:
+            return []
         gen, X = self.generator, self.f.source
         found = (a for a in gen.extensions(X, self.top.assignment)
                  if self.f(a[gen.top]) == self.over)
@@ -175,7 +171,9 @@ def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
                           ) -> Iterator[LiftingProblem]:
     """All commutative squares from the generating set to ``f``, in a fixed
     lexicographic order (generator, top map, bottom map).  The squares on
-    one top map share one set of images, built for the first of them."""
+    one top map share one set of images, built for the first of them.  A
+    non-map ``f`` is a ``ValueError``; the maps built from it are trusted."""
+    f.validate()
     for gen in gens.generators():
         B = gen.incl.target
         for top in enumerate_maps(gen.incl.source, f.source):
@@ -204,8 +202,8 @@ class RLPReport:
 
 
 def rlp_check(f: SimplicialMap, gens: GeneratingSet) -> RLPReport:
-    """Brute-force right-lifting-property check of ``f`` against the
-    generating set, with every failing square reported."""
+    """Brute-force right-lifting-property check of a map ``f`` against the
+    generating set, every failing square reported; a non-map is a ValueError."""
     checked, failures = 0, []
     for checked, prob in enumerate(iter_lifting_problems(f, gens), 1):
         if not prob.has_lift():
@@ -236,10 +234,11 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
     """Finite stages of the gluing factorization of ``f`` through cells of
     the generating set.
 
-    Stage ``n+1`` attaches one cell per unsolved lifting problem of ``q_n``.
-    The run stops early once ``q_n`` has the right lifting property up to
-    the generating set's dimension bound; otherwise the last stage carries
-    the still-unsolved problems.
+    Stage ``n+1`` attaches one cell per unsolved lifting problem of ``q_n``,
+    which :func:`iter_lifting_problems` checks to be a map (a non-map ``f``
+    is a ``ValueError``).  The run stops early once ``q_n`` has the right
+    lifting property up to the generating set's dimension bound; otherwise
+    the last stage carries the still-unsolved problems.
     """
     if max_stages < 0:
         raise ValueError("max_stages must be nonnegative")
@@ -262,7 +261,6 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
         maps = [prev.q] + [p.bottom for p in prev.residual]
         q = {cell: maps[i].assignment[ref.id] for cell, (i, ref) in enumerate(order)}
         q_n = SimplicialMap(P, f.target, q, name=f"q_{n}")
-        q_n.validate()
         stages.append(FactorizationStage(n, P, sum(1 for i, _ in order if i),
                                          into.compose(prev.j), q_n, unsolved(q_n)))
     return stages

@@ -78,7 +78,8 @@ class FiniteSimplicialSet:
                     raise ValueError(f"face target {tgt} not in complex")
                 if tgt.dim + len(word) != dim - 1:
                     raise ValueError(f"face {i} of {ref} has wrong dimension")
-                words.check_valid(word, tgt.dim)
+                if word:   # the empty word is always valid
+                    words.check_valid(word, tgt.dim)
             self._faces[ref.id] = list(faces)
         if label is not None:
             self.labels[ref.id] = label

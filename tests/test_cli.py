@@ -362,6 +362,7 @@ def test_error_inside_a_check_is_not_a_usage_error(argv, patch, monkeypatch, cap
 
 
 _POINT = {"dims": [[0]]}
+_DELTA1 = {"dims": [[0, 1], [2]], "faces": {"2": [[[], 1], [[], 0]]}}
 _RLP = ["rlp", "--gens", "J", "--map-file", "{file}"]
 _PI = ["pi", "--complex-file", "{file}"]
 
@@ -418,6 +419,9 @@ _PI = ["pi", "--complex-file", "{file}"]
     *(pytest.param(argv, text, id=f"{argv[0]}-{name}") for argv in (_RLP, _PI)
       for name, text in (("nested", "[" * 100000 + "]" * 100000),
                          ("truncated", '{"dims": [[0'))),
+    # both vertices of Δ[1] to vertex 0 and the edge to itself: no map
+    (_RLP, {"source": _DELTA1, "target": _DELTA1,
+            "assignment": {"0": [[], 0], "1": [[], 0], "2": [[], 2]}}),
 ])
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"

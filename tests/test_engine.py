@@ -383,22 +383,24 @@ def test_square_kernel_checks_the_pinned_cells():
 
 
 def test_hand_built_square_with_a_non_map_bottom_has_no_lift():
-    # the bottom sends the edge to itself but both vertices to vertex 0, so
-    # it does not commute with d_0; the square commutes on the source, and
-    # the edge is the image of a filler of the top
+    # bad sends the edge to itself but both vertices to vertex 0, so it does
+    # not commute with d_0.  As the bottom, the square commutes on the
+    # source and the edge is the image of a filler of the top; as f, the
+    # identity bottom's top cell is f of a filler of the top.
     D1 = standard_simplicial_set(1)
     J10 = GeneratingSet("J", 1).generators()[0]
     v0, v1, edge = D1.nondegenerate()
-    bottom = SimplicialMap(D1, D1, {v0.id: (EMPTY, v0), v1.id: (EMPTY, v0),
-                                    edge.id: (EMPTY, edge)})
+    bad = SimplicialMap(D1, D1, {v0.id: (EMPTY, v0), v1.id: (EMPTY, v0),
+                                 edge.id: (EMPTY, edge)})
     with pytest.raises(ValueError):
-        bottom.validate()
-    square = LiftingProblem(J10, SimplicialMap(J10.incl.source, D1, {0: (EMPTY, v0)}),
-                            bottom, SimplicialMap.identity(D1))
-    assert square.lifts(None) == [] and not square.has_lift()
-    # with a map bottom (every cell to its own cell) the same square lifts
-    square = LiftingProblem(square.generator, square.top,
-                            SimplicialMap.identity(D1), square.f)
+        bad.validate()
+    top = SimplicialMap(J10.incl.source, D1, {0: (EMPTY, v0)})
+    ident = SimplicialMap.identity(D1)
+    for bottom, f in ((bad, ident), (ident, bad)):
+        square = LiftingProblem(J10, top, bottom, f)
+        assert square.lifts(None) == [] and not square.has_lift()
+    # with maps for both (every cell to its own cell) the same square lifts
+    square = LiftingProblem(J10, top, ident, ident)
     assert len(square.lifts(None)) == 1 and square.has_lift()
 
 
@@ -527,6 +529,22 @@ def test_one_pushout_per_stage_matches_the_chain(name):
 def test_igc_rejects_a_cap_below_one(cap):
     with pytest.raises(ValueError, match="max_problems"):
         igc_factor(named_map("horn2_1_incl"), GeneratingSet("J", 2), 1, cap)
+
+
+@pytest.mark.parametrize("kind", "IJ")
+def test_a_non_map_is_refused_where_it_enters_the_engine(kind):
+    # both vertices of Δ[1] to vertex 0 and the edge to itself: not a map
+    D1 = standard_simplicial_set(1)
+    v0, _, edge = D1.nondegenerate()
+    f = SimplicialMap(D1, D1, {0: (EMPTY, v0), 1: (EMPTY, v0), 2: (EMPTY, edge)})
+    gens = GeneratingSet(kind, 2)
+    with pytest.raises(ValueError, match="does not commute"):
+        rlp_check(f, gens)
+    with pytest.raises(ValueError, match="does not commute"):
+        igc_factor(f, gens, max_stages=0)
+    squares = iter_lifting_problems(f, gens)   # checked at its first square
+    with pytest.raises(ValueError, match="does not commute"):
+        next(squares)
 
 
 @pytest.mark.parametrize("kind, max_dim", [("J", 0), ("J", -1), ("I", -1)])
