@@ -329,10 +329,11 @@ def run_axiom4(args) -> Report:
             H = homotopy.build_full_horn_deformation(n, k)
             horn = _on_horn(coarse, k)
             # one path per point: H(z, 0), then H(z, 1) or, on the horn, H at
-            # each horn-fixed time
+            # each horn-fixed time; the grid points and times are valid by
+            # construction, so only H's outputs are checked
             times = dict.fromkeys(pts, (0.0, 1.0))
             times.update(dict.fromkeys(horn, (0.0, *HORN_TIMES)))
-            path = {z: H.path(z, ts) for z, ts in times.items()}
+            path = {z: H._path(z, ts) for z, ts in times.items()}
             end = {z: images[-1] for z, images in path.items()}
 
             at = f"-({n},{k})"
@@ -345,10 +346,11 @@ def run_axiom4(args) -> Report:
                           witness=lambda zis: {"point": list(zis[0]), "s": zis[2]})
             _add_contract(rep, "lands-in-horn", at, args.tol, pts,
                           lambda z: min(end[z][:k] + end[z][k + 1:]))
-            # H is pure, so end[w] is H(w, 1) wherever w is a grid point
+            # H is pure, so end[w] is H(w, 1) wherever w is a grid point; any
+            # other w = end[z] was validated as an output of H
             _add_contract(rep, "retraction-idempotent", at, args.tol, pts,
                           lambda z: _dist(end[z], end[end[z]] if end[z] in end
-                                          else H(end[z], 1.0).coords))
+                                          else H._path(end[z], (1.0,))[0]))
     return rep
 
 

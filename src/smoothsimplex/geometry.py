@@ -461,10 +461,10 @@ def phi_I_inverse(u: Sequence[Number], v: Sequence[Number], I: Sequence[int],
     ``x_{j_b} = v_{b+1}``."""
     out: list[Number] = [0] * (len(I) + len(J))
     v0 = v[0]
-    for i, c in zip(I, u):
-        out[i] = v0 * c
-    for b, j in enumerate(J, 1):
-        out[j] = v[b]
+    for a in range(len(I)):   # indices: cheaper than zip or enumerate
+        out[I[a]] = v0 * u[a]
+    for b in range(len(J)):
+        out[J[b]] = v[b + 1]
     return out
 
 

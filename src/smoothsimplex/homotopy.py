@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .geometry import Bary, OutOfDomain, _check_floats, phi_I, phi_I_inverse
-from .steps import SPLICE, SmoothStep, two_phase
+from .steps import SPLICE, smooth_step
 
 Vec = tuple[float, ...]
 Step = Callable[[Vec, float], Vec]
@@ -63,51 +63,20 @@ COLLAR_STAGES = {
     3: ((2, 0.09), (1, 0.2), (0, 0.48)),
 }
 
-#: softening of the collar phase near the closed face opposite the horn
-#: vertex; flat zero below the first breakpoint keeps a neighborhood of
-#: that face's boundary exactly fixed during the first full-horn phase
-SHELL = SmoothStep(0.02, 0.04)
+#: breakpoints of the smooth step that softens the collar phase near the
+#: closed face opposite the horn vertex; flat zero below the first keeps a
+#: neighborhood of that face's boundary exactly fixed during the first
+#: full-horn phase
+SHELL = (0.02, 0.04)
 
 #: cleanup stages of the full-horn deformation, anchored at the simplices
 #: of the face opposite the horn vertex: (face_dim, eps)
 FAR_STAGES = {2: ((0, 0.48),), 3: ((1, 0.1), (0, 0.48))}
 
-#: activation profile of the final in-face flow: 1 on the far face itself,
-#: 0 at distance FACE_EPS from it
+#: activation of the final in-face flow: 1 on the far face itself, 0 at
+#: distance FACE_EPS from it; one minus the smooth step on FACE_RAMP
 FACE_EPS = 0.01
-FACE_RAMP = SmoothStep(0.005, 0.01)
-
-
-@cache
-def _cut(q: int) -> Callable[[float], float]:
-    return SmoothStep(*CUT[q])
-
-
-def _divided(coords: Sequence[float], t: float) -> Vec:
-    # a loop, not a comprehension: on Python 3.11 that is a nested call
-    out = []
-    for c in coords:
-        out.append(c / t)
-    return tuple(out)
-
-
-def _renorm(coords: Sequence[float]) -> Vec:
-    # a left fold, not sum(): Python 3.12's sum() compensates float
-    # rounding, so it would change the last bits between versions
-    s = 0.0
-    for c in coords:
-        s += c
-    return _divided(coords, s)
-
-
-def _join0(x: Vec, t: float) -> Vec:
-    """Reassemble a chart-0 point (1-t)(0) + t*x, renormalized."""
-    if t <= 0.0:
-        return (1.0,) + (0.0,) * len(x)
-    out = [1.0 - t]
-    for c in x:   # a loop, as in _divided
-        out.append(t * c)
-    return _renorm(out)
+FACE_RAMP = (0.005, 0.01)
 
 
 def _schedule(names: Sequence[str]) -> tuple:
@@ -117,12 +86,13 @@ def _schedule(names: Sequence[str]) -> tuple:
     return tuple((nm, (i / m, (i + 1) / m)) for i, nm in enumerate(names))
 
 
+# The stage kernels below divide, rejoin and renormalize points inline, and
+# sum with a left fold, not sum(): Python 3.12's sum() compensates rounding,
+# so it would change the last bits between versions.  Where a cut-off is
+# often flat, it is read off its flat ends and calls ``smooth_step`` only
+# between them.
+
 _FLAT0, _FLAT1 = SPLICE.a, SPLICE.b   # SPLICE is 0 below, 1 above
-
-
-def _splice(t: float) -> float:
-    """``SPLICE(t)``, without the call on its flat ends."""
-    return 0.0 if t <= _FLAT0 else 1.0 if t >= _FLAT1 else SPLICE(t)
 
 
 def _run_stages(stages: Sequence[Step], z: Vec, s: float, first: int = 0) -> Vec:
@@ -133,8 +103,9 @@ def _run_stages(stages: Sequence[Step], z: Vec, s: float, first: int = 0) -> Vec
         return z
     m, k = len(stages), first
     while k < m:   # a while loop: cheaper than a range on Python 3.11
-        local = _splice(m * s - k)
-        if local <= 0.0:
+        u = m * s - k
+        local = 0.0 if u <= _FLAT0 else 1.0 if u >= _FLAT1 else smooth_step(u, _FLAT0, _FLAT1)
+        if local <= 0.0:   # also just past _FLAT0, where exp underflows
             break
         z = stages[k](z, local)
         k += 1
@@ -156,24 +127,42 @@ def _cone_step(p: int, softened: bool = False) -> Step:
     the vertex damped by the interior bump, then the collar retraction of
     the base.  ``softened`` damps the collar near the closed base, so the
     step extends across it."""
-    cut, disk, collar = _cut(p), DISK[p], collar_core(p)
+    (c0, c1), disk, collar = CUT[p], DISK[p], collar_core(p)
+    h0, h1 = SHELL
+    vertex = (1.0,) + (0.0,) * (p + 1)
 
     def step(z: Vec, s: float) -> Vec:
-        t = 1.0 - z[0]
+        z0 = z[0]
+        t = 1.0 - z0
         if t <= 0.0 or s <= 0.0:
             return z
-        x = _divided(z[1:], t)
+        x = []   # the base point: z[1:] / t
+        for c in z[1:]:
+            x.append(c / t)
         mx = min(x)
-        g = cut(mx)
-        s2 = _splice(2.0 * s - 1.0)   # two_phase(s), the collar phase first
-        if s2 <= 0.0:
-            return _join0(x, (1.0 - g * _splice(2.0 * s)) * t)
-        if mx < disk:
+        g = 0.0 if mx <= c0 else 1.0 if mx >= c1 else smooth_step(mx, c0, c1)
+        u = 2.0 * s - 1.0   # two_phase(s), the collar phase first
+        s2 = 0.0 if u <= _FLAT0 else 1.0 if u >= _FLAT1 else smooth_step(u, _FLAT0, _FLAT1)
+        if s2 <= 0.0:   # the radial phase
+            g *= smooth_step(2.0 * s, _FLAT0, _FLAT1)
+        elif g >= 1.0:   # (1 - g) t = 0: at the vertex, whatever the collar does
+            return vertex
+        elif mx < disk:
             if softened:
                 # 1 away from the closure of the far-face boundary, flat 0 near it
-                s2 *= 1.0 - (1.0 - SHELL(z[0])) * (1.0 - SHELL(mx))
+                s2 *= 1.0 - (1.0 - smooth_step(z0, h0, h1)) * (1.0 - smooth_step(mx, h0, h1))
             x = collar(x, s2)
-        return _join0(x, (1.0 - g) * t)  # off the collar g = 1: at the vertex
+        t *= 1.0 - g
+        if t <= 0.0:
+            return vertex
+        # (1 - t)(0) + t x, renormalized
+        out = [1.0 - t]
+        for c in x:
+            out.append(t * c)
+        tot = 0.0
+        for c in out:
+            tot += c
+        return tuple([c / tot for c in out])
 
     return step
 
@@ -194,17 +183,18 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
     positive bump at the position in the face.  The constants make at most
     one act; with a list ``acting``, the step lists them and moves nothing."""
     lo = 1.0 - eps
-    core = half_open_core(n - face_dim)
-    cut = _cut(face_dim) if face_dim > 0 else None
+    core = _radial1 if face_dim == n - 1 else half_open_core(n - face_dim)
+    c0, c1 = CUT[face_dim] if face_dim > 0 else (None, None)
     plan = tuple((I, tuple(j for j in range(n + 1) if j not in I))
                  for I in combinations(sorted(vertices), face_dim + 1))
 
     def step(z: Vec, sigma: float, acting: Optional[list] = None) -> Vec:
         for I, J in plan:
-            if cut is None:
+            if c0 is None:
                 # a vertex: lo > 1/2, so at most one coordinate passes it
                 if z[I[0]] <= lo:
                     continue
+                g = 1.0
             else:
                 S = 0.0
                 for i in I:
@@ -215,13 +205,19 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
                 if S <= lo:
                     continue
             u, v = phi_I(z, I, J)
-            g = 1.0 if cut is None else cut(min(u))
-            if not g > 0.0:
-                continue
+            if c0 is not None:
+                g = smooth_step(min(u), c0, c1)
+                if not g > 0.0:
+                    continue
             if acting is not None:
                 acting.append(I)
                 continue
-            return _renorm(phi_I_inverse(u, core(v, g * sigma), I, J))
+            s = g * sigma   # half_open_core's s <= 0 guard, also before _radial1
+            out = phi_I_inverse(u, v if s <= 0.0 else core(v, s), I, J)
+            tot = 0.0
+            for c in out:
+                tot += c
+            return tuple([c / tot for c in out])
         return z
 
     return step
@@ -241,16 +237,23 @@ def collar_core(p: int) -> Step:
 def _face_flow(p: int) -> Step:
     """The collar retraction inside the far face Δ^p, ramped in near it."""
     disk, collar = DISK[p], collar_core(p)
+    r0, r1 = FACE_RAMP
 
     def step(z: Vec, sigma: float) -> Vec:
         z0 = z[0]
         if z0 >= FACE_EPS:
             return z
-        t = 1.0 - z0
-        x = _divided(z[1:], t)
+        t = 1.0 - z0   # above 1 - FACE_EPS, so the point stays off the vertex
+        x = [c / t for c in z[1:]]
         if min(x) >= disk:
             return z
-        return _join0(collar(x, (1.0 - FACE_RAMP(z0)) * sigma), t)
+        out = [1.0 - t]
+        for c in collar(x, (1.0 - smooth_step(z0, r0, r1)) * sigma):
+            out.append(t * c)
+        tot = 0.0
+        for c in out:
+            tot += c
+        return tuple([c / tot for c in out])
 
     return step
 
@@ -294,16 +297,25 @@ class EvaluableHomotopy:
         ts = [float(s) for s in times]
         if not ts or not all(0.0 <= a <= b <= 1.0 for a, b in zip(ts, ts[1:] + [1.0])):
             raise ValueError(f"homotopy times {ts} are not non-decreasing in [0, 1]")
-        z, stages = self.checked_point(point, ts[0]), self._stages
+        return self._path(self.checked_point(point, ts[0]), ts)
+
+    def _path(self, z: Vec, ts: Sequence[float]) -> list[Vec]:
+        """``path`` of a float point and float times that the caller built and
+        knows to be valid, as ``path`` checks them; every output is checked."""
+        stages = self._stages
         if not stages:
             out = [self._eval(z, s) for s in ts]
         else:
-            m, first, done, out = len(stages), 0, self._swap(z), []
+            swap = self._swap
+            m, first, done, out = len(stages), 0, swap(z), []
             for s in ts:
-                while first < m and _splice(m * s - first) >= 1.0:
+                while first < m:
+                    u = m * s - first
+                    if u <= _FLAT0 or u < _FLAT1 and smooth_step(u, _FLAT0, _FLAT1) < 1.0:
+                        break
                     done = stages[first](done, 1.0)
                     first += 1
-                out.append(self._swap(_run_stages(stages, done, s, first)))
+                out.append(swap(done if first == m else _run_stages(stages, done, s, first)))
         for w in out:
             _check_floats(w)
         return out
@@ -396,25 +408,30 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
     c_disk = DISK[p]
     theta_c = 1.0 - (p + 1) * c_disk      # radial position of the disk edge
     theta_mid = 0.5 * (theta_c + 1.0)
-    delta = 0.25 * (1.0 - theta_c)
-    push_ramp = SmoothStep(theta_mid - delta, theta_mid)
+    p0 = theta_mid - 0.25 * (1.0 - theta_c)   # the push ramps in on [p0, theta_mid]
     b_rho = 1.0 - (p + 1) * eps           # theta at the collar's inner edge
-    rho = SmoothStep(0.5 * b_rho, b_rho)
+    r0 = 0.5 * b_rho                      # rho ramps in on [r0, b_rho]
     bary = tuple(1.0 / (p + 1) for _ in range(p + 1))
 
     def ev(z: Vec, s: float) -> Vec:
         theta = 1.0 - (p + 1) * min(z)
         if theta <= 0.0 or s <= 0.0:
             return z
-        local = rho(theta) * s
+        local = smooth_step(theta, r0, b_rho) * s
         if local <= 0.0:
             return z
-        s1, s2 = two_phase(local)
+        # two_phase(local): the radial push, then the collar
+        s1 = smooth_step(2.0 * local, _FLAT0, _FLAT1)
+        s2 = smooth_step(2.0 * local - 1.0, _FLAT0, _FLAT1)
         # radial push off the central disk, along the ray from the barycenter
-        target = theta + (1.0 - push_ramp(theta)) * (theta_mid - theta)
+        target = theta + (1.0 - smooth_step(theta, p0, theta_mid)) * (theta_mid - theta)
         theta1 = theta + s1 * (target - theta)
         scale = theta1 / theta
-        z = _renorm([b + scale * (c - b) for b, c in zip(bary, z)])
+        out = [b + scale * (c - b) for b, c in zip(bary, z)]
+        tot = 0.0
+        for c in out:
+            tot += c
+        z = tuple([c / tot for c in out])
         return collar(z, s2) if s2 > 0.0 and min(z) < c_disk else z
 
     return EvaluableHomotopy(

@@ -22,17 +22,21 @@ class SmoothStep:
             raise ValueError(f"breakpoints must satisfy a < b, got {self.a}, {self.b}")
 
     def __call__(self, t: float) -> float:
-        t = float(t)
-        a, b = self.a, self.b
-        if t <= a:
-            return 0.0
-        if t >= b:
-            return 1.0
-        # the bump exp(-1/u), flat zero for u <= 0, at u and at 1 - u
-        u = (t - a) / (b - a)
-        num = 0.0 if u <= 0.0 else exp(-1.0 / u)
-        w = 1.0 - u
-        return num / (num + (0.0 if w <= 0.0 else exp(-1.0 / w)))
+        return smooth_step(float(t), self.a, self.b)
+
+
+def smooth_step(t: float, a: float, b: float) -> float:
+    """The step formula of ``SmoothStep(a, b)`` at a float ``t``, as a plain
+    function for the deformations' stage kernels."""
+    if t <= a:
+        return 0.0
+    if t >= b:
+        return 1.0
+    # the bump exp(-1/u), flat zero for u <= 0, at u and at 1 - u
+    u = (t - a) / (b - a)
+    num = 0.0 if u <= 0.0 else exp(-1.0 / u)
+    w = 1.0 - u
+    return num / (num + (0.0 if w <= 0.0 else exp(-1.0 / w)))
 
 
 #: reparametrization used to splice two homotopies smoothly; flat near the

@@ -367,6 +367,16 @@ _RLP = ["rlp", "--gens", "J", "--map-file", "{file}"]
 _PI = ["pi", "--complex-file", "{file}"]
 
 
+#: explicit ids, so that a case added anywhere leaves every other id as it
+#: is; the numbered ones are the ids pytest once gave these cases by position
+MALFORMED_IDS = [
+    *(f"argv{i}-body{i}" for i in range(9)), "argv9-None", "argv10-body10",
+    *(f"argv{i}-None" for i in range(11, 26)),
+    *(f"argv{i}-body{i}" for i in range(26, 33)),
+    "rlp-nested", "rlp-truncated", "pi-nested", "pi-truncated", "argv37-body37",
+]
+
+
 @pytest.mark.parametrize("argv, body", [
     (_RLP, {}),
     (_RLP, [1]),
@@ -422,7 +432,7 @@ _PI = ["pi", "--complex-file", "{file}"]
     # both vertices of Δ[1] to vertex 0 and the edge to itself: no map
     (_RLP, {"source": _DELTA1, "target": _DELTA1,
             "assignment": {"0": [[], 0], "1": [[], 0], "2": [[], 2]}}),
-])
+], ids=MALFORMED_IDS)
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"
     # a str body is the file's raw text

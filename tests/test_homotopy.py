@@ -13,12 +13,16 @@ from itertools import product
 
 import pytest
 
-from smoothsimplex.geometry import Bary, barycentric_grid
+from smoothsimplex import homotopy
+from smoothsimplex.cli import HORN_TIMES
+from smoothsimplex.geometry import Bary, barycentric_grid, float_grid
 from smoothsimplex.homotopy import (
     COLLAR_STAGES,
+    CUT,
     DISK,
     FAR_STAGES,
     EvaluableHomotopy,
+    _cone_step,
     _full_horn_stages,
     _run_stages,
     build_boundary_homotopy_T,
@@ -321,13 +325,16 @@ def test_path_rejects_bad_times_and_points(name, point, times):
     assert len(H.path(PATH_POINTS["valid"](n), [0.0, 0.4, 0.4, 1.0])) == 4
 
 
+@pytest.mark.parametrize("method", ["path", "_path"])
 @pytest.mark.parametrize("out", [(float("nan"), 1.0), (0.5, 0.6)], ids=repr)
-def test_path_output_is_validated(out):
+def test_path_output_is_validated(out, method):
+    # _path trusts its point and times, never H's outputs
     H = EvaluableHomotopy("stub", "Δ^1", 1, (("stub", (0.0, 1.0)),),
                           lambda z, s: out if s > 0.5 else z)
-    assert H.path((0.5, 0.5), [0.5]) == [(0.5, 0.5)]
+    path = getattr(H, method)
+    assert path((0.5, 0.5), [0.5]) == [(0.5, 0.5)]
     with pytest.raises(ValueError):
-        H.path((0.5, 0.5), [0.5, 1.0])
+        path((0.5, 0.5), [0.5, 1.0])
 
 
 # -- bit-identity of the float evaluation ----------------------------------------
@@ -396,6 +403,35 @@ def test_evaluations_are_bit_identical_to_the_recorded_digest():
     # recorded on the stage evaluator before the flat kernel; the floats are
     # written with repr, which round-trips every bit
     assert _evaluation_digest() == (EVALUATION_COUNT, EVALUATION_DIGEST)
+
+
+def _path_digest():
+    """``verify-axiom4``'s paths: every ``float_grid(n, 12)`` point of Δ^n,
+    n = 1, 2, 3, for every k, at both of its schedules, through ``path``
+    and through ``_path``."""
+    h = hashlib.sha256()
+    count = 0
+    for n in (1, 2, 3):
+        for k in range(n + 1):
+            H = build_full_horn_deformation(n, k)
+            for z in float_grid(n, 12):
+                for ts in ((0.0, 1.0), (0.0, *HORN_TIMES)):
+                    got = H.path(z, ts)
+                    assert repr(H._path(z, ts)) == repr(got), (n, k, z, ts)
+                    h.update(f"{n} {k} {z} {ts} {got}\n".encode())
+                    count += 1
+    return count, h.hexdigest()
+
+
+#: paths and SHA-256 of ``_path_digest``
+PATH_COUNT = 4238
+PATH_DIGEST = "6cb448009da8abdcce7a024b1344b80fc3a10ffda2b5c5a423a0a0edaa4f7348"
+
+
+def test_paths_are_bit_identical_to_the_recorded_digest():
+    # recorded on the stage kernels that called _divided, _join0, _renorm and
+    # SmoothStep, before they were folded into the stage closures
+    assert _path_digest() == (PATH_COUNT, PATH_DIGEST)
 
 
 # -- schedule and domain metadata ----------------------------------------------
@@ -484,6 +520,36 @@ def test_collar_retracts_onto_boundary(p):
             continue
         for s in S_SAMPLES:
             assert max_dev(collar(z, s), z) <= TOL
+
+
+@pytest.mark.parametrize("softened", [False, True], ids=["plain", "softened"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_cone_step_skips_the_collar_where_the_bump_is_1(p, softened, monkeypatch):
+    # in the collar phase the step ends at (1 - g) t from the cone vertex, so
+    # where the bump g is 1 (CUT[p][1] <= min x < DISK[p]) it lands exactly
+    # on the vertex, whatever the collar would give
+    vertex = (1.0,) + (0.0,) * (p + 1)
+    built = _cone_step(p, softened)
+    calls = []
+    monkeypatch.setattr(homotopy, "collar_core",
+                        lambda q: lambda x, s: calls.append(x) or x)
+    step = _cone_step.__wrapped__(p, softened)   # built around the stub collar
+    bump_1, bump_below_1 = [], []
+    for z in grid(p + 1, 40):
+        if z[0] < 1.0:
+            mx = min(c / (1.0 - z[0]) for c in z[1:])
+            if CUT[p][1] <= mx < DISK[p]:
+                bump_1.append(z)
+            elif 0.0 < mx < CUT[p][1]:
+                bump_below_1.append(z)
+    assert len(bump_1) >= 10 and bump_below_1
+    for z in bump_1:
+        for s in (0.6, 0.8, 1.0):
+            assert step(z, s) == built(z, s) == vertex, (z, s)
+    assert calls == []
+    # the stub is what the step calls where the bump is below 1
+    step(bump_below_1[0], 1.0)
+    assert len(calls) == 1
 
 
 def _acting(step, z):
