@@ -17,7 +17,6 @@ from .geometry import (
     BasedMap,
     ChartDecomp,
     OutOfDomain,
-    affine,
     barycentric_grid,
     beta_map,
     chart_decompose,
@@ -64,7 +63,7 @@ __all__ = [
     "AffineSimplexMap", "Bary", "BasedMap", "ChartDecomp",
     "EvaluableHomotopy", "FactorizationStage", "FiniteSimplicialSet",
     "GeneratingSet", "LiftingProblem", "OutOfDomain", "RealPoint",
-    "SimplexRef", "SimplicialMap", "SmoothStep", "affine",
+    "SimplexRef", "SimplicialMap", "SmoothStep",
     "barycentric_grid", "beta_map", "boundary_complex",
     "build_boundary_homotopy_T", "build_full_horn_deformation",
     "build_halfopen_deformation", "canonical_injection", "chart_decompose",

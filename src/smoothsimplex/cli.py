@@ -126,7 +126,7 @@ def _collapse_to_point(X: FiniteSimplicialSet) -> SimplicialMap:
     pt = standard_simplicial_set(0)
     return SimplicialMap(X, pt, {
         r.id: (tuple(range(r.dim - 1, -1, -1)), pt.ref(0))
-        for r in X.nondegenerate()}, name=f"{X.name}->pt")
+        for r in X.nondegenerate()})
 
 
 def _read_json(path: str) -> object:
@@ -160,7 +160,7 @@ def named_map(name: str) -> SimplicialMap:
         return SimplicialMap.identity(standard_simplicial_set(0))
     if name == "empty_to_delta0":
         return SimplicialMap(FiniteSimplicialSet("empty"),
-                             standard_simplicial_set(0), {}, name="∅->pt")
+                             standard_simplicial_set(0), {})
     m = re.fullmatch(_HORN + "_incl", name)
     if m is not None:
         return horn_complex(_named_dim(name, m[1]), int(m[2]))[1]
@@ -593,7 +593,7 @@ def _read_inputs(args: argparse.Namespace) -> None:
     elif args.command == "pi":
         args.X = named_complex(args.complex)
     elif args.command == "homotopy-eval":
-        point = Bary(tuple(float(c) for c in args.point.split(","))).coords
+        point = tuple(float(c) for c in args.point.split(","))
         if args.kind == "full":
             args.H = homotopy.build_full_horn_deformation(args.p, args.k)
         elif args.kind == "halfopen":

@@ -10,7 +10,7 @@ residual-problem lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Optional
@@ -117,12 +117,15 @@ class LiftingProblem:
     """A commutative square from a generator to ``f``.
 
     A square built by hand has no lift unless its ``f``, ``top`` and
-    ``bottom`` are maps; those of :func:`iter_lifting_problems` come from an
-    ``f`` checked there.  It is not checked to commute, because that cannot
-    change :meth:`has_lift` or :meth:`lifts`: a map out of ``Δ[p]`` is fixed
-    by the image of its top cell, so a bottom that is a map and sends the
-    top cell to ``f(x)``, for ``x`` the top cell of an extension of ``top``,
-    is ``f`` after that extension and commutes.
+    ``bottom`` are maps that fit the generator: ``top`` into ``f.source``
+    and ``bottom`` into ``f.target`` (the same objects), out of complexes
+    with the cell tables of the generator's source and target.  Those of
+    :func:`iter_lifting_problems` come from an ``f`` checked there.  It is
+    not checked to commute, because that cannot change :meth:`has_lift` or
+    :meth:`lifts`: a map out of ``Δ[p]`` is fixed by the image of its top
+    cell, so a bottom that is a map and sends the top cell to ``f(x)``, for
+    ``x`` the top cell of an extension of ``top``, is ``f`` after that
+    extension and commutes.
     """
 
     generator: Generator
@@ -133,20 +136,26 @@ class LiftingProblem:
     # the squares on one top map
     on_top: Optional[set[Simplex]] = field(default=None, compare=False, repr=False)
     # the bottom's top cell, which a lift's top cell must cover; None when
-    # f, top or bottom of a hand-built square is not a map
+    # f, top or bottom of a hand-built square is not a map or does not fit
     over: Optional[Simplex] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        gen, f = self.generator, self.f
+        gen, f, top, bottom = self.generator, self.f, self.top, self.bottom
         if self.on_top is None:
             self.on_top = set()
+            # targets by identity, as compose() compares them; sources by
+            # cell table, since a caller may build Δ[p] afresh
+            if not (top.target is f.source and bottom.target is f.target
+                    and top.source.to_json_dict() == gen.incl.source.to_json_dict()
+                    and bottom.source.to_json_dict() == gen.incl.target.to_json_dict()):
+                return
             try:
-                for m in (f, self.top, self.bottom):
+                for m in (f, top, bottom):
                     m.validate()
             except ValueError:
                 return
-            self.on_top = set(map(f, gen._fillers(f.source, self.top.assignment)))
-        self.over = self.bottom.assignment[gen.top]
+            self.on_top = set(map(f, gen._fillers(f.source, top.assignment)))
+        self.over = bottom.assignment[gen.top]
 
     def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
         """The first ``limit`` (all for ``None``) diagonal fillers
@@ -187,18 +196,12 @@ def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
 
 @dataclass
 class RLPReport:
-    gens: GeneratingSet
     checked: int
     failures: list[LiftingProblem]
 
     @property
     def has_rlp(self) -> bool:
         return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.gens.kind, "max_dim": self.gens.max_dim,
-                "checked": self.checked,
-                "failing": [p.to_json_dict() for p in self.failures]}
 
 
 def rlp_check(f: SimplicialMap, gens: GeneratingSet) -> RLPReport:
@@ -208,7 +211,7 @@ def rlp_check(f: SimplicialMap, gens: GeneratingSet) -> RLPReport:
     for checked, prob in enumerate(iter_lifting_problems(f, gens), 1):
         if not prob.has_lift():
             failures.append(prob)
-    return RLPReport(gens, checked, failures)
+    return RLPReport(checked, failures)
 
 
 # -- bounded gluing factorization ---------------------------------------------
@@ -260,7 +263,7 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
             prev.complex, [(p.generator.incl, p.top) for p in prev.residual], f"G^{n}")
         maps = [prev.q] + [p.bottom for p in prev.residual]
         q = {cell: maps[i].assignment[ref.id] for cell, (i, ref) in enumerate(order)}
-        q_n = SimplicialMap(P, f.target, q, name=f"q_{n}")
+        q_n = SimplicialMap(P, f.target, q)
         stages.append(FactorizationStage(n, P, sum(1 for i, _ in order if i),
                                          into.compose(prev.j), q_n, unsolved(q_n)))
     return stages
@@ -274,8 +277,6 @@ class FilledMap:
     """Extension of a map on a realized horn to the whole simplex, obtained
     by precomposing with the deformation retraction at time one."""
 
-    p: int
-    k: int
     original: Callable[[Bary], object]
     retraction: Callable[[object], Bary]
 
@@ -287,7 +288,7 @@ def fill_horn_numeric(g: Callable[[Bary], object], p: int, k: int) -> FilledMap:
     """Fill ``g : Λ^p_k -> X`` to all of Δ^p through the smooth retraction;
     the restriction back to the horn reproduces ``g``."""
     H = build_full_horn_deformation(p, k)
-    return FilledMap(p, k, g, H.at_time(1.0))
+    return FilledMap(g, partial(H, s=1.0))
 
 
 # -- elementary homotopy invariants ------------------------------------------------

@@ -283,20 +283,6 @@ class AffineSimplexMap:
         return cls(tuple(Bary.vertex(p, perm[i]) for i in range(p + 1)))
 
 
-def affine(kind: str, **kw) -> AffineSimplexMap:
-    """Dispatcher for the map kinds: 'face', 'degeneracy', 'permutation',
-    'matrix'."""
-    if kind == "face":
-        return AffineSimplexMap.face(kw["p"], kw["i"])
-    if kind == "degeneracy":
-        return AffineSimplexMap.degeneracy(kw["p"], kw["k"])
-    if kind == "permutation":
-        return AffineSimplexMap.permutation(kw["perm"])
-    if kind == "matrix":
-        return AffineSimplexMap(tuple(Bary(tuple(col)) for col in kw["columns"]))
-    raise ValueError(f"unknown affine map kind {kind!r}")
-
-
 # -- cone charts ------------------------------------------------------------
 
 
@@ -304,7 +290,6 @@ def affine(kind: str, **kw) -> AffineSimplexMap:
 class ChartDecomp:
     """Chart coordinates of a point: ``phi_i(x, t)`` reproduces it."""
 
-    i: int
     x: Bary
     t: Number
 
@@ -356,13 +341,13 @@ def chart_decompose(z: Bary, i: int) -> ChartDecomp:
         raise OutOfDomain(f"point lies on the face opposite vertex {i}")
     t = 1 - zi
     if t == 0:
-        return ChartDecomp(i, Bary.barycenter(p - 1), 0)
+        return ChartDecomp(Bary.barycenter(p - 1), 0)
     if z.ratio is not None:
         nums, den = z.ratio
         x = Bary.of_ratio(nums[:i] + nums[i + 1:], den - nums[i])
     else:
         x = Bary(tuple(z[j] / t for j in range(p + 1) if j != i))
-    return ChartDecomp(i, x, t)
+    return ChartDecomp(x, t)
 
 
 def chart_transition(i: int, j: int, y: Bary, tau: Number, t: Number

@@ -276,7 +276,6 @@ class EvaluableHomotopy:
     """A deterministic homotopy ``(point, s) -> point`` with a declared
     domain and named stage schedule."""
 
-    name: str
     domain: str
     p: int
     schedule: tuple[tuple[str, tuple[float, float]], ...]
@@ -334,9 +333,6 @@ class EvaluableHomotopy:
             raise OutOfDomain(f"point {z} outside {self.domain}")
         return z
 
-    def at_time(self, s: float) -> Callable[[object], Bary]:
-        return lambda point: self(point, s)
-
     def stage_of(self, s: float) -> str:
         for name, (lo, hi) in self.schedule:
             if lo <= s <= hi:
@@ -374,7 +370,6 @@ def build_halfopen_deformation(n: int, k: int) -> EvaluableHomotopy:
     # the base Δ^0 of the cone on Δ^1 has no collar
     names = CONE_PHASES if n > 1 else CONE_PHASES[:1]
     return EvaluableHomotopy(
-        name=f"halfopen({n},{k})",
         domain=f"half-open simplex z_{k}>0 in dim {n}",
         p=n, schedule=_schedule(names),
         _eval=_conjugated(half_open_core(n), n, k),
@@ -391,7 +386,6 @@ def build_full_horn_deformation(n: int, k: int) -> EvaluableHomotopy:
         names, steps = zip(*_full_horn_stages(n))
         core = partial(_run_stages, steps)
     return EvaluableHomotopy(
-        name=f"fullhorn({n},{k})",
         domain=f"Δ^{n}",
         p=n, schedule=_schedule(names), _eval=_conjugated(core, n, k),
         _stages=steps, _swap=_swap(n, k))
@@ -435,7 +429,6 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
         return collar(z, s2) if s2 > 0.0 and min(z) < c_disk else z
 
     return EvaluableHomotopy(
-        name=f"boundaryT({p},{eps})",
         domain=f"Δ^{p}",
         p=p,
         schedule=_schedule(("radial-push", "collar")),

@@ -154,10 +154,6 @@ class ProbeRecord:
 
 @dataclass
 class ProbeReport:
-    p: int
-    order: int
-    tol: float
-    seed: int
     records: list[ProbeRecord] = field(default_factory=list)
 
     @property
@@ -195,7 +191,7 @@ def smoothness_probe(map_eval: PointMap, p: int, order: int, tol: float,
     if oracle is not None and order != 1:
         raise ValueError("an oracle gives first derivatives: order must be 1")
     rng = random.Random(seed)
-    report = ProbeReport(p=p, order=order, tol=tol, seed=seed)
+    report = ProbeReport()
     for chart in range(p + 1):
         for _ in range(CURVES_PER_CHART):
             curve = random_curve(p, chart, rng)

@@ -52,9 +52,8 @@ class FiniteSimplicialSet:
         self._refs: dict[int, SimplexRef] = {}
         self._faces: dict[int, list[Simplex]] = {}
         self.labels: dict[int, object] = {}
-        self._next_id = 0
-        # derived lookups, each stamped with the _next_id it was built at
-        self._cache: dict[object, tuple[int, object]] = {}
+        # derived lookups, dropped whenever a simplex is added
+        self._cache: dict[object, object] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -67,8 +66,8 @@ class FiniteSimplicialSet:
         if dim > 0:
             if faces is None or len(faces) != dim + 1:
                 raise ValueError(f"a {dim}-simplex needs {dim + 1} faces")
-        ref = SimplexRef(self._next_id, dim)
-        self._next_id += 1
+        ref = SimplexRef(len(self._refs), dim)
+        self._cache.clear()
         self._by_dim.setdefault(dim, []).append(ref)
         self._refs[ref.id] = ref
         if dim > 0:
@@ -130,13 +129,10 @@ class FiniteSimplicialSet:
         return (words.prepend_degeneracy(j, word), ref)
 
     def _cached(self, key: object, build: Callable[[], object]):
-        """``build()``, kept until the complex grows.  A complex only ever
-        gains simplices, so its size ``_next_id`` tells whether a lookup
-        built from it is stale."""
-        hit = self._cache.get(key)
-        if hit is None or hit[0] != self._next_id:
-            hit = self._cache[key] = (self._next_id, build())
-        return hit[1]
+        """``build()``, kept until :meth:`add_simplex` grows the complex."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def faces_index(self, n: int) -> tuple[dict[Simplex, tuple[Simplex, ...]],
                                            dict[tuple[Simplex, ...], list[Simplex]]]:
@@ -177,17 +173,8 @@ class FiniteSimplicialSet:
 
     def vertices_of(self, sx: Simplex) -> tuple[Simplex, ...]:
         """The ordered vertex list of a simplex, as 0-simplices."""
-        n = simplex_dim(sx)
-        out = []
-        for v in range(n + 1):
-            cur = sx
-            # strip from the back, then from the front, to isolate vertex v
-            for _ in range(n - v):
-                cur = self.face(cur, simplex_dim(cur))
-            for _ in range(v):
-                cur = self.face(cur, 0)
-            out.append(cur)
-        return tuple(out)
+        return tuple((EMPTY, self.ref(v))
+                     for v in _vertex_tuples(self, simplex_dim(sx))[sx])
 
     # -- validation ------------------------------------------------------
 
@@ -252,11 +239,10 @@ class SimplicialMap:
     """A simplicial map, stored on nondegenerate simplices of the source."""
 
     def __init__(self, source: FiniteSimplicialSet, target: FiniteSimplicialSet,
-                 assignment: dict[int, Simplex], name: str = "") -> None:
+                 assignment: dict[int, Simplex]) -> None:
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
-        self.name = name
 
     def __call__(self, sx: Simplex) -> Simplex:
         word, ref = sx
@@ -304,12 +290,11 @@ class SimplicialMap:
             ref.id: self(other.assignment[ref.id])
             for ref in other.source.nondegenerate()
         }
-        return SimplicialMap(other.source, self.target, assignment,
-                             name=f"{self.name}∘{other.name}")
+        return SimplicialMap(other.source, self.target, assignment)
 
     @classmethod
     def identity(cls, X: FiniteSimplicialSet) -> "SimplicialMap":
-        return cls(X, X, {r.id: (EMPTY, r) for r in X.nondegenerate()}, "id")
+        return cls(X, X, {r.id: (EMPTY, r) for r in X.nondegenerate()})
 
     def to_json_dict(self) -> dict:
         return {"assignment": {
@@ -382,8 +367,7 @@ def _sub_of_standard(p: int, keep: Callable[[tuple[int, ...]], bool],
     X = _complex_of_tuples(name, (ambient.labels[r.id] for r in kept))
     # kept is in dimension order, so X lists its simplices in the same order
     assignment = {new.id: (EMPTY, r) for new, r in zip(X.nondegenerate(), kept)}
-    incl = SimplicialMap(X, ambient, assignment, name=f"{name}↪Delta[{p}]")
-    return X, incl
+    return X, SimplicialMap(X, ambient, assignment)
 
 
 def boundary_complex(p: int) -> tuple[FiniteSimplicialSet, SimplicialMap]:
@@ -392,8 +376,7 @@ def boundary_complex(p: int) -> tuple[FiniteSimplicialSet, SimplicialMap]:
         raise ValueError("p must be nonnegative")
     if p == 0:
         empty = FiniteSimplicialSet("Boundary[0]")
-        return empty, SimplicialMap(empty, standard_simplicial_set(0), {},
-                                    "∅↪Delta[0]")
+        return empty, SimplicialMap(empty, standard_simplicial_set(0), {})
     return _sub_of_standard(p, lambda v: len(v) <= p, f"Boundary[{p}]")
 
 
@@ -440,9 +423,9 @@ def _glue(B: FiniteSimplicialSet,
     then each ``X_i → P``, and cell c of ``P`` copies cell ``order[c][1]`` of
     the source of ``legs[order[c][0]]``."""
     P = FiniteSimplicialSet(name)
-    legs, to_b, cells = [SimplicialMap(B, P, {}, "in_B")], [{}], []
+    legs, to_b, cells = [SimplicialMap(B, P, {})], [{}], []
     for i, (f, g) in enumerate(spans, 1):
-        legs.append(SimplicialMap(f.target, P, {}, "in_X"))
+        legs.append(SimplicialMap(f.target, P, {}))
         to_b.append({t.id: g.assignment[a] for a, (_, t) in f.assignment.items()})
         cells.append([(i, r) for r in f.target.nondegenerate()])
     order = []
@@ -485,7 +468,7 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
     """
     C = FiniteSimplicialSet(f"Cone({L.name})")
     apex = C.add_simplex(0, label="apex")
-    incl = SimplicialMap(L, C, {}, "base")
+    incl = SimplicialMap(L, C, {})
     lifted: dict[int, Simplex] = {}
 
     def push_cone(sx: Simplex) -> Simplex:

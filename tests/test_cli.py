@@ -73,6 +73,33 @@ def test_rlp_against_horns_of_more_than_1000_cells(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_text_report(capsys):
+    assert main(["rlp", "--map", "delta1_to_delta0", "--gens", "J",
+                 "--max-dim", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FAIL] rlp  max violation 2.000e+00" in lines
+    assert any(ln.startswith("       witness: {") for ln in lines)
+    assert lines[-1] == "result: FAILURES"
+    assert main(["pi", "--complex", "boundary1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "[skip] edge-group-rank" in lines
+    assert lines[-1] == "result: all checks passed"
+
+
+def test_readme_examples_exit_as_documented(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    examples = [line.split()[1:] for line in readme.read_text().splitlines()
+                if line.startswith("smoothsimplex ") and "-file" not in line]
+    codes = {argv[0]: main(argv) for argv in examples}
+    capsys.readouterr()
+    # rlp finds squares without a lift, and factorize stops at its stage
+    # budget with problems left
+    assert codes == {"verify-axiom1": 0, "verify-axiom2": 0, "verify-axiom3": 0,
+                     "verify-axiom4": 0, "fill-horn": 0, "rlp": 1,
+                     "factorize": 1, "pi": 0, "homotopy-eval": 0}
+    assert len(examples) == 9
+
+
 def test_factorize_horn_inclusion():
     report, code = invoke(["factorize", "--map", "horn2_1_incl", "--gens", "J",
                            "--max-dim", "2", "--max-stages", "1",
@@ -246,7 +273,7 @@ def _replaced(H, replace):
     def ev(z, s):
         out = H(z, s).coords
         return replace(tuple(z), out) if s == 1.0 else out
-    return homotopy.EvaluableHomotopy(H.name, H.domain, H.p, H.schedule, ev)
+    return homotopy.EvaluableHomotopy(H.domain, H.p, H.schedule, ev)
 
 
 def _direct_idempotency(H, pts):
@@ -340,7 +367,7 @@ def _fails_mid_check(args):
 
 
 def _nan_homotopy(n, k):
-    return homotopy.EvaluableHomotopy("nan", f"Δ^{n}", n, (("nan", (0.0, 1.0)),),
+    return homotopy.EvaluableHomotopy(f"Δ^{n}", n, (("nan", (0.0, 1.0)),),
                                       lambda z, s: (float("nan"),) * (n + 1))
 
 

@@ -37,7 +37,7 @@ def collapse_map(X, target=None):
     pt = target or standard_simplicial_set(0)
     return SimplicialMap(X, pt, {
         r.id: (tuple(range(r.dim - 1, -1, -1)), pt.ref(0))
-        for r in X.nondegenerate()}, name=f"{X.name}->pt")
+        for r in X.nondegenerate()})
 
 
 # -- independent oracles (vertex-sequence calculus on standard targets) --------
@@ -139,7 +139,7 @@ def test_igc_identity_attaches_nothing():
 def test_igc_empty_to_point_attaches_one_vertex():
     empty = FiniteSimplicialSet("empty")
     pt = standard_simplicial_set(0)
-    f = SimplicialMap(empty, pt, {}, name="∅->pt")
+    f = SimplicialMap(empty, pt, {})
     stages = igc_factor(f, GeneratingSet("I", 0), max_stages=3)
     assert stages[1].attached == 1
     assert stages[1].complex.counts() == [1]
@@ -402,6 +402,22 @@ def test_hand_built_square_with_a_non_map_bottom_has_no_lift():
     # with maps for both (every cell to its own cell) the same square lifts
     square = LiftingProblem(J10, top, ident, ident)
     assert len(square.lifts(None)) == 1 and square.has_lift()
+
+
+def test_hand_built_square_that_does_not_fit_its_generator_has_no_lift():
+    # f is the identity of Δ[1].  Every corner below is a map, and each
+    # square would lift if its corners were not compared with J(1,0) and f:
+    # a top out of Δ[1], not Λ[1,0], and a bottom into a second Δ[1], not
+    # into f's target.
+    D1, other = standard_simplicial_set(1), standard_simplicial_set(1)
+    J10 = GeneratingSet("J", 1).generators()[0]
+    ident = SimplicialMap.identity(D1)
+    horn_top = SimplicialMap(J10.incl.source, D1, {0: (EMPTY, D1.ref(0))})
+    into_other = SimplicialMap(D1, other, {r.id: (EMPTY, r)
+                                           for r in other.nondegenerate()})
+    for top, bottom in ((ident, ident), (horn_top, into_other)):
+        square = LiftingProblem(J10, top, bottom, ident)
+        assert square.lifts(None) == [] and not square.has_lift()
 
 
 def _lookup_targets():

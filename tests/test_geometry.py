@@ -12,7 +12,6 @@ from smoothsimplex.geometry import (
     Bary,
     BasedMap,
     OutOfDomain,
-    affine,
     barycentric_grid,
     beta_map,
     chart_decompose,
@@ -105,9 +104,8 @@ def test_sk_dk_is_identity():
             assert comp.matrix() == AffineSimplexMap.identity(p).matrix()
 
 
-def test_affine_dispatcher():
-    assert affine("face", p=2, i=0).matrix() == AffineSimplexMap.face(2, 0).matrix()
-    m = affine("matrix", columns=[(F(1, 2), F(1, 2)), (0, 1)])
+def test_affine_map_of_exact_columns():
+    m = AffineSimplexMap((Bary((F(1, 2), F(1, 2))), Bary((0, 1))))
     assert m(Bary.of(F(1, 2), F(1, 2))).coords == (F(1, 4), F(3, 4))
 
 

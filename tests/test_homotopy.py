@@ -145,10 +145,9 @@ def test_full_horn_contracts(n, k):
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 0), (3, 3)])
 def test_full_horn_retraction_idempotent(n, k):
     H = build_full_horn_deformation(n, k)
-    r = H.at_time(1.0)
     for z in grid(n, 20 if n == 2 else 8):
-        once = r(z).coords
-        twice = r(once).coords
+        once = H(z, 1.0).coords
+        twice = H(once, 1.0).coords
         assert max_dev(once, twice) <= TOL
 
 
@@ -256,7 +255,7 @@ def test_stage_runner_matches_phase_times(table):
     (float("nan"), 1.0), (float("inf"), 0.0), (float("inf"), float("-inf")),
     (1.0 + 1e-9, -1e-9), (0.5, 0.6)], ids=repr)
 def test_homotopy_output_is_validated(out):
-    H = EvaluableHomotopy("stub", "Δ^1", 1, (("stub", (0.0, 1.0)),),
+    H = EvaluableHomotopy("Δ^1", 1, (("stub", (0.0, 1.0)),),
                           lambda z, s: out)
     with pytest.raises(ValueError):
         H((0.5, 0.5), 0.5)
@@ -329,7 +328,7 @@ def test_path_rejects_bad_times_and_points(name, point, times):
 @pytest.mark.parametrize("out", [(float("nan"), 1.0), (0.5, 0.6)], ids=repr)
 def test_path_output_is_validated(out, method):
     # _path trusts its point and times, never H's outputs
-    H = EvaluableHomotopy("stub", "Δ^1", 1, (("stub", (0.0, 1.0)),),
+    H = EvaluableHomotopy("Δ^1", 1, (("stub", (0.0, 1.0)),),
                           lambda z, s: out if s > 0.5 else z)
     path = getattr(H, method)
     assert path((0.5, 0.5), [0.5]) == [(0.5, 0.5)]
