@@ -40,7 +40,6 @@ from .realization import (
     canonical_injection,
     normalize,
     realize_map,
-    subcomplex_fiber_decomposition,
     witness_not_single_generated,
 )
 from .simplicial import (
@@ -72,6 +71,5 @@ __all__ = [
     "good_nbhd_Phi", "good_nbhd_Phi_inverse", "horn_complex", "igc_factor",
     "in_good_neighborhood", "is_kan_up_to", "normalize", "phi_chart",
     "pi0", "pushout", "realize_map", "rlp_check", "smoothness_probe",
-    "standard_simplicial_set", "subcomplex_fiber_decomposition",
-    "witness_not_single_generated",
+    "standard_simplicial_set", "witness_not_single_generated",
 ]

@@ -1,6 +1,12 @@
 """Lifting-property checks, bounded gluing factorizations, numeric horn
 filling, and elementary homotopy invariants of finite simplicial sets.
 
+Every check walks the squares from a generating set to ``f`` one top map
+at a time (``_tops``).  :func:`iter_lifting_problems` yields every square
+as a :class:`LiftingProblem`; :func:`rlp_check` and :func:`igc_factor`
+count every square but build a ``LiftingProblem`` only for a square
+without a lift, the one they report.
+
 The gluing factorization computes the finite stages ``G^n`` of the
 infinite construction; non-termination is expected (each glued cell can
 create new unsolved problems) and is reported honestly through the
@@ -22,6 +28,7 @@ from .simplicial import (
     FiniteSimplicialSet,
     Simplex,
     SimplicialMap,
+    _Frozen,
     _facet_ids,
     _glue,
     _shared_horn,
@@ -62,30 +69,44 @@ class Generator:
         return (None if self.k is None else B._faces[self.top][self.k][1].id,
                 _facet_ids(A, self.p, self.k))
 
+    def _index(self, X: FiniteSimplicialSet) -> dict[tuple[Simplex, ...], list[Simplex]]:
+        """``X``'s ``p``-simplices by their faces but ``d_k`` (by all of them
+        for ``I(p)``)."""
+        return (X.faces_index(self.p)[1] if self.k is None
+                else X.horn_index(self.p, self.k))
+
     def _fillers(self, X: FiniteSimplicialSet, m: dict[int, Simplex]) -> list[Simplex]:
         """The top-cell images ``x`` of :meth:`extensions`, in order: one
         lookup of ``x`` by its faces but ``d_k``, which are ``m``'s images
         (``m`` must be a map).  The list is the index's own."""
-        index = (X.faces_index(self.p)[1] if self.k is None
-                 else X.horn_index(self.p, self.k))
-        return index.get(tuple(map(m.__getitem__, self._shape[1])), [])
+        return self._index(X).get(tuple(map(m.__getitem__, self._shape[1])), [])
+
+    def _extension(self, X: FiniteSimplicialSet, pinned: dict[int, Simplex],
+                   x: Simplex) -> dict[int, Simplex]:
+        """The map ``Δ[p] → X`` that agrees with ``pinned`` on the cells of
+        the source and sends the top cell to its filler ``x``, and ``d_k``
+        (for ``J(p,k)``) to ``d_k x``."""
+        if self.k is None:
+            return {**pinned, self.top: x}
+        return {**pinned, self._shape[0]: X.faces_index(self.p)[0][x][self.k],
+                self.top: x}
 
     def extensions(self, X: FiniteSimplicialSet, m: dict[int, Simplex]
                    ) -> Iterator[dict[int, Simplex]]:
         """The maps ``Δ[p] → X`` extending ``m``, lazily, in
-        :func:`enumerate_maps` order: the top cell goes to each filler ``x``,
-        and ``d_k`` (for ``J(p,k)``) to ``d_k x``.  ``m``, an assignment of
-        the source, must be a map; it is not checked here."""
-        dk, faces_of = self._shape[0], X.faces_index(self.p)[0]
+        :func:`enumerate_maps` order: one :meth:`_extension` per filler.
+        ``m``, an assignment of the source, must be a map; it is not checked
+        here."""
         pinned = {c: m[a] for c, a in self.pins.items()}
         for x in self._fillers(X, m):
-            yield ({**pinned, self.top: x} if dk is None
-                   else {**pinned, dk: faces_of[x][self.k], self.top: x})
+            yield self._extension(X, pinned, x)
 
 
 @cache
 def _generator(kind: str, p: int, k: Optional[int]) -> Generator:
     _, incl = boundary_complex(p) if kind == "I" else _shared_horn(p, k)
+    # every generating set in the process shares them, so nothing may grow them
+    incl.source.__class__ = incl.target.__class__ = _Frozen
     return Generator(kind, p, k, incl)
 
 
@@ -119,8 +140,8 @@ class LiftingProblem:
     A square built by hand has no lift unless its ``f``, ``top`` and
     ``bottom`` are maps that fit the generator: ``top`` into ``f.source``
     and ``bottom`` into ``f.target`` (the same objects), out of complexes
-    with the cell tables of the generator's source and target.  Those of
-    :func:`iter_lifting_problems` come from an ``f`` checked there.  It is
+    with the cell tables of the generator's source and target.  Those the
+    engine builds come from an ``f`` that ``_tops`` checked.  It is
     not checked to commute, because that cannot change :meth:`has_lift` or
     :meth:`lifts`: a map out of ``Δ[p]`` is fixed by the image of its top
     cell, so a bottom that is a map and sends the top cell to ``f(x)``, for
@@ -176,22 +197,45 @@ class LiftingProblem:
                 "bottom": self.bottom.to_json_dict()}
 
 
+def _tops(f: SimplicialMap, gens: GeneratingSet
+          ) -> Iterator[tuple[Generator, SimplicialMap, list[Simplex], set[Simplex]]]:
+    """The squares from the generating set to ``f``, one top map at a time:
+    ``(gen, top, xs, images)`` for each top map ``A → f.source`` that has a
+    square, in (generator, top map) order.  ``xs`` are the bottoms' top
+    cells, in bottom order, and ``images`` is ``f`` of the top cells of the
+    extensions of ``top``: a square's bottom has a lift iff its ``x`` is in
+    ``images``.  A non-map ``f`` is a ``ValueError`` before the first
+    square; the maps built from it are trusted."""
+    f.validate()
+    for gen in gens.generators():
+        index, facets = gen._index(f.target), gen._shape[1]
+        for top in enumerate_maps(gen.incl.source, f.source):
+            m = top.assignment
+            # a bottom is fixed by its top cell x, whose faces but d_k are
+            # f of the top's facets
+            xs = index.get(tuple([f(m[a]) for a in facets]))
+            if xs:
+                yield gen, top, xs, set(map(f, gen._fillers(f.source, m)))
+
+
+def _problem(f: SimplicialMap, gen: Generator, top: SimplicialMap, x: Simplex,
+             images: set[Simplex]) -> LiftingProblem:
+    """The square of :func:`_tops` on ``top`` whose bottom sends the top
+    cell to ``x``."""
+    pinned = {c: f(top.assignment[a]) for c, a in gen.pins.items()}
+    bottom = SimplicialMap(gen.incl.target, f.target, gen._extension(f.target, pinned, x))
+    return LiftingProblem(gen, top, bottom, f, images)
+
+
 def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
                           ) -> Iterator[LiftingProblem]:
     """All commutative squares from the generating set to ``f``, in a fixed
     lexicographic order (generator, top map, bottom map).  The squares on
-    one top map share one set of images, built for the first of them.  A
-    non-map ``f`` is a ``ValueError``; the maps built from it are trusted."""
-    f.validate()
-    for gen in gens.generators():
-        B = gen.incl.target
-        for top in enumerate_maps(gen.incl.source, f.source):
-            along, images = {a: f(img) for a, img in top.assignment.items()}, None
-            for bottom in gen.extensions(f.target, along):
-                if images is None:
-                    images = set(map(f, gen._fillers(f.source, top.assignment)))
-                yield LiftingProblem(gen, top, SimplicialMap(B, f.target, bottom),
-                                     f, images)
+    one top map share one set of images.  A non-map ``f`` is a
+    ``ValueError``; the maps built from it are trusted."""
+    for gen, top, xs, images in _tops(f, gens):
+        for x in xs:
+            yield _problem(f, gen, top, x, images)
 
 
 @dataclass
@@ -206,11 +250,12 @@ class RLPReport:
 
 def rlp_check(f: SimplicialMap, gens: GeneratingSet) -> RLPReport:
     """Brute-force right-lifting-property check of a map ``f`` against the
-    generating set, every failing square reported; a non-map is a ValueError."""
+    generating set: every square is counted, and every failing square is
+    built and reported; a non-map is a ValueError."""
     checked, failures = 0, []
-    for checked, prob in enumerate(iter_lifting_problems(f, gens), 1):
-        if not prob.has_lift():
-            failures.append(prob)
+    for gen, top, xs, images in _tops(f, gens):
+        checked += len(xs)
+        failures += [_problem(f, gen, top, x, images) for x in xs if x not in images]
     return RLPReport(checked, failures)
 
 
@@ -238,8 +283,8 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
     the generating set.
 
     Stage ``n+1`` attaches one cell per unsolved lifting problem of ``q_n``,
-    which :func:`iter_lifting_problems` checks to be a map (a non-map ``f``
-    is a ``ValueError``).  The run stops early once ``q_n`` has the right
+    which ``_tops`` checks to be a map (a non-map ``f`` is a
+    ``ValueError``).  The run stops early once ``q_n`` has the right
     lifting property up to the generating set's dimension bound; otherwise
     the last stage carries the still-unsolved problems.
     """
@@ -249,8 +294,11 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
         raise ValueError("max_problems must be at least 1")
 
     def unsolved(q: SimplicialMap) -> list[LiftingProblem]:
-        return list(islice((prob for prob in iter_lifting_problems(q, gens)
-                            if not prob.has_lift()), max_problems))
+        # lazily, so that the cap stops the search; a square with a lift is
+        # never built
+        return list(islice((_problem(q, gen, top, x, images)
+                            for gen, top, xs, images in _tops(q, gens)
+                            for x in xs if x not in images), max_problems))
 
     stages = [FactorizationStage(0, f.source, 0, SimplicialMap.identity(f.source),
                                  f, unsolved(f))]

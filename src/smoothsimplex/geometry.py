@@ -274,14 +274,6 @@ class AffineSimplexMap:
         return cls(tuple(Bary.vertex(p, i if i <= k else i - 1)
                          for i in range(p + 2)))
 
-    @classmethod
-    def permutation(cls, perm: Sequence[int]) -> "AffineSimplexMap":
-        """The affine extension of a vertex permutation of Δ^p."""
-        p = len(perm) - 1
-        if sorted(perm) != list(range(p + 1)):
-            raise ValueError("not a permutation")
-        return cls(tuple(Bary.vertex(p, perm[i]) for i in range(p + 1)))
-
 
 # -- cone charts ------------------------------------------------------------
 

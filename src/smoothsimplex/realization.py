@@ -104,28 +104,6 @@ def realize_map(f: SimplicialMap, pt: RealPoint) -> RealPoint:
     return normalize(f.target, f.assignment[pt.simplex.id], pt.coords)
 
 
-@dataclass
-class CellFiber:
-    """Preimage of a subset ``B`` of ``|K|`` under one cell map
-    ``Δ^{dim σ} -> |K|``."""
-
-    simplex: SimplexRef
-    contains: Callable[[Bary], bool]
-
-
-def subcomplex_fiber_decomposition(
-        K: FiniteSimplicialSet,
-        predicate: Callable[[RealPoint], bool]) -> dict[int, CellFiber]:
-    """Per-cell preimages of the subset of ``|K|`` cut out by ``predicate``
-    on normal forms."""
-    out = {}
-    for ref in K.nondegenerate():
-        def contains(u: Bary, _ref=ref) -> bool:
-            return predicate(normalize(K, (EMPTY, _ref), u))
-        out[ref.id] = CellFiber(ref, contains)
-    return out
-
-
 # -- the Appendix-A witness ---------------------------------------------------
 
 

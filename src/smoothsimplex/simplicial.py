@@ -63,15 +63,10 @@ class FiniteSimplicialSet:
             raise ValueError("dimension must be nonnegative")
         if dim == 0 and faces:
             raise ValueError("a vertex has no faces")
-        if dim > 0:
+        ref = SimplexRef(len(self._refs), dim)
+        if dim > 0:   # the faces are checked before the simplex is registered
             if faces is None or len(faces) != dim + 1:
                 raise ValueError(f"a {dim}-simplex needs {dim + 1} faces")
-        ref = SimplexRef(len(self._refs), dim)
-        self._cache.clear()
-        self._by_dim.setdefault(dim, []).append(ref)
-        self._refs[ref.id] = ref
-        if dim > 0:
-            assert faces is not None
             for i, (word, tgt) in enumerate(faces):
                 if tgt.id not in self._refs:
                     raise ValueError(f"face target {tgt} not in complex")
@@ -80,6 +75,9 @@ class FiniteSimplicialSet:
                 if word:   # the empty word is always valid
                     words.check_valid(word, tgt.dim)
             self._faces[ref.id] = list(faces)
+        self._cache.clear()
+        self._by_dim.setdefault(dim, []).append(ref)
+        self._refs[ref.id] = ref
         if label is not None:
             self.labels[ref.id] = label
         return ref
@@ -602,12 +600,21 @@ def horn_fillers(X: FiniteSimplicialSet, horn_map: SimplicialMap,
     return list(X.horn_index(p, k).get(tuple(faces), []))
 
 
+class _Frozen(FiniteSimplicialSet):
+    """A complex shared by every caller, which nothing may grow."""
+
+    def add_simplex(self, *args, **kwargs) -> SimplexRef:
+        raise ValueError(f"{self.name} is shared and cannot grow")
+
+
 @cache
 def _shared_horn(p: int, k: int) -> tuple[FiniteSimplicialSet, SimplicialMap]:
     """:func:`horn_complex` built once per ``(p, k)`` and shared, with the
-    lookups cached on it.  Nothing may grow it: gluing and cones add cells
-    only to the complexes they create."""
-    return horn_complex(p, k)
+    lookups cached on it.  Both complexes are frozen: gluing and cones add
+    cells only to the complexes they create."""
+    A, incl = horn_complex(p, k)
+    A.__class__ = incl.target.__class__ = _Frozen
+    return A, incl
 
 
 def is_kan_up_to(X: FiniteSimplicialSet, n_max: int) -> list[dict]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from smoothsimplex import cli, homotopy
+from smoothsimplex import cli, engine, homotopy
 from smoothsimplex.cli import Report, main, named_complex, named_map, run
 from smoothsimplex.geometry import float_grid
+from smoothsimplex.simplicial import SimplicialMap
 
 
 def invoke(argv):
@@ -107,6 +109,32 @@ def test_factorize_horn_inclusion():
     names = {c["name"]: c for c in report.checks}
     assert names["stage-0-invariants"]["status"] == "pass"
     assert names["stage-1-invariants"]["status"] == "pass"
+
+
+def test_stage_invariants_fail_when_q_breaks_the_factorization(monkeypatch, capsys):
+    # a failing control: the factorization's q_1 sends the image of the
+    # source's vertex to the other vertex of Δ[1], so q_1 ∘ j_1 ≠ f there
+    argv = ["factorize", "--map", "horn1_0_incl", "--gens", "J", "--max-dim", "1",
+            "--max-stages", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    real = engine.igc_factor
+
+    def bent(f, gens, **kwargs):
+        stages = real(f, gens, **kwargs)
+        st = stages[1]
+        (word, v), = f.assignment.values()
+        q = dict(st.q.assignment)
+        q[st.j.assignment[0][1].id] = (word, f.target.ref(1 - v.id))
+        stages[1] = dataclasses.replace(st, q=SimplicialMap(st.complex, f.target, q))
+        return stages
+
+    monkeypatch.setattr(engine, "igc_factor", bent)
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    i = lines.index("[FAIL] stage-1-invariants")
+    assert lines[i + 1].startswith('       witness: {"attached": ')
+    assert "[ok  ] stage-0-invariants" in lines and lines[-1] == "result: FAILURES"
 
 
 def test_pi_command():

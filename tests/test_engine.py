@@ -497,6 +497,22 @@ def test_horns_are_shared_and_never_grown():
     assert all(_shared_horn(*pk)[0] is A for pk, A in horns.items())
 
 
+def test_shared_complexes_cannot_grow():
+    # the complexes of the generators, which the Kan checks share for the
+    # horns, refuse a new cell and keep their cell tables
+    horns = [_shared_horn(p, k) for p in (1, 2, 3) for k in range(p + 1)]
+    shared = [[X for g in GeneratingSet(kind, 3).generators()
+               for X in (g.incl.source, g.incl.target)] for kind in "JI"]
+    assert shared[0] == [X for A, incl in horns for X in (A, incl.target)]
+    tables = [X.to_json_dict() for Xs in shared for X in Xs]
+    for X in shared[0] + shared[1]:
+        with pytest.raises(ValueError, match="cannot grow"):
+            X.add_simplex(0)
+    assert [X.to_json_dict() for Xs in shared for X in Xs] == tables
+    assert rlp_check(named_map("delta1_to_delta0"), GeneratingSet("J", 2)).checked == 18
+    assert rlp_check(named_map("boundary1_to_delta0"), GeneratingSet("I", 1)).checked == 5
+
+
 # -- one pushout per stage ---------------------------------------------------------
 
 def chain_stage(prev):
@@ -539,6 +555,98 @@ def test_one_pushout_per_stage_matches_the_chain(name):
                 (P.to_json_dict(), sorted(P.labels.items()))
             assert st.q.assignment == q and st.j.assignment == j
             assert st.attached == new
+
+
+# -- the engine against a brute-force reference ------------------------------------
+
+#: the rlp and igc cases of the benchmark's glue plan, for every Λ[2,a]
+#: (a = 0-2) and Λ[3,b] (b = 0-3) that it can pick
+GLUE_RLP = sorted(
+    {("collapse_boundary3", "J", 3), ("collapse_delta3", "I", 3),
+     ("collapse_boundary2", "J", 3), ("collapse_delta2", "I", 3),
+     ("delta1_to_delta0", "J", 3), ("boundary1_to_delta0", "J", 3),
+     ("boundary1_to_delta0", "I", 3), ("delta0_identity", "J", 3)}
+    | {case for b in range(4) for case in ((f"collapse_horn3_{b}", "J", 2),
+                                           (f"horn3_{b}_incl", "J", 2))}
+    | {case for a in range(3) for case in (
+        (f"horn2_{a}_incl", "J", 3), (f"horn2_{a}_incl", "I", 3),
+        (f"collapse_horn2_{a}", "J", 3), (f"collapse_horn2_{a}", "I", 3))})
+GLUE_IGC = ([(f"horn2_{a}_incl", "J", 2, 3, 8) for a in range(3)]
+            + [(f"horn2_{a}_incl", "I", 2, 3, 16) for a in range(3)]
+            + [("delta1_to_delta0", "J", 2, 3, 8), ("collapse_boundary2", "I", 2, 3, 16),
+               ("collapse_boundary2", "J", 2, 2, 8)])
+
+
+def brute_squares(f, gens):
+    """``(square, lifts)`` for every commutative square from the generating
+    set to ``f``, in (generator, top, bottom) order: each map ``B → Y`` that
+    agrees with ``f ∘ top`` on ``A`` is a bottom, and the square lifts when
+    some map ``B → X`` restricts to ``top`` and lies over the bottom."""
+    out = []
+    for gen in gens.generators():
+        A, B, incl = gen.incl.source, gen.incl.target, gen.incl.assignment
+        bottoms = list(enumerate_maps(B, f.target))
+        over = {}   # the maps B -> X by their restriction to A
+        for d in enumerate_maps(B, f.source):
+            over.setdefault(tuple(d(incl[r.id]) for r in A.nondegenerate()), []).append(d)
+        for top in enumerate_maps(A, f.source):
+            below = [f(top.assignment[r.id]) for r in A.nondegenerate()]
+            diagonals = over.get(tuple(top.assignment[r.id] for r in A.nondegenerate()), [])
+            for bottom in bottoms:
+                if [bottom(incl[r.id]) for r in A.nondegenerate()] != below:
+                    continue
+                lifts = any(all(f(img) == bottom.assignment[c]
+                                for c, img in d.assignment.items()) for d in diagonals)
+                out.append(({"generator": gen.name, "top": top.to_json_dict(),
+                             "bottom": bottom.to_json_dict()}, lifts))
+    return out
+
+
+@pytest.mark.parametrize("name, kind, dim", GLUE_RLP)
+def test_rlp_check_matches_brute_force(name, kind, dim):
+    f, gens = named_map(name), GeneratingSet(kind, dim)
+    squares = brute_squares(f, gens)
+    report = rlp_check(f, gens)
+    assert report.checked == len(squares)
+    failing = [sq for sq, lifts in squares if not lifts]
+    assert len(report.failures) == len(failing)
+    assert [p.to_json_dict() for p in report.failures] == failing
+    # iter_lifting_problems still yields every square, lifts or not
+    assert [(p.to_json_dict(), p.has_lift())
+            for p in iter_lifting_problems(f, gens)] == squares
+
+
+def test_rlp_check_keeps_the_order_of_the_bottoms_on_one_top():
+    # ∂Δ[2] into two 2-cells glued along their boundary: the identity top
+    # has two bottoms and neither lifts, so the failures keep their order
+    A, incl = boundary_complex(2)
+    other = SimplicialMap(A, standard_simplicial_set(2), incl.assignment)
+    _, _, in_other = pushout(incl, other)
+    f, gens = in_other.compose(other), GeneratingSet("I", 2)
+    report = rlp_check(f, gens)
+    assert [p.to_json_dict() for p in report.failures] == \
+        [sq for sq, lifts in brute_squares(f, gens) if not lifts]
+    assert [p.top.assignment for p in report.failures] == \
+        [SimplicialMap.identity(A).assignment] * 2
+
+
+@pytest.mark.parametrize("name, kind, dim, max_stages, cap", GLUE_IGC)
+def test_igc_factor_matches_brute_force(name, kind, dim, max_stages, cap):
+    """Each stage's residual is the first ``cap`` failing squares of its
+    ``q``, and each stage glues what one public pushout per problem of the
+    stage before glues."""
+    f, gens = named_map(name), GeneratingSet(kind, dim)
+    stages = igc_factor(f, gens, max_stages, cap)
+    assert len(stages) == max_stages + 1 or not stages[-1].residual
+    for n, st in enumerate(stages):
+        if n:
+            P, _, _, new = chain_stage(stages[n - 1])
+        else:
+            P, new = f.source, 0
+        failing = [sq for sq, lifts in brute_squares(st.q, gens) if not lifts][:cap]
+        assert (st.attached, sum(st.complex.counts()), len(st.residual)) == \
+            (new, sum(P.counts()), len(failing))
+        assert [p.to_json_dict() for p in st.residual] == failing
 
 
 @pytest.mark.parametrize("cap", [0, -3])

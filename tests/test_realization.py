@@ -10,7 +10,6 @@ from smoothsimplex.realization import (
     maximal_simplices,
     normalize,
     realize_map,
-    subcomplex_fiber_decomposition,
     witness_not_single_generated,
 )
 from smoothsimplex.simplicial import (
@@ -187,50 +186,6 @@ def test_realize_functorial_on_random_points():
         lhs = realize_map(comp, pt)
         rhs = realize_map(g, realize_map(f, pt))
         assert lhs == rhs
-
-
-# -- fiber decomposition ------------------------------------------------------------
-
-def test_fibers_vertex_set_of_boundary():
-    K, _ = boundary_complex(2)
-    fibers = subcomplex_fiber_decomposition(
-        K, lambda pt: pt.simplex.dim == 0)
-    for ref in K.nondegenerate(1):
-        fib = fibers[ref.id]
-        assert fib.contains(Bary.of(F(1), F(0)))
-        assert fib.contains(Bary.of(F(0), F(1)))
-        assert not fib.contains(Bary.of(F(1, 2), F(1, 2)))
-
-
-def test_fibers_face_predicate():
-    K = standard_simplicial_set(2)
-    incl = SimplicialMap.identity(K)
-
-    def on_face(pt):
-        img = canonical_injection(incl, pt)
-        return img[0] == 0
-
-    fibers = subcomplex_fiber_decomposition(K, on_face)
-    top = vertex_ref(K, (0, 1, 2))
-    assert fibers[top.id].contains(Bary.of(F(0), F(1, 2), F(1, 2)))
-    assert not fibers[top.id].contains(Bary.of(F(1, 3), F(1, 3), F(1, 3)))
-
-
-def test_fibers_union_matches_on_samples():
-    rng = random.Random(4)
-    K, incl = horn_complex(3, 0)
-
-    def pred(pt):
-        return min(canonical_injection(incl, pt).coords) == 0 and \
-            canonical_injection(incl, pt)[3] == 0
-
-    fibers = subcomplex_fiber_decomposition(K, pred)
-    for _ in range(1000):
-        cells = K.nondegenerate()
-        ref = cells[rng.randrange(len(cells))]
-        u = rand_interior(rng, ref.dim)
-        pt = normalize(K, (EMPTY, ref), u)
-        assert fibers[ref.id].contains(u) == pred(pt)
 
 
 # -- Appendix-A witness ---------------------------------------------------------------

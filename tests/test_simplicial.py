@@ -11,6 +11,7 @@ from smoothsimplex.engine import GeneratingSet, igc_factor
 from smoothsimplex.simplicial import (
     EMPTY,
     FiniteSimplicialSet,
+    SimplexRef,
     SimplicialMap,
     boundary_complex,
     cone,
@@ -164,6 +165,23 @@ def test_pushout_rejects_non_inclusion_leg():
         r.id: (EMPTY, pt.ref(0)) for r in B.nondegenerate()})
     with pytest.raises(ValueError):
         pushout(to_pt, SimplicialMap.identity(B))
+
+
+def test_a_rejected_simplex_leaves_nothing_behind():
+    X = FiniteSimplicialSet()
+    v = X.add_simplex(0)
+    e = X.add_simplex(1, [(EMPTY, v), (EMPTY, v)])
+    before = X.to_json_dict()
+    bad = [[(EMPTY, v), (EMPTY, SimplexRef(9, 0))],   # a face outside X
+           [(EMPTY, v), (EMPTY, e)],                   # a face of the wrong dimension
+           [((3,), v), (EMPTY, v)],                    # a word that is not valid
+           [(EMPTY, v)]]                               # too few faces
+    for faces in bad:
+        with pytest.raises(ValueError):
+            X.add_simplex(1, faces)
+        assert X.counts() == [1, 1] and X.to_json_dict() == before
+    X.validate()
+    assert X.add_simplex(0) == SimplexRef(2, 0)
 
 
 # -- enumeration ------------------------------------------------------------
