@@ -419,9 +419,10 @@ def run_homotopy_eval(args) -> Report:
     rep = Report("homotopy-eval",
                  {"p": args.p, "k": args.k, "kind": args.kind,
                   "point": list(coords), "s": args.s, "eps": args.eps})
-    out = H(coords, args.s)
+    # the point and time were checked where they were read
     payload = {"point": list(coords), "s": args.s,
-               "result": list(out.coords), "stage": H.stage_of(args.s)}
+               "result": list(H._path(coords, (args.s,))[0]),
+               "stage": H.stage_of(args.s)}
     rep.add("evaluation", True, witness=payload)
     return rep
 
@@ -468,18 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification suites for the smooth-simplex constructions")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("json", "text"), default="text")
-        sp.add_argument("--json", dest="json_path", default=None,
-                        help="also write the JSON report to this path")
-        sp.add_argument("--measure-time", action="store_true",
-                        help="fill in wall-clock timing (breaks byte-identical reports)")
-        sp.set_defaults(usage_error=sp.error)
-
     sp = sub.add_parser("verify-axiom1", help="chart covering and transitions")
     sp.add_argument("--p", type=_EXACT_DIM, default=None)
     sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
-    common(sp)
 
     sp = sub.add_parser("verify-axiom2", help="smoothness probes on affine maps")
     sp.add_argument("--p", type=_EXACT_DIM, default=None)
@@ -487,27 +479,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=_at_least(1), default=10)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--tol", type=_tolerance, default=DEFAULT_DERIV_TOL)
-    common(sp)
 
     sp = sub.add_parser("verify-axiom3", help="canonical-injection injectivity")
     sp.add_argument("--p", type=_EXACT_DIM, default=None)
     sp.add_argument("--trials", type=_at_least(1), default=10000)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(sp)
 
     sp = sub.add_parser("verify-axiom4", help="horn deformation contracts")
     sp.add_argument("--p", type=int, choices=DIMS, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
     sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    common(sp)
 
     sp = sub.add_parser("fill-horn", help="numeric horn filling")
     sp.add_argument("--p", type=int, choices=DIMS, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
     sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    common(sp)
 
     def map_and_gens(sp):
         which = sp.add_mutually_exclusive_group(required=True)
@@ -520,19 +508,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rlp", help="right-lifting-property check")
     map_and_gens(sp)
-    common(sp)
 
     sp = sub.add_parser("factorize", help="bounded gluing factorization")
     map_and_gens(sp)
     sp.add_argument("--max-stages", type=_at_least(0), default=2)
     sp.add_argument("--max-problems", type=_at_least(1), default=16)
-    common(sp)
 
     sp = sub.add_parser("pi", help="components and edge-group rank")
     which = sp.add_mutually_exclusive_group(required=True)
     which.add_argument("--complex", default=None)
     which.add_argument("--complex-file", default=None)
-    common(sp)
 
     sp = sub.add_parser("homotopy-eval", help="evaluate a deformation")
     sp.add_argument("--p", type=int, choices=DIMS, required=True)
@@ -543,8 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated barycentric coordinates")
     sp.add_argument("--s", type=_finite, required=True)
     sp.add_argument("--eps", type=_finite, default=0.2)
-    common(sp)
 
+    for sp in sub.choices.values():   # the output flags, last on every command
+        sp.add_argument("--format", choices=("json", "text"), default="text")
+        sp.add_argument("--json", dest="json_path", default=None,
+                        help="also write the JSON report to this path")
+        sp.add_argument("--measure-time", action="store_true",
+                        help="fill in wall-clock timing (breaks byte-identical reports)")
+        sp.set_defaults(usage_error=sp.error)
     return ap
 
 

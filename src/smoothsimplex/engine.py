@@ -7,6 +7,11 @@ as a :class:`LiftingProblem`; :func:`rlp_check` and :func:`igc_factor`
 count every square but build a ``LiftingProblem`` only for a square
 without a lift, the one they report.
 
+A generator's complexes come from ``simplicial._shared``, the one frozen
+cache of horns and boundaries.  A map out of ``Δ[p]`` is fixed by its top
+cell, one lookup in ``horn_index(p, k)`` (by all faces for ``k`` None);
+``lifts`` keeps the cells over the bottom's and builds only their maps.
+
 The gluing factorization computes the finite stages ``G^n`` of the
 infinite construction; non-termination is expected (each glued cell can
 create new unsolved problems) and is reported honestly through the
@@ -28,11 +33,9 @@ from .simplicial import (
     FiniteSimplicialSet,
     Simplex,
     SimplicialMap,
-    _Frozen,
     _facet_ids,
     _glue,
-    _shared_horn,
-    boundary_complex,
+    _shared,
     enumerate_maps,
 )
 
@@ -69,17 +72,13 @@ class Generator:
         return (None if self.k is None else B._faces[self.top][self.k][1].id,
                 _facet_ids(A, self.p, self.k))
 
-    def _index(self, X: FiniteSimplicialSet) -> dict[tuple[Simplex, ...], list[Simplex]]:
-        """``X``'s ``p``-simplices by their faces but ``d_k`` (by all of them
-        for ``I(p)``)."""
-        return (X.faces_index(self.p)[1] if self.k is None
-                else X.horn_index(self.p, self.k))
-
     def _fillers(self, X: FiniteSimplicialSet, m: dict[int, Simplex]) -> list[Simplex]:
-        """The top-cell images ``x`` of :meth:`extensions`, in order: one
-        lookup of ``x`` by its faces but ``d_k``, which are ``m``'s images
-        (``m`` must be a map).  The list is the index's own."""
-        return self._index(X).get(tuple(map(m.__getitem__, self._shape[1])), [])
+        """The top cells ``x`` of the maps ``Δ[p] → X`` extending ``m``, in
+        :func:`enumerate_maps` order: one lookup of ``x`` by its faces but
+        ``d_k``, which are ``m``'s images (``m`` must be a map; it is not
+        checked here).  The list is the index's own."""
+        return X.horn_index(self.p, self.k).get(
+            tuple(map(m.__getitem__, self._shape[1])), [])
 
     def _extension(self, X: FiniteSimplicialSet, pinned: dict[int, Simplex],
                    x: Simplex) -> dict[int, Simplex]:
@@ -91,23 +90,10 @@ class Generator:
         return {**pinned, self._shape[0]: X.faces_index(self.p)[0][x][self.k],
                 self.top: x}
 
-    def extensions(self, X: FiniteSimplicialSet, m: dict[int, Simplex]
-                   ) -> Iterator[dict[int, Simplex]]:
-        """The maps ``Δ[p] → X`` extending ``m``, lazily, in
-        :func:`enumerate_maps` order: one :meth:`_extension` per filler.
-        ``m``, an assignment of the source, must be a map; it is not checked
-        here."""
-        pinned = {c: m[a] for c, a in self.pins.items()}
-        for x in self._fillers(X, m):
-            yield self._extension(X, pinned, x)
-
 
 @cache
 def _generator(kind: str, p: int, k: Optional[int]) -> Generator:
-    _, incl = boundary_complex(p) if kind == "I" else _shared_horn(p, k)
-    # every generating set in the process shares them, so nothing may grow them
-    incl.source.__class__ = incl.target.__class__ = _Frozen
-    return Generator(kind, p, k, incl)
+    return Generator(kind, p, k, _shared(p, k)[1])
 
 
 @dataclass(frozen=True)
@@ -183,10 +169,12 @@ class LiftingProblem:
         ``B -> X``, commuting on both triangles."""
         if self.over is None:
             return []
-        gen, X = self.generator, self.f.source
-        found = (a for a in gen.extensions(X, self.top.assignment)
-                 if self.f(a[gen.top]) == self.over)
-        return [SimplicialMap(gen.incl.target, X, a) for a in islice(found, limit)]
+        gen, X, m = self.generator, self.f.source, self.top.assignment
+        # a lift is fixed by its top cell, a filler that lies over `over`
+        xs = islice((x for x in gen._fillers(X, m) if self.f(x) == self.over), limit)
+        pinned = {c: m[a] for c, a in gen.pins.items()}
+        return [SimplicialMap(gen.incl.target, X, gen._extension(X, pinned, x))
+                for x in xs]
 
     def has_lift(self) -> bool:
         return self.over in self.on_top
@@ -208,7 +196,7 @@ def _tops(f: SimplicialMap, gens: GeneratingSet
     square; the maps built from it are trusted."""
     f.validate()
     for gen in gens.generators():
-        index, facets = gen._index(f.target), gen._shape[1]
+        index, facets = f.target.horn_index(gen.p, gen.k), gen._shape[1]
         for top in enumerate_maps(gen.incl.source, f.source):
             m = top.assignment
             # a bottom is fixed by its top cell x, whose faces but d_k are

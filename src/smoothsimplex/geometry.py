@@ -243,20 +243,10 @@ class AffineSimplexMap:
                 coords[r] += weight * c
         return Bary(tuple(coords))
 
-    def compose(self, other: "AffineSimplexMap") -> "AffineSimplexMap":
-        """``self ∘ other``."""
-        if other.q != self.p:
-            raise ValueError("dimension mismatch in composition")
-        return AffineSimplexMap(tuple(self(col) for col in other.columns))
-
     def matrix(self) -> tuple[tuple[Number, ...], ...]:
         """(q+1) x (p+1) matrix with the vertex images as columns."""
         return tuple(tuple(col[r] for col in self.columns)
                      for r in range(self.q + 1))
-
-    @classmethod
-    def identity(cls, p: int) -> "AffineSimplexMap":
-        return cls(tuple(Bary.vertex(p, i) for i in range(p + 1)))
 
     @classmethod
     def face(cls, p: int, i: int) -> "AffineSimplexMap":
@@ -265,14 +255,6 @@ class AffineSimplexMap:
             raise ValueError(f"face index {i} out of range")
         return cls(tuple(Bary.vertex(p, k if k < i else k + 1)
                          for k in range(p)))
-
-    @classmethod
-    def degeneracy(cls, p: int, k: int) -> "AffineSimplexMap":
-        """``s^k : Δ^{p+1} → Δ^p``, collapsing vertices k, k+1."""
-        if not 0 <= k <= p:
-            raise ValueError(f"degeneracy index {k} out of range")
-        return cls(tuple(Bary.vertex(p, i if i <= k else i - 1)
-                         for i in range(p + 2)))
 
 
 # -- cone charts ------------------------------------------------------------

@@ -308,13 +308,12 @@ class EvaluableHomotopy:
             swap = self._swap
             m, first, done, out = len(stages), 0, swap(z), []
             for s in ts:
-                while first < m:
-                    u = m * s - first
-                    if u <= _FLAT0 or u < _FLAT1 and smooth_step(u, _FLAT0, _FLAT1) < 1.0:
-                        break
+                # a stage has ended once SPLICE is flat at 1; the rest of the
+                # stages, none if first == m, run from where it left off
+                while first < m and m * s - first >= _FLAT1:
                     done = stages[first](done, 1.0)
                     first += 1
-                out.append(swap(done if first == m else _run_stages(stages, done, s, first)))
+                out.append(swap(_run_stages(stages, done, s, first)))
         for w in out:
             _check_floats(w)
         return out

@@ -68,7 +68,7 @@ class FiniteSimplicialSet:
             if faces is None or len(faces) != dim + 1:
                 raise ValueError(f"a {dim}-simplex needs {dim + 1} faces")
             for i, (word, tgt) in enumerate(faces):
-                if tgt.id not in self._refs:
+                if self._refs.get(tgt.id) != tgt:
                     raise ValueError(f"face target {tgt} not in complex")
                 if tgt.dim + len(word) != dim - 1:
                     raise ValueError(f"face {i} of {ref} has wrong dimension")
@@ -148,11 +148,15 @@ class FiniteSimplicialSet:
             return faces_of, with_faces
         return self._cached(("faces", n), build)
 
-    def horn_index(self, n: int, k: int) -> dict[tuple[Simplex, ...], list[Simplex]]:
+    def horn_index(self, n: int, k: Optional[int]
+                   ) -> dict[tuple[Simplex, ...], list[Simplex]]:
         """The ``n``-simplices by their faces other than ``d_k``: the fillers
         of each ``Λ[n,k]``-shaped horn, in the order a search that fills
         ``d_k`` first meets them (by ``d_k`` in ``simplices(n - 1)`` order,
-        then in :meth:`simplices` order)."""
+        then in :meth:`simplices` order).  For ``k`` None, by all their
+        faces: ``faces_index(n)[1]``."""
+        if k is None:
+            return self.faces_index(n)[1]
         def build():
             rank = {y: i for i, y in enumerate(self.faces_index(n - 1)[0])}
             out: dict[tuple[Simplex, ...], list[Simplex]] = {}
@@ -608,11 +612,12 @@ class _Frozen(FiniteSimplicialSet):
 
 
 @cache
-def _shared_horn(p: int, k: int) -> tuple[FiniteSimplicialSet, SimplicialMap]:
-    """:func:`horn_complex` built once per ``(p, k)`` and shared, with the
-    lookups cached on it.  Both complexes are frozen: gluing and cones add
-    cells only to the complexes they create."""
-    A, incl = horn_complex(p, k)
+def _shared(p: int, k: Optional[int]) -> tuple[FiniteSimplicialSet, SimplicialMap]:
+    """:func:`horn_complex` (:func:`boundary_complex` for ``k`` None) built
+    once per ``(p, k)`` and shared, with the lookups cached on it.  Both
+    complexes are frozen: gluing and cones add cells only to the complexes
+    they create.  This is the one place that freezes a complex."""
+    A, incl = boundary_complex(p) if k is None else horn_complex(p, k)
     A.__class__ = incl.target.__class__ = _Frozen
     return A, incl
 
@@ -623,7 +628,7 @@ def is_kan_up_to(X: FiniteSimplicialSet, n_max: int) -> list[dict]:
     report = []
     for p in range(1, n_max + 1):
         for k in range(p + 1):
-            A, _ = _shared_horn(p, k)
+            A, _ = _shared(p, k)
             total = 0
             unfilled = 0
             witness = None

@@ -1,14 +1,17 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from smoothsimplex import cli, engine, homotopy
+from fractions import Fraction
+
+from smoothsimplex import cli, engine, geometry, homotopy, realization
 from smoothsimplex.cli import Report, main, named_complex, named_map, run
-from smoothsimplex.geometry import float_grid
+from smoothsimplex.geometry import AffineSimplexMap, Bary, ChartDecomp, float_grid
 from smoothsimplex.simplicial import SimplicialMap
 
 
@@ -135,6 +138,94 @@ def test_stage_invariants_fail_when_q_breaks_the_factorization(monkeypatch, caps
     i = lines.index("[FAIL] stage-1-invariants")
     assert lines[i + 1].startswith('       witness: {"attached": ')
     assert "[ok  ] stage-0-invariants" in lines and lines[-1] == "result: FAILURES"
+
+
+def _failed(argv, check, capsys):
+    """``main(argv)`` exits 1, and ``check`` fails with a positive
+    violation; the line after its ``[FAIL]`` line."""
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"[FAIL] {check}  "))
+    assert float(lines[i].split("max violation ")[1]) > 0
+    return lines[i + 1]
+
+
+def _passes(argv, capsys):
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_injectivity_fails_when_two_normal_forms_share_an_image(monkeypatch, capsys):
+    argv = ["verify-axiom3", "--p", "2", "--trials", "50"]
+    _passes(argv, capsys)
+    real = realization.canonical_injection
+
+    def merged(incl, pt):
+        # vertex 1 of Δ^p, the image of a normal form of its own, lands on
+        # vertex 0
+        img, p = real(incl, pt), incl.target.dimension
+        return Bary.vertex(p, 0) if img == Bary.vertex(p, 1) else img
+
+    monkeypatch.setattr(realization, "canonical_injection", merged)
+    witness = _failed(argv, "injectivity-boundary2", capsys)
+    assert witness == '       witness: {"complex": "boundary2", "image": ["1", "0", "0"]}'
+
+
+def test_chart_covering_fails_when_a_decomposition_is_off(monkeypatch, capsys):
+    argv = ["verify-axiom1", "--p", "2", "--grid", "4"]
+    _passes(argv, capsys)
+    real = cli.chart_decompose
+
+    def swapped(z, i):
+        dec = real(z, i)
+        x = dec.x.coords
+        return ChartDecomp(Bary((x[1], x[0], *x[2:])), dec.t)
+
+    monkeypatch.setattr(cli, "chart_decompose", swapped)
+    assert _failed(argv, "chart-covering-p2", capsys).startswith("       witness: [[")
+
+
+def test_chart_transition_fails_when_t_prime_is_off(monkeypatch, capsys):
+    argv = ["verify-axiom1", "--p", "2", "--grid", "2"]
+    _passes(argv, capsys)
+    real = geometry.chart_transition
+
+    def scaled(i, j, y, tau, t):
+        # t' shrinks, so the chart-j input is still a point
+        y, s, t_new = real(i, j, y, tau, t)
+        return y, s, t_new * Fraction(96, 97)
+
+    monkeypatch.setattr(geometry, "chart_transition", scaled)
+    witness = _failed(argv, "chart-transition-exact-p2", capsys)
+    assert witness.startswith('       witness: {"i": ')
+
+
+def test_affine_probes_fail_on_a_map_that_is_not_affine(monkeypatch, capsys):
+    argv = ["verify-axiom2", "--p", "2", "--q", "2", "--trials", "2"]
+    _passes(argv, capsys)
+    real = AffineSimplexMap.__call__
+
+    def squared(f, x):
+        # smooth, but not affine: its derivative misses the oracle's
+        sq = [c * c for c in real(f, x).coords]
+        total = sum(sq)
+        return Bary(tuple(c / total for c in sq))
+
+    monkeypatch.setattr(AffineSimplexMap, "__call__", squared)
+    # the check reports no witness
+    assert _failed(argv, "affine-probes-p2-q2", capsys) == "[ok  ] kink-control-fails"
+
+
+def test_measure_time_fills_in_only_the_timing(capsys):
+    argv = ["verify-axiom1", "--p", "1", "--grid", "4", "--format", "json"]
+    reports = []
+    for extra in ([], ["--measure-time"]):
+        assert main(argv + extra) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    plain, timed = reports
+    t = timed.pop("timing_s")
+    assert type(t) is float and math.isfinite(t) and t >= 0
+    assert plain.pop("timing_s") is None and timed == plain
 
 
 def test_pi_command():

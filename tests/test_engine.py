@@ -28,7 +28,7 @@ from smoothsimplex.simplicial import (
     standard_simplicial_set,
     vertex_ref,
 )
-from smoothsimplex.simplicial import _shared_horn
+from smoothsimplex.simplicial import _shared
 from smoothsimplex.cli import named_map
 
 
@@ -429,16 +429,17 @@ def _lookup_targets():
 
 @pytest.mark.parametrize("target", list(_lookup_targets()))
 def test_extensions_are_the_search_restricted_to_the_source(target):
-    """A generator's extensions of every map out of its source, for I<=3 and
-    J<=3, are the maps out of Δ[p] that restrict to it, in search order; for
-    J(p,k), horn_fillers lists their top-cell images, in the same order."""
+    """A generator's fillers of every map out of its source, for I<=3 and
+    J<=3, each built into a map out of Δ[p], are the maps that restrict to
+    it, in search order; for J(p,k), horn_fillers lists the same fillers."""
     X = _lookup_targets()[target]
     for gen in GeneratingSet("I", 3).generators() + GeneratingSet("J", 3).generators():
         every = [m.assignment for m in enumerate_maps(gen.incl.target, X)]
         for m in enumerate_maps(gen.incl.source, X):
             pinned = pins_of(gen, m.assignment)
             want = [a for a in every if a.items() >= pinned.items()]
-            assert list(gen.extensions(X, m.assignment)) == want, gen.name
+            assert [gen._extension(X, pinned, x) for x in gen._fillers(X, m.assignment)
+                    ] == want, gen.name
             if gen.kind == "J":
                 assert horn_fillers(X, m, gen.p, gen.k) == [a[gen.top] for a in want]
 
@@ -479,7 +480,7 @@ def test_generators_are_built_once_and_listed_fresh():
 
 
 def test_horns_are_shared_and_never_grown():
-    horns = {(p, k): _shared_horn(p, k)[0] for p in (1, 2, 3) for k in range(p + 1)}
+    horns = {(p, k): _shared(p, k)[0] for p in (1, 2, 3) for k in range(p + 1)}
     counts = {pk: A.counts() for pk, A in horns.items()}
     # one cache: the generators' sources are the shared horns
     gens = GeneratingSet("J", 3).generators()
@@ -494,16 +495,18 @@ def test_horns_are_shared_and_never_grown():
     assert not rlp_check(f, GeneratingSet("J", 3)).has_rlp
     assert len(igc_factor(f, GeneratingSet("J", 2), 2, max_problems=8)) == 3
     assert {pk: A.counts() for pk, A in horns.items()} == counts
-    assert all(_shared_horn(*pk)[0] is A for pk, A in horns.items())
+    assert all(_shared(*pk)[0] is A for pk, A in horns.items())
 
 
 def test_shared_complexes_cannot_grow():
     # the complexes of the generators, which the Kan checks share for the
     # horns, refuse a new cell and keep their cell tables
-    horns = [_shared_horn(p, k) for p in (1, 2, 3) for k in range(p + 1)]
+    horns = [_shared(p, k) for p in (1, 2, 3) for k in range(p + 1)]
     shared = [[X for g in GeneratingSet(kind, 3).generators()
                for X in (g.incl.source, g.incl.target)] for kind in "JI"]
     assert shared[0] == [X for A, incl in horns for X in (A, incl.target)]
+    assert shared[1] == [X for p in range(4) for X in (_shared(p, None)[0],
+                                                      _shared(p, None)[1].target)]
     tables = [X.to_json_dict() for Xs in shared for X in Xs]
     for X in shared[0] + shared[1]:
         with pytest.raises(ValueError, match="cannot grow"):

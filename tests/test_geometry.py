@@ -89,21 +89,6 @@ def test_float_constructor_builds_the_same_point():
 
 # -- affine maps ---------------------------------------------------------------
 
-def test_degeneracy_s1_on_delta2():
-    s1 = AffineSimplexMap.degeneracy(1, 1)
-    out = s1(Bary.of(F(1, 5), F(2, 5), F(2, 5)))
-    assert out.coords == (F(1, 5), F(4, 5))
-
-
-def test_sk_dk_is_identity():
-    for p in range(5):
-        for k in range(p + 1):
-            sk = AffineSimplexMap.degeneracy(p, k)
-            dk = AffineSimplexMap.face(p + 1, k)
-            comp = sk.compose(dk)
-            assert comp.matrix() == AffineSimplexMap.identity(p).matrix()
-
-
 def test_affine_map_of_exact_columns():
     m = AffineSimplexMap((Bary((F(1, 2), F(1, 2))), Bary((0, 1))))
     assert m(Bary.of(F(1, 2), F(1, 2))).coords == (F(1, 4), F(3, 4))

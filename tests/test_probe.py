@@ -46,7 +46,8 @@ def test_affine_maps_pass_with_exact_oracle(p, q):
 
 
 def test_degeneracies_pass_order_two():
-    s2 = AffineSimplexMap.degeneracy(2, 2)
+    # s^2 : Δ^3 → Δ^2, collapsing vertices 2 and 3
+    s2 = AffineSimplexMap(tuple(Bary.vertex(2, i) for i in (0, 1, 2, 2)))
     report = smoothness_probe(s2, 3, order=2, tol=1e-6, seed=3)
     assert report.passed
 

@@ -184,6 +184,18 @@ def test_a_rejected_simplex_leaves_nothing_behind():
     assert X.add_simplex(0) == SimplexRef(2, 0)
 
 
+def test_a_face_ref_must_be_the_cell_it_names():
+    # SimplexRef(0, 1) has the id of vertex 0 and claims to be an edge
+    X = FiniteSimplicialSet()
+    v0, v1 = X.add_simplex(0), X.add_simplex(0)
+    e = X.add_simplex(1, [(EMPTY, v1), (EMPTY, v0)])
+    before = X.to_json_dict()
+    with pytest.raises(ValueError, match="not in complex"):
+        X.add_simplex(2, [(EMPTY, SimplexRef(0, 1)), (EMPTY, e), (EMPTY, e)])
+    assert X.counts() == [2, 1] and X.to_json_dict() == before
+    X.validate()
+
+
 # -- enumeration ------------------------------------------------------------
 
 def test_enumerate_delta1_against_monotone_oracle():
