@@ -129,12 +129,20 @@ def _collapse_to_point(X: FiniteSimplicialSet) -> SimplicialMap:
         for r in X.nondegenerate()})
 
 
+def _unique_names(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a name given twice is a ``ValueError``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("a JSON object names one member twice")
+    return obj
+
+
 def _read_json(path: str) -> object:
     """The JSON value in the file at ``path``; JSON nested too deeply to
-    parse is a ``ValueError``, as malformed JSON is."""
+    parse or naming a member twice is a ``ValueError``, as malformed JSON is."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_names)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
@@ -319,7 +327,7 @@ def run_axiom4(args) -> Report:
     rep = Report("verify-axiom4",
                  {"p": args.p, "k": args.k, "grid": args.grid,
                   "tol": args.tol})
-    ns = [args.p] if args.p else [1, 2, 3]
+    ns = [args.p] if args.p else homotopy.DIMS
     for n in ns:
         ks = [args.k] if args.k is not None else list(range(n + 1))
         steps = max(args.grid, {1: 200, 2: 25, 3: 12}[n])
@@ -459,10 +467,6 @@ def _tolerance(text: str) -> float:
 _EXACT_DIM = _at_least(1, at_most=MAX_NAMED_DIM)
 
 
-#: the dimensions the deformations are built in
-DIMS = (1, 2, 3)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="smoothsimplex",
@@ -486,13 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = sub.add_parser("verify-axiom4", help="horn deformation contracts")
-    sp.add_argument("--p", type=int, choices=DIMS, default=None)
+    sp.add_argument("--p", type=int, choices=homotopy.DIMS, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
     sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     sp = sub.add_parser("fill-horn", help="numeric horn filling")
-    sp.add_argument("--p", type=int, choices=DIMS, required=True)
+    sp.add_argument("--p", type=int, choices=homotopy.DIMS, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--grid", type=_at_least(1), default=DEFAULT_GRID)
     sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
@@ -520,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--complex-file", default=None)
 
     sp = sub.add_parser("homotopy-eval", help="evaluate a deformation")
-    sp.add_argument("--p", type=int, choices=DIMS, required=True)
+    sp.add_argument("--p", type=int, choices=homotopy.DIMS, required=True)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--kind", choices=("full", "halfopen", "boundary-t"),
                     default="full")

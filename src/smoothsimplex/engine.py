@@ -3,9 +3,9 @@ filling, and elementary homotopy invariants of finite simplicial sets.
 
 Every check walks the squares from a generating set to ``f`` one top map
 at a time (``_tops``).  :func:`iter_lifting_problems` yields every square
-as a :class:`LiftingProblem`; :func:`rlp_check` and :func:`igc_factor`
-count every square but build a ``LiftingProblem`` only for a square
-without a lift, the one they report.
+as a :class:`LiftingProblem`, which looks up its own lifts; :func:`rlp_check`
+and :func:`igc_factor` count every square, tell the ones that lift by
+``_tops``' images, and build only the squares without a lift.
 
 A generator's complexes come from ``simplicial._shared``, the one frozen
 cache of horns and boundaries.  A map out of ``Δ[p]`` is fixed by its top
@@ -20,7 +20,7 @@ residual-problem lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import islice
@@ -44,14 +44,13 @@ from .simplicial import (
 class Generator:
     """One generating inclusion: ``∂Δ[p] ↪ Δ[p]`` or ``Λ[p,k] ↪ Δ[p]``."""
 
-    kind: str
     p: int
-    k: Optional[int]
+    k: Optional[int]   # None for ∂Δ[p]
     incl: SimplicialMap = field(compare=False)
 
     @property
     def name(self) -> str:
-        return f"I({self.p})" if self.kind == "I" else f"J({self.p},{self.k})"
+        return f"I({self.p})" if self.k is None else f"J({self.p},{self.k})"
 
     @cached_property
     def pins(self) -> dict[int, int]:
@@ -92,8 +91,8 @@ class Generator:
 
 
 @cache
-def _generator(kind: str, p: int, k: Optional[int]) -> Generator:
-    return Generator(kind, p, k, _shared(p, k)[1])
+def _generator(p: int, k: Optional[int]) -> Generator:
+    return Generator(p, k, _shared(p, k)[1])
 
 
 @dataclass(frozen=True)
@@ -112,10 +111,10 @@ class GeneratingSet:
                              f"for {self.kind}")
 
     def generators(self) -> list[Generator]:
-        # a fresh list of generators built once per (kind, p, k) and shared
+        # a fresh list of the generators, each built once per (p, k)
         if self.kind == "I":
-            return [_generator("I", p, None) for p in range(self.max_dim + 1)]
-        return [_generator("J", p, k)
+            return [_generator(p, None) for p in range(self.max_dim + 1)]
+        return [_generator(p, k)
                 for p in range(1, self.max_dim + 1) for k in range(p + 1)]
 
 
@@ -126,30 +125,27 @@ class LiftingProblem:
     A square built by hand has no lift unless its ``f``, ``top`` and
     ``bottom`` are maps that fit the generator: ``top`` into ``f.source``
     and ``bottom`` into ``f.target`` (the same objects), out of complexes
-    with the cell tables of the generator's source and target.  Those the
-    engine builds come from an ``f`` that ``_tops`` checked.  It is
-    not checked to commute, because that cannot change :meth:`has_lift` or
-    :meth:`lifts`: a map out of ``Δ[p]`` is fixed by the image of its top
-    cell, so a bottom that is a map and sends the top cell to ``f(x)``, for
-    ``x`` the top cell of an extension of ``top``, is ``f`` after that
-    extension and commutes.
+    with the cell tables of the generator's source and target.  The engine's
+    squares, from an ``f`` that ``_tops`` checked, are ``trusted`` to fit; a
+    ``dataclasses.replace`` copy is not.  No square is checked to commute,
+    because that cannot change :meth:`lifts`: a map out of ``Δ[p]`` is
+    fixed by the image of its top cell, so a bottom that is a map and sends
+    the top cell to ``f(x)``, for ``x`` the top cell of an extension of
+    ``top``, is ``f`` after that extension and commutes.
     """
 
     generator: Generator
     top: SimplicialMap       # A -> X
     bottom: SimplicialMap    # B -> Y
     f: SimplicialMap         # X -> Y
-    # f(x) for the top cells x of the extensions of top, one set shared by
-    # the squares on one top map
-    on_top: Optional[set[Simplex]] = field(default=None, compare=False, repr=False)
+    trusted: InitVar[bool] = False
     # the bottom's top cell, which a lift's top cell must cover; None when
     # f, top or bottom of a hand-built square is not a map or does not fit
     over: Optional[Simplex] = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, trusted: bool) -> None:
         gen, f, top, bottom = self.generator, self.f, self.top, self.bottom
-        if self.on_top is None:
-            self.on_top = set()
+        if not trusted:
             # targets by identity, as compose() compares them; sources by
             # cell table, since a caller may build Δ[p] afresh
             if not (top.target is f.source and bottom.target is f.target
@@ -161,7 +157,6 @@ class LiftingProblem:
                     m.validate()
             except ValueError:
                 return
-            self.on_top = set(map(f, gen._fillers(f.source, top.assignment)))
         self.over = bottom.assignment[gen.top]
 
     def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
@@ -177,7 +172,7 @@ class LiftingProblem:
                 for x in xs]
 
     def has_lift(self) -> bool:
-        return self.over in self.on_top
+        return bool(self.lifts())
 
     def to_json_dict(self) -> dict:
         return {"generator": self.generator.name,
@@ -206,24 +201,23 @@ def _tops(f: SimplicialMap, gens: GeneratingSet
                 yield gen, top, xs, set(map(f, gen._fillers(f.source, m)))
 
 
-def _problem(f: SimplicialMap, gen: Generator, top: SimplicialMap, x: Simplex,
-             images: set[Simplex]) -> LiftingProblem:
+def _problem(f: SimplicialMap, gen: Generator, top: SimplicialMap, x: Simplex
+             ) -> LiftingProblem:
     """The square of :func:`_tops` on ``top`` whose bottom sends the top
     cell to ``x``."""
     pinned = {c: f(top.assignment[a]) for c, a in gen.pins.items()}
     bottom = SimplicialMap(gen.incl.target, f.target, gen._extension(f.target, pinned, x))
-    return LiftingProblem(gen, top, bottom, f, images)
+    return LiftingProblem(gen, top, bottom, f, trusted=True)
 
 
 def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
                           ) -> Iterator[LiftingProblem]:
     """All commutative squares from the generating set to ``f``, in a fixed
-    lexicographic order (generator, top map, bottom map).  The squares on
-    one top map share one set of images.  A non-map ``f`` is a
-    ``ValueError``; the maps built from it are trusted."""
-    for gen, top, xs, images in _tops(f, gens):
+    lexicographic order (generator, top map, bottom map).  A non-map ``f``
+    is a ``ValueError``; the maps built from it are trusted."""
+    for gen, top, xs, _ in _tops(f, gens):
         for x in xs:
-            yield _problem(f, gen, top, x, images)
+            yield _problem(f, gen, top, x)
 
 
 @dataclass
@@ -243,7 +237,7 @@ def rlp_check(f: SimplicialMap, gens: GeneratingSet) -> RLPReport:
     checked, failures = 0, []
     for gen, top, xs, images in _tops(f, gens):
         checked += len(xs)
-        failures += [_problem(f, gen, top, x, images) for x in xs if x not in images]
+        failures += [_problem(f, gen, top, x) for x in xs if x not in images]
     return RLPReport(checked, failures)
 
 
@@ -284,7 +278,7 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
     def unsolved(q: SimplicialMap) -> list[LiftingProblem]:
         # lazily, so that the cap stops the search; a square with a lift is
         # never built
-        return list(islice((_problem(q, gen, top, x, images)
+        return list(islice((_problem(q, gen, top, x)
                             for gen, top, xs, images in _tops(q, gens)
                             for x in xs if x not in images), max_problems))
 

@@ -78,6 +78,9 @@ FAR_STAGES = {2: ((0, 0.48),), 3: ((1, 0.1), (0, 0.48))}
 FACE_EPS = 0.01
 FACE_RAMP = (0.005, 0.01)
 
+#: the dimensions the deformations are built in
+DIMS = (1, 2, 3)
+
 
 def _schedule(names: Sequence[str]) -> tuple:
     """Named stages on equal subintervals of [0, 1], as ``phase_times``
@@ -289,18 +292,11 @@ class EvaluableHomotopy:
     def __call__(self, point, s: float) -> Bary:
         return Bary.of_floats(self._eval(self.checked_point(point, s), float(s)))
 
-    def path(self, point, times: Sequence[float]) -> list[Vec]:
-        """``[H(point, s).coords for s in times]``, times non-decreasing in
-        [0, 1], with the point checked once: each stage that has ended by a
-        time runs to its end once, and later times resume after it."""
-        ts = [float(s) for s in times]
-        if not ts or not all(0.0 <= a <= b <= 1.0 for a, b in zip(ts, ts[1:] + [1.0])):
-            raise ValueError(f"homotopy times {ts} are not non-decreasing in [0, 1]")
-        return self._path(self.checked_point(point, ts[0]), ts)
-
     def _path(self, z: Vec, ts: Sequence[float]) -> list[Vec]:
-        """``path`` of a float point and float times that the caller built and
-        knows to be valid, as ``path`` checks them; every output is checked."""
+        """``[H(z, s).coords for s in ts]``, for a float point ``z`` of the
+        domain and float times that do not decrease in [0, 1], as the caller
+        vouches; only the outputs are checked.  Each stage that has ended by
+        a time runs to its end once, and later times resume after it."""
         stages = self._stages
         if not stages:
             out = [self._eval(z, s) for s in ts]
@@ -355,8 +351,8 @@ def _conjugated(core: Step, n: int, k: int) -> Step:
 
 
 def _check_horn(n: int, k: int) -> None:
-    if n not in (1, 2, 3):
-        raise ValueError("only dimensions 1 to 3 are built")
+    if n not in DIMS:
+        raise ValueError(f"dimension {n} is not one of the built dimensions {DIMS}")
     if not 0 <= k <= n:
         raise ValueError(f"horn index {k} out of range")
 
@@ -393,8 +389,8 @@ def build_full_horn_deformation(n: int, k: int) -> EvaluableHomotopy:
 def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
     """Homotopy of Δ^p fixing the barycenter, restricting to a deformation
     of the ε-collar ``{some coord <= eps}`` onto the boundary."""
-    if not 1 <= p <= 3:
-        raise ValueError("only dimensions 1 to 3 are built")
+    if p not in DIMS:
+        raise ValueError(f"dimension {p} is not one of the built dimensions {DIMS}")
     if not 0.0 < eps < 1.0 / (p + 1):
         raise ValueError(f"eps={eps} outside (0, 1/{p + 1})")
     collar = collar_core(p)

@@ -145,7 +145,6 @@ def random_curve(p: int, chart: int, rng: random.Random) -> ProbeCurve:
 class ProbeRecord:
     chart: int
     tau0: float
-    order: int
     residual_coarse: float
     residual_fine: float
     oracle_error: Optional[float]
@@ -217,8 +216,7 @@ def smoothness_probe(map_eval: PointMap, p: int, order: int, tol: float,
                     oracle_err = max(abs(a - b) for a, b in zip(best, exact))
                     converges = converges and oracle_err <= tol
                 report.records.append(ProbeRecord(
-                    chart=chart, tau0=tau0, order=order,
-                    residual_coarse=e1, residual_fine=e2,
+                    chart=chart, tau0=tau0, residual_coarse=e1, residual_fine=e2,
                     oracle_error=oracle_err, passed=converges))
     return report
 

@@ -216,7 +216,7 @@ class FiniteSimplicialSet:
             raise ValueError('"faces" of a complex must be a JSON object')
         out = cls(name)
         id_map: dict[int, SimplexRef] = {}
-        faces_raw = {int(k): v for k, v in faces.items()}
+        faces_raw = {_id_key(k): v for k, v in faces.items()}
         for dim, ids in enumerate(data["dims"]):
             if not isinstance(ids, list) or not all(type(i) is int for i in ids):
                 raise ValueError(f'"dims"[{dim}] must be a list of simplex ids')
@@ -309,11 +309,18 @@ class SimplicialMap:
         raw = data.get("assignment") if isinstance(data, dict) else None
         if not isinstance(raw, dict):
             raise ValueError('a map must be a JSON object with an "assignment" object')
-        assignment = {int(k): _simplex_from_json(v, target._refs)
+        assignment = {_id_key(k): _simplex_from_json(v, target._refs)
                       for k, v in raw.items()}
         out = cls(source, target, assignment)
         out.validate()
         return out
+
+
+def _id_key(key: str) -> int:
+    """The simplex id a JSON key names; only ``str(id)`` is read, one key per id."""
+    if key != str(ident := int(key)):
+        raise ValueError(f"JSON key {key!r:.60} is not a simplex id")
+    return ident
 
 
 def _simplex_from_json(entry: object, refs: dict[int, SimplexRef]) -> Simplex:

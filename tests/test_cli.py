@@ -49,6 +49,16 @@ def test_axiom4_single():
     assert "lands-in-horn-(2,1)" in names
 
 
+def test_axiom4_grid_has_a_floor():
+    # Δ^2 runs on at least 25 steps, so --grid 5 checks what --grid 25
+    # checks and --grid 26 is the first grid of its own
+    def checks(grid):
+        return invoke(["verify-axiom4", "--p", "2", "--k", "1",
+                       "--grid", str(grid)])[0].checks
+
+    assert checks(5) == checks(25) != checks(26)
+
+
 def test_rlp_fixed_verdicts():
     report, code = invoke(["rlp", "--map", "delta0_identity", "--gens", "J",
                            "--max-dim", "2"])
@@ -282,6 +292,7 @@ def test_cli_error_on_unknown_map(capsys):
     ["verify-axiom4", "--grid", "0"],
     ["verify-axiom4", "--p", "1", "--tol", "nan"],
     ["fill-horn", "--p", "0", "--k", "0"],
+    ["fill-horn", "--p", "4", "--k", "0"],
     ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-problems", "0"],
     ["factorize", "--map", "horn2_1_incl", "--gens", "J", "--max-problems", "-3"],
     ["rlp", "--map", "delta0_identity", "--map-file", "m.json", "--gens", "J"],
@@ -520,6 +531,7 @@ MALFORMED_IDS = [
     *(f"argv{i}-None" for i in range(11, 26)),
     *(f"argv{i}-body{i}" for i in range(26, 33)),
     "rlp-nested", "rlp-truncated", "pi-nested", "pi-truncated", "argv37-body37",
+    "pi-id-key-written-twice", "rlp-id-key-written-twice", "pi-name-repeated",
 ]
 
 
@@ -578,6 +590,15 @@ MALFORMED_IDS = [
     # both vertices of Δ[1] to vertex 0 and the edge to itself: no map
     (_RLP, {"source": _DELTA1, "target": _DELTA1,
             "assignment": {"0": [[], 0], "1": [[], 0], "2": [[], 2]}}),
+    # one id as two keys, "2" and "02": edge 2 from v0 to v1 and a loop at
+    # v1; edge 2 sent to itself and to the degenerate edge on v0
+    (_PI, {"dims": [[0, 1], [2]],
+           "faces": {"2": [[[], 1], [[], 0]], "02": [[[], 1], [[], 1]]}}),
+    (_RLP, {"source": _DELTA1, "target": _DELTA1,
+            "assignment": {"0": [[], 0], "1": [[], 0], "2": [[], 2], "02": [[0], 0]}}),
+    # one name twice in one object, which json.load would read as its last
+    (_PI, '{"dims": [[0, 1], [2]], '
+          '"faces": {"2": [[[], 1], [[], 0]], "2": [[[], 1], [[], 1]]}}'),
 ], ids=MALFORMED_IDS)
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"

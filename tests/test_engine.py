@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import islice, product
 
 import pytest
@@ -420,6 +421,24 @@ def test_hand_built_square_that_does_not_fit_its_generator_has_no_lift():
         assert square.lifts(None) == [] and not square.has_lift()
 
 
+def test_replaced_square_checks_its_fit_again():
+    # the engine's squares skip the fit check; a copy made by replace() does
+    # not, so a bottom out of Δ[2] on J(1,0) does not fit
+    squares = list(iter_lifting_problems(named_map("delta1_to_delta0"),
+                                         GeneratingSet("J", 2)))
+    s = squares[0]
+    other = next(t for t in squares if t.generator.p == 2)
+    assert s.generator.name == "J(1,0)" and s.has_lift()
+    moved = replace(s, bottom=other.bottom)
+    assert moved.over is None
+    assert moved.lifts(None) == [] and not moved.has_lift()
+    back = replace(moved, bottom=s.bottom)
+    assert back.over == s.over == s.bottom.assignment[s.generator.top]
+    assert [m.assignment for m in back.lifts(None)] == \
+        [m.assignment for m in s.lifts(None)]
+    assert back.has_lift()
+
+
 def _lookup_targets():
     return {"Delta[3]": standard_simplicial_set(3),
             "Boundary[3]": boundary_complex(3)[0],
@@ -440,7 +459,7 @@ def test_extensions_are_the_search_restricted_to_the_source(target):
             want = [a for a in every if a.items() >= pinned.items()]
             assert [gen._extension(X, pinned, x) for x in gen._fillers(X, m.assignment)
                     ] == want, gen.name
-            if gen.kind == "J":
+            if gen.k is not None:
                 assert horn_fillers(X, m, gen.p, gen.k) == [a[gen.top] for a in want]
 
 

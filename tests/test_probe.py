@@ -93,7 +93,7 @@ def ref_order_two_records(map_eval, p, seed):
                 e1 = max(abs(a - b) for a, b in zip(d[0], d[1]))
                 e2 = max(abs(a - b) for a, b in zip(d[1], d[2]))
                 floor = NOISE_FLOOR * (1.0 + max(abs(c) for c in d[1]))
-                records.append(ProbeRecord(chart, tau0, 2, e1, e2, None,
+                records.append(ProbeRecord(chart, tau0, e1, e2, None,
                                            e2 <= max(e1 / 2.0, floor)))
     return records
 
