@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from operator import sub
-from typing import Optional
+from typing import Callable, Optional
 
 from . import engine, homotopy, probe, realization
 from .geometry import (
@@ -137,22 +137,23 @@ def _unique_names(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _read_json(path: str) -> object:
-    """The JSON value in the file at ``path``; JSON nested too deeply to
-    parse or naming a member twice is a ``ValueError``, as malformed JSON is."""
+def _read_json(path: str, build: Callable[[object], object]) -> object:
+    """``build`` of the JSON value in the file at ``path``.  Malformed JSON,
+    JSON nested too deeply to parse, a member named twice and a value that
+    ``build`` rejects are each a ``ValueError`` that names ``path`` once."""
     with open(path) as fh:
         try:
-            return json.load(fh, object_pairs_hook=_unique_names)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+            return build(json.load(fh, object_pairs_hook=_unique_names))
+        except (ValueError, RecursionError) as exc:
+            why = "JSON nested too deeply" if isinstance(exc, RecursionError) else exc
+            raise ValueError(f"{path}: {why}") from None
 
 
-def load_map_file(path: str) -> SimplicialMap:
-    """A simplicial map from a JSON file: ``{"source": <complex>,
-    "target": <complex>, "assignment": {...}}`` in the library formats."""
-    data = _read_json(path)
+def _map_of_json(data: object) -> SimplicialMap:
+    """A simplicial map from ``{"source": <complex>, "target": <complex>,
+    "assignment": {...}}`` in the library formats."""
     if not isinstance(data, dict) or not {"source", "target"} <= data.keys():
-        raise ValueError(f'{path}: a map file must be a JSON object with '
+        raise ValueError('a map file must be a JSON object with '
                          '"source", "target" and "assignment"')
     source = FiniteSimplicialSet.from_json_dict(data["source"], "source")
     target = FiniteSimplicialSet.from_json_dict(data["target"], "target")
@@ -581,10 +582,10 @@ def _read_inputs(args: argparse.Namespace) -> None:
     """Read the command's named or file inputs and its point into ``args``;
     bad input raises ``ValueError`` or ``OSError``."""
     if args.command in ("rlp", "factorize"):
-        args.f = (load_map_file(args.map_file) if args.map_file
+        args.f = (_read_json(args.map_file, _map_of_json) if args.map_file
                   else named_map(args.map))
     elif args.command == "pi" and args.complex_file:
-        args.X = FiniteSimplicialSet.from_json_dict(_read_json(args.complex_file))
+        args.X = _read_json(args.complex_file, FiniteSimplicialSet.from_json_dict)
     elif args.command == "pi":
         args.X = named_complex(args.complex)
     elif args.command == "homotopy-eval":

@@ -180,15 +180,16 @@ class LiftingProblem:
                 "bottom": self.bottom.to_json_dict()}
 
 
-def _tops(f: SimplicialMap, gens: GeneratingSet
-          ) -> Iterator[tuple[Generator, SimplicialMap, list[Simplex], set[Simplex]]]:
+def _tops(f: SimplicialMap, gens: GeneratingSet, images: bool = True
+          ) -> Iterator[tuple[Generator, SimplicialMap, list[Simplex], Optional[set[Simplex]]]]:
     """The squares from the generating set to ``f``, one top map at a time:
     ``(gen, top, xs, images)`` for each top map ``A → f.source`` that has a
     square, in (generator, top map) order.  ``xs`` are the bottoms' top
     cells, in bottom order, and ``images`` is ``f`` of the top cells of the
-    extensions of ``top``: a square's bottom has a lift iff its ``x`` is in
-    ``images``.  A non-map ``f`` is a ``ValueError`` before the first
-    square; the maps built from it are trusted."""
+    extensions of ``top`` (None unless ``images``): a square's bottom has a
+    lift iff its ``x`` is in ``images``.  A non-map ``f`` is a
+    ``ValueError`` before the first square; the maps built from it are
+    trusted."""
     f.validate()
     for gen in gens.generators():
         index, facets = f.target.horn_index(gen.p, gen.k), gen._shape[1]
@@ -198,7 +199,8 @@ def _tops(f: SimplicialMap, gens: GeneratingSet
             # f of the top's facets
             xs = index.get(tuple([f(m[a]) for a in facets]))
             if xs:
-                yield gen, top, xs, set(map(f, gen._fillers(f.source, m)))
+                yield gen, top, xs, (set(map(f, gen._fillers(f.source, m)))
+                                     if images else None)
 
 
 def _problem(f: SimplicialMap, gen: Generator, top: SimplicialMap, x: Simplex
@@ -215,7 +217,7 @@ def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
     """All commutative squares from the generating set to ``f``, in a fixed
     lexicographic order (generator, top map, bottom map).  A non-map ``f``
     is a ``ValueError``; the maps built from it are trusted."""
-    for gen, top, xs, _ in _tops(f, gens):
+    for gen, top, xs, _ in _tops(f, gens, images=False):
         for x in xs:
             yield _problem(f, gen, top, x)
 

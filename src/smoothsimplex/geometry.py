@@ -400,9 +400,10 @@ def phi_I(z: Sequence[Number], I: Sequence[int], J: Sequence[int]
           ) -> tuple[tuple[Number, ...], tuple[Number, ...]]:
     """``Φ_I`` on plain coordinates, for ``z`` positive on ``I`` and ``J``
     the complement of ``I``: ``u = z_I / S`` and ``v = (S, z_J)``, with
-    ``S`` summed over ``I`` left to right.  Exact on exact coordinates; the
-    float deformations call it on their own points, so it uses loops, not
-    comprehensions, which are nested calls on Python 3.11."""
+    ``S`` summed over ``I`` left to right.  Exact on exact coordinates;
+    the kernel of :func:`good_nbhd_Phi`, and the reference that the float
+    deformations' good-neighborhood stages, which compute ``Φ_I`` inline,
+    are tested against."""
     S = 0
     for i in I:
         S += z[i]

@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .geometry import Bary, OutOfDomain, _check_floats, phi_I, phi_I_inverse
+from .geometry import Bary, OutOfDomain, _check_floats
 from .steps import SPLICE, smooth_step
 
 Vec = tuple[float, ...]
@@ -89,11 +89,12 @@ def _schedule(names: Sequence[str]) -> tuple:
     return tuple((nm, (i / m, (i + 1) / m)) for i, nm in enumerate(names))
 
 
-# The stage kernels below divide, rejoin and renormalize points inline, and
-# sum with a left fold, not sum(): Python 3.12's sum() compensates rounding,
-# so it would change the last bits between versions.  Where a cut-off is
-# often flat, it is read off its flat ends and calls ``smooth_step`` only
-# between them.
+# The stage kernels below divide, rejoin and renormalize points inline, with
+# loops into lists, not comprehensions, which are nested calls on Python
+# 3.11, and sum with a left fold, not sum(): Python 3.12's sum() compensates
+# rounding, so it would change the last bits between versions.  Where a
+# cut-off is often flat, it is read off its flat ends and calls
+# ``smooth_step`` only between them.
 
 _FLAT0, _FLAT1 = SPLICE.a, SPLICE.b   # SPLICE is 0 below, 1 above
 
@@ -165,7 +166,10 @@ def _cone_step(p: int, softened: bool = False) -> Step:
         tot = 0.0
         for c in out:
             tot += c
-        return tuple([c / tot for c in out])
+        res = []
+        for c in out:
+            res.append(c / tot)
+        return tuple(res)
 
     return step
 
@@ -184,20 +188,24 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
     neighborhood ``U_I(eps)`` of an open ``face_dim``-simplex spanned by
     ``vertices`` that acts: z > 0 on I, mass on I above 1 - eps and a
     positive bump at the position in the face.  The constants make at most
-    one act; with a list ``acting``, the step lists them and moves nothing."""
+    one act; with a list ``acting``, the step lists them and moves nothing.
+    ``Φ_I`` and ``Φ_I⁻¹`` are inline, as ``geometry.phi_I`` computes them."""
     lo = 1.0 - eps
     core = _radial1 if face_dim == n - 1 else half_open_core(n - face_dim)
     c0, c1 = CUT[face_dim] if face_dim > 0 else (None, None)
-    plan = tuple((I, tuple(j for j in range(n + 1) if j not in I))
-                 for I in combinations(sorted(vertices), face_dim + 1))
+    plan = []   # I, J, and the (position, index) pairs that Φ_I⁻¹ writes
+    for I in combinations(sorted(vertices), face_dim + 1):
+        J = tuple(j for j in range(n + 1) if j not in I)
+        plan.append((I, J, tuple(enumerate(I)), tuple(enumerate(J, 1))))
 
     def step(z: Vec, sigma: float, acting: Optional[list] = None) -> Vec:
-        for I, J in plan:
+        for I, J, I_at, J_at in plan:
             if c0 is None:
                 # a vertex: lo > 1/2, so at most one coordinate passes it
-                if z[I[0]] <= lo:
+                S = z[I[0]]
+                if S <= lo:
                     continue
-                g = 1.0
+                g, u = 1.0, (1.0,)   # z_I / S
             else:
                 S = 0.0
                 for i in I:
@@ -207,20 +215,34 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
                     S += z[i]
                 if S <= lo:
                     continue
-            u, v = phi_I(z, I, J)
-            if c0 is not None:
+                u = []   # Φ_I's first factor z_I / S
+                for i in I:
+                    u.append(z[i] / S)
                 g = smooth_step(min(u), c0, c1)
                 if not g > 0.0:
                     continue
             if acting is not None:
                 acting.append(I)
                 continue
+            v = [S]   # Φ_I's second factor (S, z_J)
+            for j in J:
+                v.append(z[j])
             s = g * sigma   # half_open_core's s <= 0 guard, also before _radial1
-            out = phi_I_inverse(u, v if s <= 0.0 else core(v, s), I, J)
+            if s > 0.0:
+                v = core(v, s)
+            out = [0.0] * (n + 1)   # Φ_I⁻¹, renormalized
+            v0 = v[0]
+            for a, i in I_at:
+                out[i] = v0 * u[a]
+            for b, j in J_at:
+                out[j] = v[b]
             tot = 0.0
             for c in out:
                 tot += c
-            return tuple([c / tot for c in out])
+            res = []
+            for c in out:
+                res.append(c / tot)
+            return tuple(res)
         return z
 
     return step
@@ -247,7 +269,9 @@ def _face_flow(p: int) -> Step:
         if z0 >= FACE_EPS:
             return z
         t = 1.0 - z0   # above 1 - FACE_EPS, so the point stays off the vertex
-        x = [c / t for c in z[1:]]
+        x = []
+        for c in z[1:]:
+            x.append(c / t)
         if min(x) >= disk:
             return z
         out = [1.0 - t]
@@ -256,7 +280,10 @@ def _face_flow(p: int) -> Step:
         tot = 0.0
         for c in out:
             tot += c
-        return tuple([c / tot for c in out])
+        res = []
+        for c in out:
+            res.append(c / tot)
+        return tuple(res)
 
     return step
 
@@ -400,7 +427,7 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
     p0 = theta_mid - 0.25 * (1.0 - theta_c)   # the push ramps in on [p0, theta_mid]
     b_rho = 1.0 - (p + 1) * eps           # theta at the collar's inner edge
     r0 = 0.5 * b_rho                      # rho ramps in on [r0, b_rho]
-    bary = tuple(1.0 / (p + 1) for _ in range(p + 1))
+    b = 1.0 / (p + 1)   # each coordinate of the barycenter
 
     def ev(z: Vec, s: float) -> Vec:
         theta = 1.0 - (p + 1) * min(z)
@@ -416,11 +443,16 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
         target = theta + (1.0 - smooth_step(theta, p0, theta_mid)) * (theta_mid - theta)
         theta1 = theta + s1 * (target - theta)
         scale = theta1 / theta
-        out = [b + scale * (c - b) for b, c in zip(bary, z)]
+        out = []
+        for c in z:
+            out.append(b + scale * (c - b))
         tot = 0.0
         for c in out:
             tot += c
-        z = tuple([c / tot for c in out])
+        res = []
+        for c in out:
+            res.append(c / tot)
+        z = tuple(res)
         return collar(z, s2) if s2 > 0.0 and min(z) < c_disk else z
 
     return EvaluableHomotopy(

@@ -606,11 +606,14 @@ def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path.write_text(body if isinstance(body, str) else json.dumps(body))
     try:
         code = main([str(path) if a == "{file}" else a for a in argv])
-    except SystemExit as exc:   # argparse usage errors
-        code = exc.code
+        read = "{file}" in argv
+    except SystemExit as exc:   # argparse usage errors, before any file is read
+        code, read = exc.code, False
     assert code == 2
     err = capsys.readouterr().err
     assert [ln for ln in err.splitlines() if "error:" in ln] == [err.splitlines()[-1]]
+    if read:   # an error in the file names it once
+        assert err.splitlines()[-1].count(str(path)) == 1
 
 
 def test_named_registry():

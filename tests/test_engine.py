@@ -6,6 +6,7 @@ import pytest
 
 from smoothsimplex.engine import (
     GeneratingSet,
+    Generator,
     LiftingProblem,
     edge_group_rank,
     fill_horn_numeric,
@@ -486,6 +487,22 @@ def test_squares_match_brute_force(name):
             assert by_hand.over == s.over == bottom[s.generator.top]
             assert [m.assignment for m in by_hand.lifts(None)] == want
             assert by_hand.has_lift() == bool(want)
+
+
+def test_iter_lifting_problems_looks_up_no_fillers(monkeypatch):
+    """Listing the squares builds no lift set: ``Generator._fillers`` is
+    called only once a square's lifts are asked for."""
+    calls = []
+    real = Generator._fillers
+    monkeypatch.setattr(Generator, "_fillers",
+                        lambda self, X, m: calls.append(1) or real(self, X, m))
+    f, gens = named_map("collapse_boundary2"), GeneratingSet("J", 3)
+    squares = list(iter_lifting_problems(f, gens))
+    assert len(squares) == 92 and calls == []
+    squares[0].has_lift()
+    assert calls == [1]
+    rlp_check(f, gens)
+    assert len(calls) > 1
 
 
 def test_generators_are_built_once_and_listed_fresh():

@@ -9,13 +9,19 @@ independent oracle; no value below was produced by the code under test.
 import hashlib
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from smoothsimplex import homotopy
 from smoothsimplex.cli import HORN_TIMES
-from smoothsimplex.geometry import Bary, barycentric_grid, float_grid
+from smoothsimplex.geometry import (
+    Bary,
+    barycentric_grid,
+    float_grid,
+    phi_I,
+    phi_I_inverse,
+)
 from smoothsimplex.homotopy import (
     COLLAR_STAGES,
     CUT,
@@ -30,7 +36,7 @@ from smoothsimplex.homotopy import (
     build_halfopen_deformation,
     collar_core,
 )
-from smoothsimplex.steps import phase_times
+from smoothsimplex.steps import phase_times, smooth_step
 
 TOL_ID = 1e-12
 TOL = 1e-9
@@ -554,6 +560,57 @@ def test_far_class_supports_disjoint():
         for step in far:
             for z in grid(n, 12):
                 assert len(_acting(step, z)) <= 1
+
+
+def _nbhd_stages():
+    """Every good-neighborhood stage, with its ``(n, face_dim, eps, vertices)``."""
+    for p, stages in COLLAR_STAGES.items():
+        for step, (fd, eps) in zip(collar_core(p).args[0], stages, strict=True):
+            yield step, (p, fd, eps, range(p + 1))
+    for n, stages in FAR_STAGES.items():
+        far = [step for name, step in _full_horn_stages(n) if name.startswith("far-face")]
+        for step, (fd, eps) in zip(far, stages, strict=True):
+            yield step, (n, fd, eps, range(1, n + 1))
+
+
+def _reference_nbhd_stage(n, fd, eps, vertices, z, sigma):
+    """The stage at ``z`` from ``geometry.phi_I``, the core at ``g·σ`` and
+    ``geometry.phi_I_inverse``, renormalized by a left fold; and the index
+    sets whose neighborhood acts."""
+    core = homotopy._radial1 if fd == n - 1 else homotopy.half_open_core(n - fd)
+    out, acting = z, []
+    for I in combinations(sorted(vertices), fd + 1):
+        J = tuple(j for j in range(n + 1) if j not in I)
+        if any(z[i] <= 0.0 for i in I):
+            continue
+        u, v = phi_I(z, I, J)
+        g = 1.0 if fd == 0 else smooth_step(min(u), *CUT[fd])
+        if v[0] <= 1.0 - eps or not g > 0.0:
+            continue
+        if not acting:
+            x = phi_I_inverse(u, v if g * sigma <= 0.0 else core(v, g * sigma), I, J)
+            tot = 0.0
+            for c in x:
+                tot += c
+            out = tuple(c / tot for c in x)
+        acting.append(I)
+    return out, acting
+
+
+def test_nbhd_stages_match_phi_I_reference():
+    # the stages compute Φ_I and Φ_I⁻¹ inline; they must give the bits of
+    # the geometry kernels, on grid points, points with exact zeros and
+    # points near a face
+    rng = random.Random(5)
+    for step, (n, fd, eps, vertices) in _nbhd_stages():
+        acted = 0
+        for z in float_grid(n, 12) + _digest_points(n, rng):
+            for sigma in (0.3, 1.0):
+                want, acting = _reference_nbhd_stage(n, fd, eps, vertices, z, sigma)
+                assert step(z, sigma) == want, (n, fd, z, sigma)
+            assert _acting(step, z) == acting, (n, fd, z)
+            acted += bool(acting)
+        assert acted >= 10, (n, fd)
 
 
 # -- boundary homotopy T ---------------------------------------------------------
