@@ -497,12 +497,11 @@ def gamma_map(p: int) -> Callable[[Bary], Bary]:
 @dataclass(frozen=True)
 class BasedMap:
     """An evaluable map on Δ^p that is constant (= base) near the ε-collar
-    of the boundary."""
+    of the boundary, for some ε > 0 that the caller vouches for."""
 
     p: int
     eval: Callable[[Bary], object]
     base: object
-    eps: float
 
     def __call__(self, x: Bary) -> object:
         return self.eval(x)
@@ -513,7 +512,7 @@ def concat_product(f: BasedMap, g: BasedMap) -> Callable[[Bary], object]:
 
     ``f`` is used on the ``Δ^p_{(p-1)}`` side of the wedge and ``g`` on the
     ``Δ^p_{(p+1)}`` side; the two agree (with value the base point) on the
-    seam because both maps are constant near their boundary collars.
+    seam because both maps are constant near an ε-collar of the boundary.
     """
     if f.p != g.p:
         raise ValueError("concatenation needs maps on the same simplex")

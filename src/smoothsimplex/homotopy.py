@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .geometry import Bary, OutOfDomain, _check_floats
+from .geometry import Bary, OutOfDomain, _check_floats, _complement
 from .steps import SPLICE, smooth_step
 
 Vec = tuple[float, ...]
@@ -89,14 +89,25 @@ def _schedule(names: Sequence[str]) -> tuple:
     return tuple((nm, (i / m, (i + 1) / m)) for i, nm in enumerate(names))
 
 
-# The stage kernels below divide, rejoin and renormalize points inline, with
-# loops into lists, not comprehensions, which are nested calls on Python
-# 3.11, and sum with a left fold, not sum(): Python 3.12's sum() compensates
-# rounding, so it would change the last bits between versions.  Where a
-# cut-off is often flat, it is read off its flat ends and calls
-# ``smooth_step`` only between them.
+# The stage kernels below divide and rejoin points inline, with loops into
+# lists for the reason ``_renormalized`` gives.  Where a cut-off is often
+# flat, it is read off its flat ends and calls ``smooth_step`` only between
+# them.
 
 _FLAT0, _FLAT1 = SPLICE.a, SPLICE.b   # SPLICE is 0 below, 1 above
+
+
+def _renormalized(out: list) -> Vec:
+    """``out`` over its sum, a left fold: Python 3.12's ``sum()`` compensates
+    rounding, which would change last bits between versions.  A loop fills
+    the list, since a comprehension is a nested call on Python 3.11."""
+    tot = 0.0
+    for c in out:
+        tot += c
+    res = []
+    for c in out:
+        res.append(c / tot)
+    return tuple(res)
 
 
 def _run_stages(stages: Sequence[Step], z: Vec, s: float, first: int = 0) -> Vec:
@@ -163,13 +174,7 @@ def _cone_step(p: int, softened: bool = False) -> Step:
         out = [1.0 - t]
         for c in x:
             out.append(t * c)
-        tot = 0.0
-        for c in out:
-            tot += c
-        res = []
-        for c in out:
-            res.append(c / tot)
-        return tuple(res)
+        return _renormalized(out)
 
     return step
 
@@ -195,7 +200,7 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
     c0, c1 = CUT[face_dim] if face_dim > 0 else (None, None)
     plan = []   # I, J, and the (position, index) pairs that Φ_I⁻¹ writes
     for I in combinations(sorted(vertices), face_dim + 1):
-        J = tuple(j for j in range(n + 1) if j not in I)
+        J = _complement(I, n)
         plan.append((I, J, tuple(enumerate(I)), tuple(enumerate(J, 1))))
 
     def step(z: Vec, sigma: float, acting: Optional[list] = None) -> Vec:
@@ -236,13 +241,7 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
                 out[i] = v0 * u[a]
             for b, j in J_at:
                 out[j] = v[b]
-            tot = 0.0
-            for c in out:
-                tot += c
-            res = []
-            for c in out:
-                res.append(c / tot)
-            return tuple(res)
+            return _renormalized(out)
         return z
 
     return step
@@ -277,13 +276,7 @@ def _face_flow(p: int) -> Step:
         out = [1.0 - t]
         for c in collar(x, (1.0 - smooth_step(z0, r0, r1)) * sigma):
             out.append(t * c)
-        tot = 0.0
-        for c in out:
-            tot += c
-        res = []
-        for c in out:
-            res.append(c / tot)
-        return tuple(res)
+        return _renormalized(out)
 
     return step
 
@@ -416,8 +409,7 @@ def build_full_horn_deformation(n: int, k: int) -> EvaluableHomotopy:
 def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
     """Homotopy of Δ^p fixing the barycenter, restricting to a deformation
     of the ε-collar ``{some coord <= eps}`` onto the boundary."""
-    if p not in DIMS:
-        raise ValueError(f"dimension {p} is not one of the built dimensions {DIMS}")
+    _check_horn(p, 0)
     if not 0.0 < eps < 1.0 / (p + 1):
         raise ValueError(f"eps={eps} outside (0, 1/{p + 1})")
     collar = collar_core(p)
@@ -446,13 +438,7 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
         out = []
         for c in z:
             out.append(b + scale * (c - b))
-        tot = 0.0
-        for c in out:
-            tot += c
-        res = []
-        for c in out:
-            res.append(c / tot)
-        z = tuple(res)
+        z = _renormalized(out)
         return collar(z, s2) if s2 > 0.0 and min(z) < c_disk else z
 
     return EvaluableHomotopy(

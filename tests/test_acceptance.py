@@ -338,8 +338,8 @@ def test_criterion_6_concatenation_plumbing():
             lambda x: base,
         ]
         for fa, fb in zip(samples, samples[1:] + samples[:1]):
-            f = BasedMap(1, fa, base, 0.2)
-            g = BasedMap(1, fb, base, 0.2)
+            f = BasedMap(1, fa, base)
+            g = BasedMap(1, fb, base)
             prod = concat_product(f, g)
             out = prod(Bary.barycenter(1))
             assert max(abs(float(a) - float(b))

@@ -429,15 +429,15 @@ def test_concat_product_base_point():
             return Bary.of(F(0), F(1))
         return base
 
-    f = BasedMap(1, const_unless_interior, base, 0.25)
-    g = BasedMap(1, const_unless_interior, base, 0.25)
+    f = BasedMap(1, const_unless_interior, base)
+    g = BasedMap(1, const_unless_interior, base)
     prod = concat_product(f, g)
     out = prod(Bary.barycenter(1))
     assert out.coords == base.coords
 
 
 def test_concat_product_rejects_mismatched_bases():
-    f = BasedMap(1, lambda x: Bary.of(F(1), F(0)), Bary.of(F(1), F(0)), 0.2)
-    g = BasedMap(1, lambda x: Bary.of(F(0), F(1)), Bary.of(F(0), F(1)), 0.2)
+    f = BasedMap(1, lambda x: Bary.of(F(1), F(0)), Bary.of(F(1), F(0)))
+    g = BasedMap(1, lambda x: Bary.of(F(0), F(1)), Bary.of(F(0), F(1)))
     with pytest.raises(ValueError):
         concat_product(f, g)

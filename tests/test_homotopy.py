@@ -320,6 +320,33 @@ def test_path_output_is_validated(out):
 # -- bit-identity of the float evaluation ----------------------------------------
 
 
+def test_renormalized_sums_with_a_left_fold():
+    # a compensated sum (math.fsum, or sum() on Python 3.12) totals
+    # 1.0000000000000002 here; the left fold totals 1.0
+    out = [1.0, 1e-16, 1e-16]
+    assert math.fsum(out) == 1.0000000000000002
+    assert homotopy._renormalized(out) == (1.0, 1e-16, 1e-16)
+
+
+def test_every_stage_kernel_renormalizes_through_one_helper(monkeypatch):
+    # each kernel, built around an identity collar, renormalizes one acting
+    # point with one call of the helper and returns what it gives
+    real, calls = homotopy._renormalized, []
+    monkeypatch.setattr(homotopy, "_renormalized",
+                        lambda out: calls.append(real(out)) or calls[-1])
+    monkeypatch.setattr(homotopy, "collar_core", lambda q: lambda x, s: x)
+    kernels = {
+        "cone step": (_cone_step.__wrapped__(1), (0.2, 0.4, 0.4), 0.3),
+        "nbhd stage": (homotopy._nbhd_stage(2, 1, 0.2, range(3)), (0.45, 0.45, 0.1), 1.0),
+        "face flow": (homotopy._face_flow(2), (0.005, 0.9, 0.05, 0.045), 1.0),
+        "boundary T": (build_boundary_homotopy_T(2, 0.2)._eval, (0.5, 0.3, 0.2), 0.3),
+    }
+    for name, (kernel, z, s) in kernels.items():
+        calls.clear()
+        out = kernel(z, s)
+        assert len(calls) == 1 and out == calls[0] != z, name
+
+
 def _digest_points(n, rng):
     """Grid points, seeded interior points, points with exact zeros and
     points near a face, built from integer ratios so that every Python
