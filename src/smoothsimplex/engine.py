@@ -5,7 +5,7 @@ Every check walks the squares from a generating set to ``f`` one top map
 at a time (``_tops``).  :func:`iter_lifting_problems` yields every square
 as a :class:`LiftingProblem`, which looks up its own lifts; :func:`rlp_check`
 and :func:`igc_factor` count every square, tell the ones that lift by
-``_tops``' images, and build only the squares without a lift.
+``_tops_with_images``, and build only the squares without a lift.
 
 A generator's complexes come from ``simplicial._shared``, the one frozen
 cache of horns and boundaries.  A map out of ``Δ[p]`` is fixed by its top
@@ -180,16 +180,13 @@ class LiftingProblem:
                 "bottom": self.bottom.to_json_dict()}
 
 
-def _tops(f: SimplicialMap, gens: GeneratingSet, images: bool = True
-          ) -> Iterator[tuple[Generator, SimplicialMap, list[Simplex], Optional[set[Simplex]]]]:
+def _tops(f: SimplicialMap, gens: GeneratingSet
+          ) -> Iterator[tuple[Generator, SimplicialMap, list[Simplex]]]:
     """The squares from the generating set to ``f``, one top map at a time:
-    ``(gen, top, xs, images)`` for each top map ``A → f.source`` that has a
-    square, in (generator, top map) order.  ``xs`` are the bottoms' top
-    cells, in bottom order, and ``images`` is ``f`` of the top cells of the
-    extensions of ``top`` (None unless ``images``): a square's bottom has a
-    lift iff its ``x`` is in ``images``.  A non-map ``f`` is a
-    ``ValueError`` before the first square; the maps built from it are
-    trusted."""
+    ``(gen, top, xs)`` for each top map ``A → f.source`` that has a
+    square, in (generator, top map) order, with ``xs`` the bottoms' top
+    cells, in bottom order.  A non-map ``f`` is a ``ValueError`` before
+    the first square; the maps built from it are trusted."""
     f.validate()
     for gen in gens.generators():
         index, facets = f.target.horn_index(gen.p, gen.k), gen._shape[1]
@@ -199,8 +196,16 @@ def _tops(f: SimplicialMap, gens: GeneratingSet, images: bool = True
             # f of the top's facets
             xs = index.get(tuple([f(m[a]) for a in facets]))
             if xs:
-                yield gen, top, xs, (set(map(f, gen._fillers(f.source, m)))
-                                     if images else None)
+                yield gen, top, xs
+
+
+def _tops_with_images(f: SimplicialMap, gens: GeneratingSet) -> Iterator[
+        tuple[Generator, SimplicialMap, list[Simplex], set[Simplex]]]:
+    """:func:`_tops` with ``images``, ``f`` of the top cells of the
+    extensions of ``top``: a square's bottom has a lift iff its ``x`` is in
+    ``images``."""
+    for gen, top, xs in _tops(f, gens):
+        yield gen, top, xs, set(map(f, gen._fillers(f.source, top.assignment)))
 
 
 def _problem(f: SimplicialMap, gen: Generator, top: SimplicialMap, x: Simplex
@@ -217,7 +222,7 @@ def iter_lifting_problems(f: SimplicialMap, gens: GeneratingSet
     """All commutative squares from the generating set to ``f``, in a fixed
     lexicographic order (generator, top map, bottom map).  A non-map ``f``
     is a ``ValueError``; the maps built from it are trusted."""
-    for gen, top, xs, _ in _tops(f, gens, images=False):
+    for gen, top, xs in _tops(f, gens):
         for x in xs:
             yield _problem(f, gen, top, x)
 
@@ -237,7 +242,7 @@ def rlp_check(f: SimplicialMap, gens: GeneratingSet) -> RLPReport:
     generating set: every square is counted, and every failing square is
     built and reported; a non-map is a ValueError."""
     checked, failures = 0, []
-    for gen, top, xs, images in _tops(f, gens):
+    for gen, top, xs, images in _tops_with_images(f, gens):
         checked += len(xs)
         failures += [_problem(f, gen, top, x) for x in xs if x not in images]
     return RLPReport(checked, failures)
@@ -281,7 +286,7 @@ def igc_factor(f: SimplicialMap, gens: GeneratingSet, max_stages: int,
         # lazily, so that the cap stops the search; a square with a lift is
         # never built
         return list(islice((_problem(q, gen, top, x)
-                            for gen, top, xs, images in _tops(q, gens)
+                            for gen, top, xs, images in _tops_with_images(q, gens)
                             for x in xs if x not in images), max_problems))
 
     stages = [FactorizationStage(0, f.source, 0, SimplicialMap.identity(f.source),

@@ -319,8 +319,10 @@ def chart_decompose(z: Bary, i: int) -> ChartDecomp:
     if z.ratio is not None:
         nums, den = z.ratio
         x = Bary.of_ratio(nums[:i] + nums[i + 1:], den - nums[i])
-    else:
-        x = Bary(tuple(z[j] / t for j in range(p + 1) if j != i))
+    else:   # over the rest's own sum, as above: near vertex i, 1 - z_i cancels
+        rest = z.coords[:i] + z.coords[i + 1:]
+        tot = math.fsum(rest)
+        x = Bary(tuple(c / tot for c in rest)) if tot > 0 else Bary.barycenter(p - 1)
     return ChartDecomp(x, t)
 
 

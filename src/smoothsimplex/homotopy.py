@@ -17,6 +17,10 @@ Three constructions, each returned as an :class:`EvaluableHomotopy`:
 * ``build_boundary_homotopy_T(p, eps)`` is the barycenter-fixing homotopy
   that deforms the ε-collar of the boundary onto the boundary.
 
+Each is built around vertex 0 and kept as one record, a stage table or one
+step and a swap of coordinates, that ``H(z, s)`` and ``H._path(z, ts)`` both
+read (see :class:`EvaluableHomotopy`).
+
 Everything here runs on plain float tuples; outputs are renormalized after
 every stage.  The deformations push coordinates to exact floating-point
 zero (the cut-offs have exactly flat ends), so the retraction contracts
@@ -297,32 +301,38 @@ def _full_horn_stages(n: int) -> tuple[tuple[str, Step], ...]:
 @dataclass
 class EvaluableHomotopy:
     """A deterministic homotopy ``(point, s) -> point`` with a declared
-    domain and named stage schedule."""
+    domain and named stage schedule.
+
+    One record: a stage table ``_stages`` on equal subintervals of [0, 1],
+    or else one step ``_step`` at the global time, run between two passes
+    of ``_swap``, which moves the horn vertex to 0.  ``H(z, s)`` runs it for
+    one time, not through ``_path``: a one-time list and a second output
+    check would cost ``deform`` throughput."""
 
     domain: str
     p: int
     schedule: tuple[tuple[str, tuple[float, float]], ...]
-    _eval: Step = field(repr=False)
+    _step: Optional[Step] = field(repr=False, default=None)
     _domain_check: Callable[[Vec], bool] = field(repr=False, default=None)
-    #: the top-level stages ``_eval`` runs, between two swaps of coordinates,
-    #: when it runs a stage table
     _stages: tuple[Step, ...] = field(repr=False, default=())
-    _swap: Callable[[Vec], Vec] = field(repr=False, default=None)
+    _swap: Callable[[Vec], Vec] = field(repr=False, default=tuple)
 
     def __call__(self, point, s: float) -> Bary:
-        return Bary.of_floats(self._eval(self.checked_point(point, s), float(s)))
+        z, s, swap = self.checked_point(point, s), float(s), self._swap
+        if self._stages:
+            return Bary.of_floats(swap(_run_stages(self._stages, swap(z), s)))
+        return Bary.of_floats(swap(self._step(swap(z), s)))
 
     def _path(self, z: Vec, ts: Sequence[float]) -> list[Vec]:
         """``[H(z, s).coords for s in ts]``, for a float point ``z`` of the
         domain and float times that do not decrease in [0, 1], as the caller
         vouches; only the outputs are checked.  Each stage that has ended by
         a time runs to its end once, and later times resume after it."""
-        stages = self._stages
+        stages, swap, done = self._stages, self._swap, self._swap(z)
         if not stages:
-            out = [self._eval(z, s) for s in ts]
+            out = [swap(self._step(done, s)) for s in ts]
         else:
-            swap = self._swap
-            m, first, done, out = len(stages), 0, swap(z), []
+            m, first, out = len(stages), 0, []
             for s in ts:
                 # a stage has ended once SPLICE is flat at 1; the rest of the
                 # stages, none if first == m, run from where it left off
@@ -356,18 +366,9 @@ class EvaluableHomotopy:
 
 
 def _swap(n: int, k: int) -> Callable[[Vec], Vec]:
-    """Coordinates 0 and ``k`` of a point of Δ^n swapped."""
-    order = list(range(n + 1))
-    order[0], order[k] = k, 0
-    return itemgetter(*order)
-
-
-def _conjugated(core: Step, n: int, k: int) -> Step:
-    """``core`` with coordinates 0 and ``k`` swapped on the way in and out."""
-    if k == 0:
-        return core
-    swap = _swap(n, k)
-    return lambda z, s: swap(core(swap(z), s))
+    """Coordinates 0 and ``k`` of a point of Δ^n swapped; for ``k`` 0,
+    ``tuple``, which returns a tuple as it is, with no copy."""
+    return itemgetter(k, *range(1, k), 0, *range(k + 1, n + 1)) if k else tuple
 
 
 def _check_horn(n: int, k: int) -> None:
@@ -387,23 +388,19 @@ def build_halfopen_deformation(n: int, k: int) -> EvaluableHomotopy:
     return EvaluableHomotopy(
         domain=f"half-open simplex z_{k}>0 in dim {n}",
         p=n, schedule=_schedule(names),
-        _eval=_conjugated(half_open_core(n), n, k),
+        _step=half_open_core(n), _swap=_swap(n, k),
         _domain_check=lambda z: z[k] > 0.0)
 
 
 def build_full_horn_deformation(n: int, k: int) -> EvaluableHomotopy:
     """Deformation of Δ^n onto the horn ``Λ^n_k``, fixing the horn pointwise."""
     _check_horn(n, k)
-    if n == 1:
-        # the formula itself, also at s = 0
-        names, steps, core = CONE_PHASES[:1], (), _radial1
-    else:
-        names, steps = zip(*_full_horn_stages(n))
-        core = partial(_run_stages, steps)
-    return EvaluableHomotopy(
-        domain=f"Δ^{n}",
-        p=n, schedule=_schedule(names), _eval=_conjugated(core, n, k),
-        _stages=steps, _swap=_swap(n, k))
+    if n == 1:   # the formula itself, also at s = 0
+        return EvaluableHomotopy(domain="Δ^1", p=1, schedule=_schedule(CONE_PHASES[:1]),
+                                 _step=_radial1, _swap=_swap(1, k))
+    names, steps = zip(*_full_horn_stages(n))
+    return EvaluableHomotopy(domain=f"Δ^{n}", p=n, schedule=_schedule(names),
+                             _stages=steps, _swap=_swap(n, k))
 
 
 def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
@@ -441,8 +438,5 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
         z = _renormalized(out)
         return collar(z, s2) if s2 > 0.0 and min(z) < c_disk else z
 
-    return EvaluableHomotopy(
-        domain=f"Δ^{p}",
-        p=p,
-        schedule=_schedule(("radial-push", "collar")),
-        _eval=ev)
+    return EvaluableHomotopy(domain=f"Δ^{p}", p=p,
+                             schedule=_schedule(("radial-push", "collar")), _step=ev)

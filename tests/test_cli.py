@@ -403,7 +403,7 @@ def _replaced(H, replace):
     def ev(z, s):
         out = H(z, s).coords
         return replace(tuple(z), out) if s == 1.0 else out
-    return homotopy.EvaluableHomotopy(H.domain, H.p, H.schedule, ev)
+    return homotopy.EvaluableHomotopy(H.domain, H.p, H.schedule, _step=ev)
 
 
 def _direct_idempotency(H, pts):
@@ -498,7 +498,7 @@ def _fails_mid_check(args):
 
 def _nan_homotopy(n, k):
     return homotopy.EvaluableHomotopy(f"Δ^{n}", n, (("nan", (0.0, 1.0)),),
-                                      lambda z, s: (float("nan"),) * (n + 1))
+                                      _step=lambda z, s: (float("nan"),) * (n + 1))
 
 
 @pytest.mark.parametrize("argv, patch", [

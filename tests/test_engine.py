@@ -264,6 +264,31 @@ def test_pi0_and_rank_examples():
         "independent_relations": 1, "rank": 0}
 
 
+def _one_vertex_torus():
+    """The Δ-complex torus: one vertex, loops a, b, c and two triangles
+    with faces (d_0, d_1, d_2) = (b, c, a) and (a, c, b)."""
+    T = FiniteSimplicialSet("torus")
+    v = T.add_simplex(0)
+    a, b, c = (T.add_simplex(1, [(EMPTY, v), (EMPTY, v)]) for _ in range(3))
+    for faces in ((b, c, a), (a, c, b)):
+        T.add_simplex(2, [(EMPTY, e) for e in faces])
+    T.validate()
+    return T
+
+
+@pytest.mark.parametrize("build, want", [
+    # E - V + 1 generators; relations d_0 - d_1 + d_2 of rank E - V + 1
+    # on a simplex or its boundary (H_1 = 0), one row twice on the torus
+    (lambda: boundary_complex(3)[0], (3, 3, 0)),
+    (lambda: standard_simplicial_set(3), (3, 3, 0)),
+    (lambda: standard_simplicial_set(4), (6, 6, 0)),
+    (_one_vertex_torus, (3, 1, 2)),
+], ids=["boundary3", "delta3", "delta4", "torus"])
+def test_edge_group_rank_by_hand(build, want):
+    got = edge_group_rank(build())
+    assert (got["generators"], got["independent_relations"], got["rank"]) == want
+
+
 def attach_along_horn(X, p, k, rng):
     H, incl = horn_complex(p, k)
     maps = list(islice(enumerate_maps(H, X), 50))

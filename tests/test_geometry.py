@@ -184,6 +184,45 @@ def test_chart_covering_grid():
             assert phi_chart(i, dec.x, dec.t).coords == z.coords
 
 
+def test_chart_decompose_on_floats():
+    # the float branch: t = 1 - z_i, and the chart formula
+    # (1-t) e_i + t d^i(x), written out here, gives z back
+    rng = random.Random(31)
+    pts = [z for p in (1, 2, 3) for z in float_grid(p, 6)]
+    pts += [_float_point(rng, rng.randint(1, 3)) for _ in range(300)]
+    for p in (1, 2, 3):   # one coordinate near the face it is 0 on
+        for _ in range(30):
+            raw = list(_float_point(rng, p))
+            raw[rng.randint(0, p)] *= 1e-9
+            pts.append(tuple(r / math.fsum(raw) for r in raw))
+    checked = 0
+    for coords in pts:
+        z = Bary.of_floats(coords)
+        for i in range(z.p + 1):
+            if coords[i] <= 1e-12:
+                continue
+            dec = chart_decompose(z, i)
+            assert dec.t == 1 - coords[i]
+            assert dec.t == 0 or not dec.x.exact   # a vertex takes the barycenter
+            back = [dec.t * c for c in dec.x.coords]
+            back.insert(i, 1 - dec.t)
+            assert max(abs(a - b) for a, b in zip(back, coords)) <= 1e-15, (z, i)
+            checked += 1
+    assert checked >= 1000
+
+
+def test_chart_decompose_near_a_vertex_on_floats():
+    # z_i is 1 to within rounding: 1 - z_i has cancelled, so x is the rest
+    # over its own sum, or the barycenter where the rest sums to 0
+    for coords, want_x in [((1 - 3e-9, 1e-9, 2e-9), (1 / 3, 2 / 3)),
+                           ((1 - 1e-13, 0.0), (1,))]:
+        dec = chart_decompose(Bary.of_floats(coords), 0)
+        assert dec.t == 1 - coords[0]
+        assert max(abs(a - b) for a, b in zip(dec.x.coords, want_x)) <= 1e-15
+        back = phi_chart(0, dec.x, dec.t).coords
+        assert max(abs(a - b) for a, b in zip(back, coords)) <= 1e-12
+
+
 # -- chart transitions -----------------------------------------------------------
 
 def test_transition_formula_values():
@@ -217,6 +256,19 @@ def test_transition_identity_exact_on_grid():
                             assert gap == 0
                             count += 1
     assert count >= 1000
+
+
+def test_transition_identity_gap_on_floats():
+    # float tau, t and y take the float branch; the two sides of the
+    # identity agree to rounding
+    rng = random.Random(37)
+    for p in (2, 3):
+        for _ in range(200):
+            y = Bary.of_floats(_float_point(rng, p - 2))
+            i, j = rng.sample(range(p + 1), 2)
+            tau, t = 1.0 - rng.random(), rng.uniform(1e-6, 1.0 - 1e-6)
+            gap = transition_identity_gap(p, i, j, y, tau, t)
+            assert isinstance(gap, float) and gap <= 1e-15, (p, i, j, y, tau, t)
 
 
 def test_transition_domain_checks():

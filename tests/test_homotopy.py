@@ -262,7 +262,7 @@ def test_stage_runner_matches_phase_times(table):
     (1.0 + 1e-9, -1e-9), (0.5, 0.6)], ids=repr)
 def test_homotopy_output_is_validated(out):
     H = EvaluableHomotopy("Δ^1", 1, (("stub", (0.0, 1.0)),),
-                          lambda z, s: out)
+                          _step=lambda z, s: out)
     with pytest.raises(ValueError):
         H((0.5, 0.5), 0.5)
 
@@ -311,7 +311,7 @@ def test_path_is_the_pointwise_evaluation(name):
 def test_path_output_is_validated(out):
     # _path trusts its point and times, never H's outputs
     H = EvaluableHomotopy("Δ^1", 1, (("stub", (0.0, 1.0)),),
-                          lambda z, s: out if s > 0.5 else z)
+                          _step=lambda z, s: out if s > 0.5 else z)
     assert H._path((0.5, 0.5), [0.5]) == [(0.5, 0.5)]
     with pytest.raises(ValueError):
         H._path((0.5, 0.5), [0.5, 1.0])
@@ -339,7 +339,7 @@ def test_every_stage_kernel_renormalizes_through_one_helper(monkeypatch):
         "cone step": (_cone_step.__wrapped__(1), (0.2, 0.4, 0.4), 0.3),
         "nbhd stage": (homotopy._nbhd_stage(2, 1, 0.2, range(3)), (0.45, 0.45, 0.1), 1.0),
         "face flow": (homotopy._face_flow(2), (0.005, 0.9, 0.05, 0.045), 1.0),
-        "boundary T": (build_boundary_homotopy_T(2, 0.2)._eval, (0.5, 0.3, 0.2), 0.3),
+        "boundary T": (build_boundary_homotopy_T(2, 0.2)._step, (0.5, 0.3, 0.2), 0.3),
     }
     for name, (kernel, z, s) in kernels.items():
         calls.clear()
