@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain, combinations
+from math import comb
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import words
@@ -176,7 +178,7 @@ class FiniteSimplicialSet:
     def vertices_of(self, sx: Simplex) -> tuple[Simplex, ...]:
         """The ordered vertex list of a simplex, as 0-simplices."""
         return tuple((EMPTY, self.ref(v))
-                     for v in _vertex_tuples(self, simplex_dim(sx))[sx])
+                     for v in _vertex_ids(sx, _cell_vertices(self)))
 
     # -- validation ------------------------------------------------------
 
@@ -508,44 +510,69 @@ def _cells(A: FiniteSimplicialSet, by_vertex: bool = False
     in that order, dimension, position): ``v0, v1, e01, v2, e02, e12, t012,
     ...``.  A cell's vertices are those of its faces, so its faces still
     come before it."""
-    cells = A._cached("cells", lambda: [
-        (ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
-         else tuple(t.id for _, t in A._faces.get(ref.id, ())))
-        for ref in A.nondegenerate()])
+    cells = [(ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
+              else tuple(t.id for _, t in A._faces.get(ref.id, ())))
+             for ref in A.nondegenerate()]
     if not by_vertex:
         return cells
+    # vertex ids grow in nondegenerate() order; the cells are in dimension
+    # order, and the sort is stable
+    verts = _cell_vertices(A)
+    return sorted(cells, key=lambda cell: max(verts[cell[0].id]))
 
+
+def _levels(A: FiniteSimplicialSet, by_vertex: bool) -> list[tuple]:
+    """The map search's levels ``(ref, face ids, follow)``: one per cell of
+    :func:`_cells`, or with ``by_vertex`` one per vertex, which follows the
+    cells after it in the vertex order, as ``(id, dim, vertex ids getter)``."""
     def build():
-        last: dict[int, int] = {}   # cell id -> position of its last vertex
-        for pos, (ref, ids) in enumerate(cells):
-            if ids is None:
-                ids = [t.id for _, t in A._faces[ref.id]]
-            last[ref.id] = max(map(last.__getitem__, ids)) if ref.dim else pos
-        # the cells are in dimension order, and the sort is stable
-        return sorted(cells, key=lambda cell: last[cell[0].id])
-    return A._cached("cells by vertex", build)
+        if not by_vertex:
+            return [(ref, ids, ()) for ref, ids in _cells(A)]
+        verts, levels = _cell_vertices(A), []
+        for ref, _ in _cells(A, True):
+            if ref.dim:
+                levels[-1][2].append((ref.id, ref.dim, itemgetter(*verts[ref.id])))
+            else:
+                levels.append((ref, (), []))
+        return levels
+    return A._cached(("levels", by_vertex), build)
 
 
-def _vertex_tuples(X: FiniteSimplicialSet, n: int) -> dict[Simplex, tuple[int, ...]]:
-    """The ids of the vertices ``0, ..., n`` of every ``n``-simplex of ``X``,
-    degenerate ones included: those of ``d_n z`` and the last one of
-    ``d_0 z``."""
+def _vertex_ids(sx: Simplex, verts: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """The vertex ids of ``sx``, given those of each cell in ``verts``."""
+    word, ref = sx
+    out = verts[ref.id]
+    for j in reversed(word):   # s_j repeats vertex j
+        out = out[:j + 1] + out[j:]
+    return out
+
+
+def _cell_vertices(X: FiniteSimplicialSet) -> dict[int, tuple[int, ...]]:
+    """The vertex ids of each nondegenerate simplex of ``X``: those of
+    ``d_n`` of it and the last one of ``d_0``."""
     def build():
-        faces_of = X.faces_index(n)[0]
-        if n == 0:
-            return {z: (z[1].id,) for z in faces_of}
-        below = _vertex_tuples(X, n - 1)
-        return {z: below[t[n]] + below[t[0]][-1:] for z, t in faces_of.items()}
-    return X._cached(("vertices", n), build)
+        verts: dict[int, tuple[int, ...]] = {}
+        for ref in X.nondegenerate():   # faces first
+            faces = X._faces.get(ref.id)
+            verts[ref.id] = (_vertex_ids(faces[-1], verts)
+                             + _vertex_ids(faces[0], verts)[-1:] if faces else (ref.id,))
+        return verts
+    return X._cached("cell vertices", build)
+
+
+def _vertex_index(X: FiniteSimplicialSet, n: int) -> dict[tuple[int, ...], Simplex]:
+    """The ``n``-simplices of ``X``, degenerate ones included, by the ids of
+    their vertices ``0, ..., n`` (the last of any that share them)."""
+    verts = _cell_vertices(X)
+    return X._cached(("vertices", n), lambda: {
+        _vertex_ids(z, verts): z for z in X.simplices(n)})
 
 
 def _vertex_determined(X: FiniteSimplicialSet, n: int) -> bool:
     """True when no two ``n``-simplices of ``X``, degenerate ones included,
-    have the same vertex tuple."""
-    def build():
-        tuples = _vertex_tuples(X, n)
-        return len(set(tuples.values())) == len(tuples)
-    return X._cached(("vertex-determined", n), build)
+    share a vertex tuple: the vertex index has a key for each of them."""
+    return len(_vertex_index(X, n)) == sum(
+        comb(n, m) * len(refs) for m, refs in X._by_dim.items())
 
 
 def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
@@ -553,45 +580,54 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
     """All simplicial maps ``A → X``, lazily, by backtracking on an explicit
     stack (no recursion limit on ``A``).
 
-    A cell's faces have images when it is reached; its candidates are the
-    simplices of ``X`` with those faces (``X.faces_index``).  The cells are
-    visited in one of two orders of :func:`_cells`:
-
-    - each cell right after its vertices, when ``X`` is vertex-determined:
-      no two of its n-simplices, degenerate ones included, share a vertex
-      tuple, for n = 1, ..., ``A.dimension``.  A cell whose vertices have
-      images then has at most one candidate, so the search branches on the
-      vertices alone, in ``A.nondegenerate()`` order;
-    - ``A.nondegenerate()`` order otherwise.
+    It branches on the levels of :func:`_levels`, each over the simplices of
+    ``X`` with the images of its faces (``X.faces_index``): on the vertices
+    of ``A`` when ``X`` is vertex-determined in dimensions 1 to
+    ``A.dimension``, else on the cells in ``nondegenerate()`` order.  Once a
+    vertex has an image, each cell whose last vertex it is takes the one
+    simplex of ``X`` with its vertices' images (:func:`_vertex_index`), and
+    a cell with none rejects that image.
 
     Either way the maps come out ordered by their images of the cells in
     ``A.nondegenerate()`` order, each cell's images in index order: in the
     first case a map is fixed by its images of the vertices, which come
     first in that order.
     """
-    cells = _cells(A, all(_vertex_determined(X, n) for n in range(1, A.dimension + 1)))
-    index = [X.faces_index(n)[1] for n in range(A.dimension + 1)]
+    by_vertex = all(_vertex_determined(X, n) for n in range(1, A.dimension + 1))
+    levels = _levels(A, by_vertex)
+    index = [X.faces_index(n)[1] for n in range(1 if by_vertex else A.dimension + 1)]
+    by_verts = [_vertex_index(X, n) for n in range(A.dimension + 1)] if by_vertex else ()
     partial = SimplicialMap(A, X, {})
     image = partial.assignment
+    vertex_ids = [0] * len(A._refs)   # by cell id: the id of its image's ref
 
-    # stack[i] holds the untried images of cells[i], whose current image is
+    # stack[i] holds the untried images of levels[i], whose current image is
     # in the assignment.  Entries for cells past the stack are left over from
     # abandoned branches; they are overwritten before anything reads them.
     stack: list[Iterator[Simplex]] = []
     while True:
-        if len(stack) == len(cells):
+        if len(stack) == len(levels):
             yield SimplicialMap(A, X, image)
         else:
-            ref, ids = cells[len(stack)]
+            ref, ids, _ = levels[len(stack)]
             faces = (tuple(map(image.__getitem__, ids)) if ids is not None
                      else tuple(map(partial, A._faces[ref.id])))
             stack.append(iter(index[ref.dim].get(faces, ())))
-        while stack:   # the deepest cell with an untried image takes it
+        while stack:   # the deepest level with an untried image takes it
             img = next(stack[-1], None)
-            if img is not None:
-                image[cells[len(stack) - 1][0].id] = img
+            if img is None:
+                stack.pop()
+                continue
+            ref, _, follow = levels[len(stack) - 1]
+            image[ref.id] = img
+            vertex_ids[ref.id] = img[1].id
+            for cell, dim, vertices in follow:
+                z = by_verts[dim].get(vertices(vertex_ids))
+                if z is None:
+                    break
+                image[cell] = z
+            else:
                 break
-            stack.pop()
         else:
             return
 

@@ -317,6 +317,22 @@ def test_path_output_is_validated(out):
         H._path((0.5, 0.5), [0.5, 1.0])
 
 
+def test_path_runs_each_ended_stage_once_from_its_flat_end():
+    # stage k has ended once m * s - k reaches SPLICE's flat end 0.9, as it
+    # does exactly at s = 0.45 with two stages: _path runs it to its end
+    # once, and later times, equal ones too, resume after it
+    calls = []
+
+    def stage(k):
+        return lambda z, local: calls.append((k, local)) or z
+
+    H = EvaluableHomotopy("Δ^1", 1, (("a", (0.0, 0.5)), ("b", (0.5, 1.0))),
+                          _stages=(stage(0), stage(1)))
+    assert 2 * 0.45 - 0 == 0.9
+    assert H._path((0.5, 0.5), [0.45, 0.45, 0.45, 1.0]) == [(0.5, 0.5)] * 4
+    assert calls == [(0, 1.0), (1, 1.0)]
+
+
 # -- bit-identity of the float evaluation ----------------------------------------
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import cycle
 
 import pytest
 
@@ -111,3 +112,16 @@ def test_kink_fails():
     # three steps h
     assert len(points) == 18 * 7 == 126
     assert report.records == ref_order_two_records(kink, 1, 11)
+
+
+def test_probe_passes_a_fine_residual_of_exactly_half_the_coarse_one():
+    # the scripted values (lo, hi for the steps h0, h0/2, h0/4) give first
+    # differences 0, q and q/2 with q = 1 / h0, each exact because halving h
+    # is; so the fine residual is exactly half the coarse one, and the
+    # differences converge
+    script = cycle((0.0, 0.0, 0.0, 1.0, 0.0, 0.25))
+    report = smoothness_probe(lambda z: next(script), 1, order=1, tol=1e-6, seed=3)
+    assert len(report.records) == 18
+    assert all(r.residual_fine == r.residual_coarse / 2.0 > 0.0
+               for r in report.records)
+    assert report.passed

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import islice, product
+from itertools import combinations, combinations_with_replacement, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -551,6 +551,81 @@ def test_search_sees_a_grown_complex():
     assert len(images) == before + 3
     assert (EMPTY, top) in images
     assert horn_fillers(X, horn_map, 2, 1) == [(EMPTY, top)]
+
+
+def horn_vertex_sequences(p, k, n):
+    """The vertex images of the maps Λ[p,k] → Δ[n], in lexicographic order:
+    weakly increasing along each edge of Λ[p,k], which is every edge of Δ[p]
+    but, for p = 2, the one opposite k (Δ[n] is the nerve of 0 < ... < n)."""
+    missing = [tuple(j for j in range(3) if j != k)] if p == 2 else []
+    edges = [e for e in combinations(range(p + 1), 2) if e not in missing]
+    return [seq for seq in product(range(n + 1), repeat=p + 1)
+            if all(seq[i] <= seq[j] for i, j in edges)]
+
+
+@pytest.mark.parametrize("p", range(2, 5))
+def test_horn_maps_into_a_simplex_are_monotone_vertex_sequences(p):
+    # independent oracle: a map into Δ[n] is fixed by its vertex images;
+    # where the horn holds every edge of Δ[p] (p >= 3, or k = 1, whose
+    # missing edge 02 follows from 01 and 12), they are the monotone
+    # sequences, comb(n + p + 1, p + 1) of them
+    for k in range(p + 1):
+        A, _ = horn_complex(p, k)
+        verts = A.nondegenerate(0)
+        assert [A.labels[v.id] for v in verts] == [(i,) for i in range(p + 1)]
+        for n in range(5):
+            X = standard_simplicial_set(n)
+            got = [tuple(X.labels[m.assignment[v.id][1].id][0] for v in verts)
+                   for m in enumerate_maps(A, X)]
+            assert got == horn_vertex_sequences(p, k, n), (p, k, n)
+            if p >= 3 or k == 1:
+                monotone = list(combinations_with_replacement(range(n + 1), p + 1))
+                assert got == monotone
+                assert len(got) == math.comb(n + p + 1, p + 1)
+
+
+def test_search_of_an_empty_source_yields_one_empty_map():
+    for X in (standard_simplicial_set(2), rp2(), FiniteSimplicialSet("empty")):
+        maps = list(enumerate_maps(FiniteSimplicialSet("empty"), X))
+        assert [m.assignment for m in maps] == [{}]
+
+
+def test_search_of_vertices_alone_runs_over_their_product():
+    A = FiniteSimplicialSet("three points")
+    points = [A.add_simplex(0) for _ in range(3)]
+    for X in (standard_simplicial_set(2), parallel_edges(), sphere2()):
+        xs = [(EMPTY, r) for r in X.nondegenerate(0)]
+        got = [tuple(m.assignment[v.id] for v in points) for m in enumerate_maps(A, X)]
+        assert len(got) == len(xs) ** 3
+        assert got == list(product(xs, repeat=3))
+
+
+def test_search_into_an_empty_complex_yields_nothing():
+    empty = FiniteSimplicialSet("empty")
+    for A in (standard_simplicial_set(0), horn_complex(2, 1)[0], rp2()):
+        assert list(enumerate_maps(A, empty)) == []
+
+
+@pytest.mark.parametrize("target", ["Delta[3]", "RP2"])
+def test_yielded_maps_keep_their_own_assignments(target):
+    # the search fills one working dict; each map it yields copies it
+    X = SEARCH_TARGETS[target]()
+    A, _ = horn_complex(2, 1)
+    kept = list(enumerate_maps(A, X))
+    seen = [dict(m.assignment) for m in enumerate_maps(A, X)]
+    assert len(kept) > 1
+    assert [m.assignment for m in kept] == seen == brute_force_maps(A, X)
+
+
+def test_search_by_vertex_indexes_no_simplex_of_its_source():
+    # a search into a vertex-determined target reads the source's cells and
+    # their vertices; it builds no face or vertex index of the source, which
+    # would hold every degenerate simplex of it
+    for k in range(5):
+        A, _ = horn_complex(4, k)
+        assert sum(1 for _ in enumerate_maps(A, standard_simplicial_set(4))) == 126
+        assert [key for key in A._cache if isinstance(key, tuple)
+                and key[0] in ("faces", "vertices") and key[1] >= 1] == []
 
 
 # -- bounded Kan checks -------------------------------------------------------
