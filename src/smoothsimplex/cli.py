@@ -355,11 +355,15 @@ def run_axiom4(args) -> Report:
                           witness=lambda zis: {"point": list(zis[0]), "s": zis[2]})
             _add_contract(rep, "lands-in-horn", at, args.tol, pts,
                           lambda z: min(end[z][:k] + end[z][k + 1:]))
-            # H is pure, so end[w] is H(w, 1) wherever w is a grid point; any
-            # other w = end[z] was validated as an output of H
+            # H is pure, so end[w] is H(w, 1) wherever w is a grid point, and
+            # any other w = end[z], validated as an output of H, is evaluated
+            # once and kept in end with them
+            def again(w):
+                if w not in end:
+                    end[w] = H._path(w, (1.0,))[0]
+                return end[w]
             _add_contract(rep, "retraction-idempotent", at, args.tol, pts,
-                          lambda z: _dist(end[z], end[end[z]] if end[z] in end
-                                          else H._path(end[z], (1.0,))[0]))
+                          lambda z: _dist(end[z], again(end[z])))
     return rep
 
 

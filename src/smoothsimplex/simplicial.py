@@ -524,17 +524,25 @@ def _cells(A: FiniteSimplicialSet, by_vertex: bool = False
 def _levels(A: FiniteSimplicialSet, by_vertex: bool) -> list[tuple]:
     """The map search's levels ``(ref, face ids, follow)``: one per cell of
     :func:`_cells`, or with ``by_vertex`` one per vertex, which follows the
-    cells after it in the vertex order, as ``(id, dim, vertex ids getter)``."""
+    cells after it in the vertex order, as ``(id, dim, vertex ids getter)``.
+
+    A vertex level's ``face ids`` are its anchor: ``(u, side)`` for the first
+    non-loop edge joining it to ``u``, its latest earlier neighbour, with
+    ``side`` 0 for an edge ``u → v`` and 1 for ``v → u``; ``()`` for none."""
     def build():
         if not by_vertex:
             return [(ref, ids, ()) for ref, ids in _cells(A)]
         verts, levels = _cell_vertices(A), []
         for ref, _ in _cells(A, True):
-            if ref.dim:
-                levels[-1][2].append((ref.id, ref.dim, itemgetter(*verts[ref.id])))
-            else:
-                levels.append((ref, (), []))
-        return levels
+            if not ref.dim:
+                levels.append([ref, (), []])
+                continue
+            level, vs = levels[-1], verts[ref.id]
+            level[2].append((ref.id, ref.dim, itemgetter(*vs)))
+            # vertex ids grow in the level order, so u is the smaller end
+            if ref.dim == 1 and vs[0] != vs[1] and (min(vs),) > level[1][:1]:
+                level[1] = (min(vs), int(vs[0] > vs[1]))
+        return [tuple(level) for level in levels]
     return A._cached(("levels", by_vertex), build)
 
 
@@ -568,6 +576,19 @@ def _vertex_index(X: FiniteSimplicialSet, n: int) -> dict[tuple[int, ...], Simpl
         _vertex_ids(z, verts): z for z in X.simplices(n)})
 
 
+def _neighbours(X: FiniteSimplicialSet) -> tuple[dict[int, list[Simplex]], ...]:
+    """``(heads, tails)``: by vertex id, the vertices at the other end of the
+    edges of ``X`` from it and of those to it, degenerate ones included, as
+    vertex simplices in ``X``'s vertex order."""
+    def build():
+        point, ends = _vertex_index(X, 0), ({}, {})
+        for a, b in sorted(_vertex_index(X, 1)):
+            ends[0].setdefault(a, []).append(point[b,])
+            ends[1].setdefault(b, []).append(point[a,])
+        return ends
+    return X._cached("neighbours", build)
+
+
 def _vertex_determined(X: FiniteSimplicialSet, n: int) -> bool:
     """True when no two ``n``-simplices of ``X``, degenerate ones included,
     share a vertex tuple: the vertex index has a key for each of them."""
@@ -586,7 +607,11 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
     ``A.dimension``, else on the cells in ``nondegenerate()`` order.  Once a
     vertex has an image, each cell whose last vertex it is takes the one
     simplex of ``X`` with its vertices' images (:func:`_vertex_index`), and
-    a cell with none rejects that image.
+    a cell with none rejects that image.  A vertex with an anchor edge to an
+    earlier vertex ``u`` (:func:`_levels`) draws its images only from the
+    ends of the edges of ``X`` at ``u``'s image on that side
+    (:func:`_neighbours`): a subsequence of ``X``'s vertices in their order
+    that drops only images the anchor edge's lookup would reject.
 
     Either way the maps come out ordered by their images of the cells in
     ``A.nondegenerate()`` order, each cell's images in index order: in the
@@ -597,6 +622,7 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
     levels = _levels(A, by_vertex)
     index = [X.faces_index(n)[1] for n in range(1 if by_vertex else A.dimension + 1)]
     by_verts = [_vertex_index(X, n) for n in range(A.dimension + 1)] if by_vertex else ()
+    ends = _neighbours(X) if by_vertex and A.dimension > 0 else ()
     partial = SimplicialMap(A, X, {})
     image = partial.assignment
     vertex_ids = [0] * len(A._refs)   # by cell id: the id of its image's ref
@@ -610,9 +636,13 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
             yield SimplicialMap(A, X, image)
         else:
             ref, ids, _ = levels[len(stack)]
-            faces = (tuple(map(image.__getitem__, ids)) if ids is not None
-                     else tuple(map(partial, A._faces[ref.id])))
-            stack.append(iter(index[ref.dim].get(faces, ())))
+            if by_vertex and ids:   # the ends of the anchor's image's edges
+                xs = ends[ids[1]][vertex_ids[ids[0]]]
+            else:
+                faces = (tuple(map(image.__getitem__, ids)) if ids is not None
+                         else tuple(map(partial, A._faces[ref.id])))
+                xs = index[ref.dim].get(faces, ())
+            stack.append(iter(xs))
         while stack:   # the deepest level with an untried image takes it
             img = next(stack[-1], None)
             if img is None:

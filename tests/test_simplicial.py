@@ -24,7 +24,7 @@ from smoothsimplex.simplicial import (
     standard_simplicial_set,
     vertex_ref,
 )
-from smoothsimplex.simplicial import _cells, _vertex_determined
+from smoothsimplex.simplicial import _cells, _levels, _neighbours, _vertex_determined
 
 
 # -- independent oracles ----------------------------------------------------
@@ -626,6 +626,142 @@ def test_search_by_vertex_indexes_no_simplex_of_its_source():
         assert sum(1 for _ in enumerate_maps(A, standard_simplicial_set(4))) == 126
         assert [key for key in A._cache if isinstance(key, tuple)
                 and key[0] in ("faces", "vertices") and key[1] >= 1] == []
+
+
+# -- anchor edges of the vertex search ------------------------------------------
+
+def zigzag():
+    """Vertices 0-3 and edges 0 -> 1, 0 -> 3, 3 -> 2: vertex 2 has no earlier
+    neighbour, and vertex 3's latest one, 2, is at the head of an edge from
+    it, while its first edge comes from 0."""
+    X = FiniteSimplicialSet("Zigzag")
+    v = [X.add_simplex(0) for _ in range(4)]
+    for a, b in [(0, 1), (0, 3), (3, 2)]:
+        X.add_simplex(1, [(EMPTY, v[b]), (EMPTY, v[a])])
+    return X
+
+
+def sink():
+    """Vertices 0-3 and edges 0 -> 2, 1 -> 2: no edge leaves vertex 2 but its
+    degenerate one, and vertex 3 has no other edge at all."""
+    X = FiniteSimplicialSet("Sink")
+    v = [X.add_simplex(0) for _ in range(4)]
+    for a in (0, 1):
+        X.add_simplex(1, [(EMPTY, v[2]), (EMPTY, v[a])])
+    return X
+
+
+def horn_tower_stage1():
+    """Stage 1 of the J tower of ``Λ[2,1] ↪ Δ[2]``: vertex-determined, with
+    an edge from vertex 4 to vertex 2."""
+    return igc_factor(named_map("horn2_1_incl"), GeneratingSet("J", 2), 1)[1].complex
+
+
+def circle_stage1():
+    """Stage 1 of the I tower of ``Δ[1] → Δ[0]``: edges 0 -> 1 and 1 -> 0."""
+    return igc_factor(named_map("delta1_to_delta0"), GeneratingSet("I", 2), 1)[1].complex
+
+
+ANCHOR_SOURCES = {"Zigzag": zigzag, "Reversed": reversed_interval, "RP2": rp2,
+                  "J-tower stage 1": horn_tower_stage1, "Circle": circle_stage1}
+ANCHOR_TARGETS = {"Sink": sink, "Delta[3]": lambda: standard_simplicial_set(3),
+                  "J-tower stage 1": horn_tower_stage1, "Circle": circle_stage1}
+
+
+def cellwise_maps(A, X):
+    """The maps of :func:`brute_force_maps`, in its order, found cell by cell
+    with no index: each cell of ``A`` in ``nondegenerate()`` order tries every
+    simplex of ``X`` of its dimension in ``simplices()`` order, and keeps each
+    whose faces are the images of its faces.  It prunes the product early, so
+    it runs on sources too big for the product."""
+    cells, out = A.nondegenerate(), []
+    partial = SimplicialMap(A, X, {})
+
+    def rec(i):
+        if i == len(cells):
+            out.append(dict(partial.assignment))
+            return
+        ref = cells[i]
+        for z in X.simplices(ref.dim):
+            if all(X.face(z, j) == partial(face)
+                   for j, face in enumerate(A._faces.get(ref.id, ()))):
+                partial.assignment[ref.id] = z
+                rec(i + 1)
+
+    rec(0)
+    return out
+
+
+def test_cellwise_oracle_is_the_filtered_product():
+    for A, X in [(reversed_interval(), sink()), (zigzag(), circle_stage1()),
+                 (rp2(), standard_simplicial_set(2)), (sphere2(), rp2())]:
+        assert cellwise_maps(A, X) == brute_force_maps(A, X)
+
+
+@pytest.mark.parametrize("target", ANCHOR_TARGETS)
+@pytest.mark.parametrize("source", ANCHOR_SOURCES)
+def test_anchored_search_matches_brute_force(target, source):
+    # every target is vertex-determined, so the search takes vertex levels
+    # and draws each vertex with an earlier neighbour from its anchor edge
+    X, A = ANCHOR_TARGETS[target](), ANCHOR_SOURCES[source]()
+    assert all(_vertex_determined(X, n) for n in range(1, A.dimension + 1))
+    want = cellwise_maps(A, X)
+    assert want
+    assert [m.assignment for m in enumerate_maps(A, X)] == want
+
+
+def test_anchor_is_the_edge_to_the_latest_earlier_neighbour():
+    # (u, 0) for an edge u -> v, (u, 1) for v -> u, () for no earlier neighbour
+    assert [ids for _, ids, _ in _levels(zigzag(), True)] == [(), (0, 0), (), (2, 1)]
+    assert [ids for _, ids, _ in _levels(reversed_interval(), True)] == [(), (0, 1)]
+    # RP^2's only edge is a loop
+    assert [ids for _, ids, _ in _levels(rp2(), True)] == [()]
+
+
+def test_neighbours_are_the_ends_of_edges_in_vertex_order():
+    for X in (sink(), zigzag(), horn_tower_stage1(), circle_stage1(),
+              boundary_complex(3)[0]):
+        points = [(EMPTY, r) for r in X.nondegenerate(0)]
+        ends = {(X.face(e, 1), X.face(e, 0)) for e in X.simplices(1)}
+        heads, tails = _neighbours(X)
+        for x in points:
+            assert heads[x[1].id] == [y for y in points if (x, y) in ends]
+            assert tails[x[1].id] == [y for y in points if (y, x) in ends]
+
+
+def test_search_by_vertex_draws_from_the_anchor_edge_alone():
+    # In these searches every vertex after the first has an anchor edge,
+    # and every image joined to its anchor's image extends to a map (Δ[4]
+    # and ∂Δ[3] hold every monotone edge and triangle).  So a search that
+    # draws from the anchor edge alone draws each prefix of the maps'
+    # vertex images once, 125 draws for Λ[3,k] → Δ[4] and 34 for Λ[2,1] →
+    # ∂Δ[3]; one that draws a vertex not joined to its anchor's image
+    # draws more.
+    drawn = []
+
+    class Drawn(list):
+        def __iter__(self):
+            for z in list.__iter__(self):
+                drawn.append(z)
+                yield z
+
+    cases = [(horn_complex(3, k)[0], standard_simplicial_set(4), 125) for k in range(4)]
+    cases.append((horn_complex(2, 1)[0], boundary_complex(3)[0], 34))
+    for A, X, want in cases:
+        verts = A.nondegenerate(0)
+        images = [tuple(m.assignment[v.id] for v in verts) for m in enumerate_maps(A, X)]
+        prefixes = sum(len({seq[:j] for seq in images}) for j in range(1, len(verts) + 1))
+        assert prefixes == want
+        drawn.clear()
+        # the search reads these lists from the caches its first run built
+        lists = X.faces_index(0)[1]
+        lists[()] = Drawn(lists[()])
+        for side in _neighbours(X):
+            for x, ys in side.items():
+                side[x] = Drawn(ys)
+        again = [tuple(m.assignment[v.id] for v in verts) for m in enumerate_maps(A, X)]
+        assert again == images
+        assert len(drawn) == prefixes
 
 
 # -- bounded Kan checks -------------------------------------------------------
