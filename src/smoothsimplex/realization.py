@@ -21,6 +21,7 @@ from .simplicial import (
     Simplex,
     SimplexRef,
     SimplicialMap,
+    _cell_vertices,
 )
 
 
@@ -118,15 +119,11 @@ def maximal_simplices(K: FiniteSimplicialSet) -> list[SimplexRef]:
     return [r for r in K.nondegenerate() if r.id not in proper_faces]
 
 
-def _vertex_ids(K: FiniteSimplicialSet, ref: SimplexRef) -> tuple[int, ...]:
-    return tuple(tgt.id for _, tgt in K.vertices_of((EMPTY, ref)))
-
-
 def _sort_key(K: FiniteSimplicialSet, ref: SimplexRef):
     label = K.labels.get(ref.id)
     if isinstance(label, tuple):
         return (0, label)
-    return (1, _vertex_ids(K, ref))
+    return (1, _cell_vertices(K)[ref.id])
 
 
 def witness_not_single_generated(K: FiniteSimplicialSet) -> Optional[dict]:
@@ -140,15 +137,16 @@ def witness_not_single_generated(K: FiniteSimplicialSet) -> Optional[dict]:
     maxima = sorted(maximal_simplices(K), key=lambda r: _sort_key(K, r))
     if len(maxima) < 2:
         return None
+    verts = _cell_vertices(K)
     for ia in range(len(maxima)):
         for ib in range(ia + 1, len(maxima)):
             a, b = maxima[ia], maxima[ib]
-            shared = sorted(set(_vertex_ids(K, a)) & set(_vertex_ids(K, b)))
+            shared = sorted(set(verts[a.id]) & set(verts[b.id]))
             if not shared:
                 continue
             v = shared[0]
-            slot_a = _vertex_ids(K, a).index(v)
-            slot_b = _vertex_ids(K, b).index(v)
+            slot_a = verts[a.id].index(v)
+            slot_b = verts[b.id].index(v)
             return {
                 "sigma": a,
                 "tau": b,

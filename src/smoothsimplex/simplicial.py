@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain, combinations
-from math import comb
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -501,39 +500,25 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
 # -- map enumeration and bounded Kan checks --------------------------------
 
 
-def _cells(A: FiniteSimplicialSet, by_vertex: bool = False
-           ) -> list[tuple[SimplexRef, Optional[tuple[int, ...]]]]:
-    """``A``'s cells in ``nondegenerate()`` order, each with the ids of its
-    faces, or None when a face carries a degeneracy word.
-
-    With ``by_vertex``, the same cells sorted by (the last of their vertices
-    in that order, dimension, position): ``v0, v1, e01, v2, e02, e12, t012,
-    ...``.  A cell's vertices are those of its faces, so its faces still
-    come before it."""
-    cells = [(ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
-              else tuple(t.id for _, t in A._faces.get(ref.id, ())))
-             for ref in A.nondegenerate()]
-    if not by_vertex:
-        return cells
-    # vertex ids grow in nondegenerate() order; the cells are in dimension
-    # order, and the sort is stable
-    verts = _cell_vertices(A)
-    return sorted(cells, key=lambda cell: max(verts[cell[0].id]))
-
-
 def _levels(A: FiniteSimplicialSet, by_vertex: bool) -> list[tuple]:
-    """The map search's levels ``(ref, face ids, follow)``: one per cell of
-    :func:`_cells`, or with ``by_vertex`` one per vertex, which follows the
-    cells after it in the vertex order, as ``(id, dim, vertex ids getter)``.
+    """The map search's levels ``(ref, face ids, follow)``: one per cell in
+    ``nondegenerate()`` order, with the ids of its faces (None when a face
+    carries a degeneracy word), or with ``by_vertex`` one per vertex, which
+    follows the cells whose last vertex it is, as ``(id, dim, vertex ids
+    getter)``: ``v0; v1: e01; v2: e02, e12, t012; ...``, faces first.
 
     A vertex level's ``face ids`` are its anchor: ``(u, side)`` for the first
     non-loop edge joining it to ``u``, its latest earlier neighbour, with
     ``side`` 0 for an edge ``u → v`` and 1 for ``v → u``; ``()`` for none."""
     def build():
         if not by_vertex:
-            return [(ref, ids, ()) for ref, ids in _cells(A)]
+            return [(ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
+                     else tuple(t.id for _, t in A._faces.get(ref.id, ())), ())
+                    for ref in A.nondegenerate()]
         verts, levels = _cell_vertices(A), []
-        for ref, _ in _cells(A, True):
+        # vertex ids grow in nondegenerate() order; the cells are in dimension
+        # order, and the sort is stable
+        for ref in sorted(A.nondegenerate(), key=lambda r: max(verts[r.id])):
             if not ref.dim:
                 levels.append([ref, (), []])
                 continue
@@ -570,10 +555,11 @@ def _cell_vertices(X: FiniteSimplicialSet) -> dict[int, tuple[int, ...]]:
 
 def _vertex_index(X: FiniteSimplicialSet, n: int) -> dict[tuple[int, ...], Simplex]:
     """The ``n``-simplices of ``X``, degenerate ones included, by the ids of
-    their vertices ``0, ..., n`` (the last of any that share them)."""
+    their vertices ``0, ..., n`` (the last of any that share them); the
+    simplices are the keys of ``X.faces_index(n)[0]``, not copies."""
     verts = _cell_vertices(X)
     return X._cached(("vertices", n), lambda: {
-        _vertex_ids(z, verts): z for z in X.simplices(n)})
+        _vertex_ids(z, verts): z for z in X.faces_index(n)[0]})
 
 
 def _neighbours(X: FiniteSimplicialSet) -> tuple[dict[int, list[Simplex]], ...]:
@@ -592,8 +578,7 @@ def _neighbours(X: FiniteSimplicialSet) -> tuple[dict[int, list[Simplex]], ...]:
 def _vertex_determined(X: FiniteSimplicialSet, n: int) -> bool:
     """True when no two ``n``-simplices of ``X``, degenerate ones included,
     share a vertex tuple: the vertex index has a key for each of them."""
-    return len(_vertex_index(X, n)) == sum(
-        comb(n, m) * len(refs) for m, refs in X._by_dim.items())
+    return len(_vertex_index(X, n)) == len(X.faces_index(n)[0])
 
 
 def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
@@ -606,12 +591,13 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
     of ``A`` when ``X`` is vertex-determined in dimensions 1 to
     ``A.dimension``, else on the cells in ``nondegenerate()`` order.  Once a
     vertex has an image, each cell whose last vertex it is takes the one
-    simplex of ``X`` with its vertices' images (:func:`_vertex_index`), and
-    a cell with none rejects that image.  A vertex with an anchor edge to an
-    earlier vertex ``u`` (:func:`_levels`) draws its images only from the
-    ends of the edges of ``X`` at ``u``'s image on that side
-    (:func:`_neighbours`): a subsequence of ``X``'s vertices in their order
-    that drops only images the anchor edge's lookup would reject.
+    simplex of ``X`` with its vertices' images (:func:`_vertex_index`, over
+    the simplices ``X.faces_index`` holds), and a cell with none rejects it.
+    A vertex with an anchor edge to an earlier vertex ``u`` (:func:`_levels`)
+    draws its images only from the ends of the edges of ``X`` at ``u``'s
+    image on that side (:func:`_neighbours`): a subsequence of ``X``'s
+    vertices in their order that drops only images the anchor edge's lookup
+    would reject.
 
     Either way the maps come out ordered by their images of the cells in
     ``A.nondegenerate()`` order, each cell's images in index order: in the

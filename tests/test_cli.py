@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -648,10 +649,13 @@ def test_map_file_round_trip(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the subprocess imports the package from where this test found it
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "smoothsimplex.cli", "verify-axiom1",
          "--p", "1", "--grid", "6", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["command"] == "verify-axiom1"

@@ -24,7 +24,8 @@ from smoothsimplex.simplicial import (
     standard_simplicial_set,
     vertex_ref,
 )
-from smoothsimplex.simplicial import _cells, _levels, _neighbours, _vertex_determined
+from smoothsimplex.simplicial import (
+    _levels, _neighbours, _vertex_determined, _vertex_index)
 
 
 # -- independent oracles ----------------------------------------------------
@@ -502,6 +503,36 @@ def test_vertex_determined_complexes(p):
         assert all(_vertex_determined(X, n) for n in range(1, p + 2)), X.name
 
 
+def test_vertex_index_holds_the_face_index_simplices():
+    # one copy of each n-simplex: the vertex index's values are the face
+    # index's own key objects, not equal copies
+    for X in (standard_simplicial_set(4), boundary_complex(3)[0],
+              cone(boundary_complex(2)[0])[0]):
+        for n in range(4):
+            own = {z: z for z in X.faces_index(n)[0]}
+            by_verts = _vertex_index(X, n)
+            assert len(by_verts) == len(own), (X.name, n)
+            assert all(own[z] is z for z in by_verts.values()), (X.name, n)
+
+
+def oracle_vertex_determined(X, n):
+    """No two n-simplices of X share a vertex tuple, by listing them all."""
+    tuples = [X.vertices_of(z) for z in X.simplices(n)]
+    return len(set(tuples)) == len(tuples)
+
+
+def test_vertex_determined_matches_brute_force():
+    complexes = [random_complex(seed) for seed in range(6)]
+    complexes += [parallel_edges(), rp2(), sphere2()]
+    verdicts = set()
+    for X in complexes:
+        for n in range(X.dimension + 2):
+            verdict = oracle_vertex_determined(X, n)
+            assert _vertex_determined(X, n) == verdict, (X.name, n)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_shared_vertex_tuples_are_not_vertex_determined():
     # two edges v0 -> v1; the loop of RP^2 and the degenerate edge on its vertex
     assert not _vertex_determined(parallel_edges(), 1)
@@ -510,14 +541,21 @@ def test_shared_vertex_tuples_are_not_vertex_determined():
     assert _vertex_determined(sphere2(), 1) and not _vertex_determined(sphere2(), 2)
 
 
+def vertex_order(A):
+    """``A``'s cells in the order of its vertex levels: each level's vertex,
+    then the cells it follows."""
+    return [r for ref, _, follow in _levels(A, True)
+            for r in [ref, *(A.ref(cell) for cell, _, _ in follow)]]
+
+
 def test_vertex_order_visits_each_cell_after_its_vertices():
     A = standard_simplicial_set(2)
-    assert [A.labels[ref.id] for ref, _ in _cells(A, True)] == [
+    assert [A.labels[ref.id] for ref in vertex_order(A)] == [
         (0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
     for seed in range(4):
         A = random_complex(seed)
-        order = [ref for ref, _ in _cells(A, True)]
-        assert sorted(order) == sorted(ref for ref, _ in _cells(A))
+        order = vertex_order(A)
+        assert sorted(order) == sorted(ref for ref, _, _ in _levels(A, False))
         seen = set()
         for ref in order:
             assert all(t in seen for _, t in A._faces.get(ref.id, ()))
