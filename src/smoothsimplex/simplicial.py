@@ -127,10 +127,11 @@ class FiniteSimplicialSet:
             raise ValueError(f"degeneracy index {j} out of range")
         return (words.prepend_degeneracy(j, word), ref)
 
-    def _cached(self, key: object, build: Callable[[], object]):
-        """``build()``, kept until :meth:`add_simplex` grows the complex."""
+    def _cached(self, key: object, build: Callable[..., object], *args):
+        """``build(*args)``, kept until :meth:`add_simplex` grows the complex
+        (a hot reader tries ``self._cache.get(key)`` first: one lookup)."""
         if key not in self._cache:
-            self._cache[key] = build()
+            self._cache[key] = build(*args)
         return self._cache[key]
 
     def faces_index(self, n: int) -> tuple[dict[Simplex, tuple[Simplex, ...]],
@@ -139,15 +140,17 @@ class FiniteSimplicialSet:
         included: ``faces_of[z]`` is ``(d_0 z, ..., d_n z)`` (``()`` for a
         vertex), and ``with_faces[t]`` lists the simplices whose faces are
         ``t``, in :meth:`simplices` order."""
-        def build():
-            faces_of: dict[Simplex, tuple[Simplex, ...]] = {}
-            with_faces: dict[tuple[Simplex, ...], list[Simplex]] = {}
-            for z in self.simplices(n):
-                t = tuple(self.face(z, i) for i in range(n + 1)) if n else ()
-                faces_of[z] = t
-                with_faces.setdefault(t, []).append(z)
-            return faces_of, with_faces
-        return self._cached(("faces", n), build)
+        return (self._cache.get(("faces", n))
+                or self._cached(("faces", n), self._index_faces, n))
+
+    def _index_faces(self, n: int) -> tuple[dict, dict]:
+        faces_of: dict[Simplex, tuple[Simplex, ...]] = {}
+        with_faces: dict[tuple[Simplex, ...], list[Simplex]] = {}
+        for z in self.simplices(n):
+            t = tuple(self.face(z, i) for i in range(n + 1)) if n else ()
+            faces_of[z] = t
+            with_faces.setdefault(t, []).append(z)
+        return faces_of, with_faces
 
     def horn_index(self, n: int, k: Optional[int]
                    ) -> dict[tuple[Simplex, ...], list[Simplex]]:
@@ -158,14 +161,16 @@ class FiniteSimplicialSet:
         faces: ``faces_index(n)[1]``."""
         if k is None:
             return self.faces_index(n)[1]
-        def build():
-            rank = {y: i for i, y in enumerate(self.faces_index(n - 1)[0])}
-            out: dict[tuple[Simplex, ...], list[Simplex]] = {}
-            for z, t in sorted(self.faces_index(n)[0].items(),
-                               key=lambda zt: rank[zt[1][k]]):
-                out.setdefault(t[:k] + t[k + 1:], []).append(z)
-            return out
-        return self._cached(("horn", n, k), build)
+        return (self._cache.get(("horn", n, k))
+                or self._cached(("horn", n, k), self._index_horns, n, k))
+
+    def _index_horns(self, n: int, k: int) -> dict:
+        rank = {y: i for i, y in enumerate(self.faces_index(n - 1)[0])}
+        out: dict[tuple[Simplex, ...], list[Simplex]] = {}
+        for z, t in sorted(self.faces_index(n)[0].items(),
+                           key=lambda zt: rank[zt[1][k]]):
+            out.setdefault(t[:k] + t[k + 1:], []).append(z)
+        return out
 
     def simplices(self, n: int) -> Iterator[Simplex]:
         """All ``n``-simplices, degenerate ones included, in a fixed order."""
@@ -507,28 +512,29 @@ def _levels(A: FiniteSimplicialSet, by_vertex: bool) -> list[tuple]:
     follows the cells whose last vertex it is, as ``(id, dim, vertex ids
     getter)``: ``v0; v1: e01; v2: e02, e12, t012; ...``, faces first.
 
-    A vertex level's ``face ids`` are its anchor: ``(u, side)`` for the first
-    non-loop edge joining it to ``u``, its latest earlier neighbour, with
-    ``side`` 0 for an edge ``u → v`` and 1 for ``v → u``; ``()`` for none."""
-    def build():
-        if not by_vertex:
-            return [(ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
-                     else tuple(t.id for _, t in A._faces.get(ref.id, ())), ())
-                    for ref in A.nondegenerate()]
-        verts, levels = _cell_vertices(A), []
-        # vertex ids grow in nondegenerate() order; the cells are in dimension
-        # order, and the sort is stable
-        for ref in sorted(A.nondegenerate(), key=lambda r: max(verts[r.id])):
-            if not ref.dim:
-                levels.append([ref, (), []])
-                continue
-            level, vs = levels[-1], verts[ref.id]
-            level[2].append((ref.id, ref.dim, itemgetter(*vs)))
-            # vertex ids grow in the level order, so u is the smaller end
-            if ref.dim == 1 and vs[0] != vs[1] and (min(vs),) > level[1][:1]:
-                level[1] = (min(vs), int(vs[0] > vs[1]))
-        return [tuple(level) for level in levels]
-    return A._cached(("levels", by_vertex), build)
+    A vertex level's ``face ids`` are its anchor: ``(u, side, e)`` for the
+    first non-loop edge ``e`` joining it to ``u``, its latest earlier
+    neighbour, with ``side`` 0 for an edge ``u → v`` and 1 for ``v → u``;
+    ``()`` for none.  The anchor edge takes its image with the vertex's, so
+    it is not in ``follow``."""
+    if not by_vertex:
+        return [(ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
+                 else tuple(t.id for _, t in A._faces.get(ref.id, ())), ())
+                for ref in A.nondegenerate()]
+    verts, levels = _cell_vertices(A), []
+    # vertex ids grow in nondegenerate() order; the cells are in dimension
+    # order, and the sort is stable
+    for ref in sorted(A.nondegenerate(), key=lambda r: max(verts[r.id])):
+        if not ref.dim:
+            levels.append([ref, (), []])
+            continue
+        level, vs = levels[-1], verts[ref.id]
+        level[2].append((ref.id, ref.dim, itemgetter(*vs)))
+        # vertex ids grow in the level order, so u is the smaller end
+        if ref.dim == 1 and vs[0] != vs[1] and (min(vs),) > level[1][:1]:
+            level[1] = (min(vs), int(vs[0] > vs[1]), ref.id)
+    return [(ref, anchor, [c for c in follow if c[0] not in anchor[2:]])
+            for ref, anchor, follow in levels]
 
 
 def _vertex_ids(sx: Simplex, verts: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
@@ -562,15 +568,16 @@ def _vertex_index(X: FiniteSimplicialSet, n: int) -> dict[tuple[int, ...], Simpl
         _vertex_ids(z, verts): z for z in X.faces_index(n)[0]})
 
 
-def _neighbours(X: FiniteSimplicialSet) -> tuple[dict[int, list[Simplex]], ...]:
-    """``(heads, tails)``: by vertex id, the vertices at the other end of the
-    edges of ``X`` from it and of those to it, degenerate ones included, as
-    vertex simplices in ``X``'s vertex order."""
+def _neighbours(X: FiniteSimplicialSet) -> tuple[dict[int, list[tuple]], ...]:
+    """``(heads, tails)``: by vertex id, ``(y, e)`` for each edge ``e`` of
+    ``X`` from it and to it, degenerate ones included, with ``y`` the vertex
+    simplex at the other end of ``e``, in ``X``'s vertex order.  ``e`` is the
+    edge :func:`_vertex_index` files under its ends."""
     def build():
         point, ends = _vertex_index(X, 0), ({}, {})
-        for a, b in sorted(_vertex_index(X, 1)):
-            ends[0].setdefault(a, []).append(point[b,])
-            ends[1].setdefault(b, []).append(point[a,])
+        for (a, b), e in sorted(_vertex_index(X, 1).items()):
+            ends[0].setdefault(a, []).append((point[b,], e))
+            ends[1].setdefault(b, []).append((point[a,], e))
         return ends
     return X._cached("neighbours", build)
 
@@ -579,6 +586,18 @@ def _vertex_determined(X: FiniteSimplicialSet, n: int) -> bool:
     """True when no two ``n``-simplices of ``X``, degenerate ones included,
     share a vertex tuple: the vertex index has a key for each of them."""
     return len(_vertex_index(X, n)) == len(X.faces_index(n)[0])
+
+
+def _plan(X: FiniteSimplicialSet, d: int) -> tuple:
+    """The map search's indexes of ``X`` for sources of dimension ``d``:
+    ``(by_vertex, index, by_verts, ends)``, ``by_vertex`` True when ``X`` is
+    vertex-determined in dimensions 1 to ``d``, then the face indexes
+    ``X.faces_index(n)[1]`` it branches over, the vertex-tuple indexes and
+    the adjacency lists (:func:`_neighbours`) it reads."""
+    by_vertex = all(_vertex_determined(X, n) for n in range(1, d + 1))
+    return (by_vertex, [X.faces_index(n)[1] for n in range(1 if by_vertex else d + 1)],
+            [_vertex_index(X, n) for n in range(d + 1)] if by_vertex else (),
+            _neighbours(X) if by_vertex and d > 0 else ())
 
 
 def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
@@ -594,21 +613,23 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
     simplex of ``X`` with its vertices' images (:func:`_vertex_index`, over
     the simplices ``X.faces_index`` holds), and a cell with none rejects it.
     A vertex with an anchor edge to an earlier vertex ``u`` (:func:`_levels`)
-    draws its images only from the ends of the edges of ``X`` at ``u``'s
-    image on that side (:func:`_neighbours`): a subsequence of ``X``'s
-    vertices in their order that drops only images the anchor edge's lookup
-    would reject.
+    draws its images, each with the anchor edge's, from the edges of ``X``
+    at ``u``'s image on that side (:func:`_neighbours`): a subsequence of
+    ``X``'s vertices in their order that drops only images the anchor edge's
+    lookup would reject, and the edge that lookup would find.
 
+    The indexes come from one :func:`_plan` per ``(X, A.dimension)``, kept on
+    ``X``, and the levels are kept on ``A``: each costs one lookup when kept.
     Either way the maps come out ordered by their images of the cells in
     ``A.nondegenerate()`` order, each cell's images in index order: in the
     first case a map is fixed by its images of the vertices, which come
     first in that order.
     """
-    by_vertex = all(_vertex_determined(X, n) for n in range(1, A.dimension + 1))
-    levels = _levels(A, by_vertex)
-    index = [X.faces_index(n)[1] for n in range(1 if by_vertex else A.dimension + 1)]
-    by_verts = [_vertex_index(X, n) for n in range(A.dimension + 1)] if by_vertex else ()
-    ends = _neighbours(X) if by_vertex and A.dimension > 0 else ()
+    d = A.dimension
+    by_vertex, index, by_verts, ends = (X._cache.get(("plan", d))
+                                        or X._cached(("plan", d), _plan, X, d))
+    levels = (A._cache.get(("levels", by_vertex))
+              or A._cached(("levels", by_vertex), _levels, A, by_vertex))
     partial = SimplicialMap(A, X, {})
     image = partial.assignment
     vertex_ids = [0] * len(A._refs)   # by cell id: the id of its image's ref
@@ -616,13 +637,13 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
     # stack[i] holds the untried images of levels[i], whose current image is
     # in the assignment.  Entries for cells past the stack are left over from
     # abandoned branches; they are overwritten before anything reads them.
-    stack: list[Iterator[Simplex]] = []
+    stack: list[Iterator] = []
     while True:
         if len(stack) == len(levels):
             yield SimplicialMap(A, X, image)
         else:
             ref, ids, _ = levels[len(stack)]
-            if by_vertex and ids:   # the ends of the anchor's image's edges
+            if by_vertex and ids:   # the anchor's image's edges and their ends
                 xs = ends[ids[1]][vertex_ids[ids[0]]]
             else:
                 faces = (tuple(map(image.__getitem__, ids)) if ids is not None
@@ -634,7 +655,9 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
             if img is None:
                 stack.pop()
                 continue
-            ref, _, follow = levels[len(stack) - 1]
+            ref, ids, follow = levels[len(stack) - 1]
+            if by_vertex and ids:   # a vertex and its anchor edge's image
+                img, image[ids[2]] = img
             image[ref.id] = img
             vertex_ids[ref.id] = img[1].id
             for cell, dim, vertices in follow:
@@ -651,7 +674,8 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
 def _facet_ids(A: FiniteSimplicialSet, p: int, k: Optional[int]) -> tuple[int, ...]:
     """The ids of the cells of ``A``, a vertex-labelled subcomplex of
     ``Δ[p]``, on the facets ``d_i`` of ``Δ[p]`` with ``i ≠ k``, by ``i``."""
-    return A._cached(("facets", p, k), lambda: tuple(
+    key = ("facets", p, k)
+    return A._cache.get(key) or A._cached(key, lambda: tuple(
         vertex_ref(A, tuple(j for j in range(p + 1) if j != i)).id
         for i in range(p + 1) if p and i != k))
 

@@ -543,15 +543,17 @@ def test_shared_vertex_tuples_are_not_vertex_determined():
 
 def vertex_order(A):
     """``A``'s cells in the order of its vertex levels: each level's vertex,
-    then the cells it follows."""
-    return [r for ref, _, follow in _levels(A, True)
-            for r in [ref, *(A.ref(cell) for cell, _, _ in follow)]]
+    its anchor edge (read from the anchor slot), then the cells it follows."""
+    return [r for ref, anchor, follow in _levels(A, True)
+            for r in [ref, *map(A.ref, anchor[2:]),
+                      *(A.ref(cell) for cell, _, _ in follow)]]
 
 
 def test_vertex_order_visits_each_cell_after_its_vertices():
     A = standard_simplicial_set(2)
+    # vertex 2's anchor is the edge 12, to its latest earlier neighbour
     assert [A.labels[ref.id] for ref in vertex_order(A)] == [
-        (0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
+        (0,), (1,), (0, 1), (2,), (1, 2), (0, 2), (0, 1, 2)]
     for seed in range(4):
         A = random_complex(seed)
         order = vertex_order(A)
@@ -560,6 +562,11 @@ def test_vertex_order_visits_each_cell_after_its_vertices():
         for ref in order:
             assert all(t in seen for _, t in A._faces.get(ref.id, ()))
             seen.add(ref)
+        # each level's cells are those whose last vertex it is
+        for ref, anchor, follow in _levels(A, True):
+            for cell in [*anchor[2:], *(cell for cell, _, _ in follow)]:
+                last = max(v[1].id for v in A.vertices_of((EMPTY, A.ref(cell))))
+                assert last == ref.id, (A.name, ref, cell)
 
 
 def test_search_runs_on_sources_deeper_than_the_recursion_limit():
@@ -749,22 +756,71 @@ def test_anchored_search_matches_brute_force(target, source):
 
 
 def test_anchor_is_the_edge_to_the_latest_earlier_neighbour():
-    # (u, 0) for an edge u -> v, (u, 1) for v -> u, () for no earlier neighbour
-    assert [ids for _, ids, _ in _levels(zigzag(), True)] == [(), (0, 0), (), (2, 1)]
-    assert [ids for _, ids, _ in _levels(reversed_interval(), True)] == [(), (0, 1)]
+    # (u, 0, e) for an edge e: u -> v, (u, 1, e) for e: v -> u, () for no
+    # earlier neighbour; Zigzag's edges 0 -> 1, 0 -> 3, 3 -> 2 are cells 4-6
+    assert [ids for _, ids, _ in _levels(zigzag(), True)] == [(), (0, 0, 4), (), (2, 1, 6)]
+    # the edge v0 -> v1 is cell 2, and v1 is vertex 0
+    assert [ids for _, ids, _ in _levels(reversed_interval(), True)] == [(), (0, 1, 2)]
     # RP^2's only edge is a loop
     assert [ids for _, ids, _ in _levels(rp2(), True)] == [()]
+    # every anchor edge runs between u and the level's vertex on its side,
+    # and takes its image with the vertex, not by a lookup of its own
+    for A in (*(make() for make in ANCHOR_SOURCES.values()), standard_simplicial_set(3)):
+        for ref, anchor, follow in _levels(A, True):
+            if anchor:
+                u, side, e = anchor
+                ends = tuple(v[1].id for v in A.vertices_of((EMPTY, A.ref(e))))
+                assert ends == ((u, ref.id), (ref.id, u))[side], (A.name, ref)
+                assert e not in [cell for cell, _, _ in follow], (A.name, ref)
 
 
 def test_neighbours_are_the_ends_of_edges_in_vertex_order():
     for X in (sink(), zigzag(), horn_tower_stage1(), circle_stage1(),
               boundary_complex(3)[0]):
         points = [(EMPTY, r) for r in X.nondegenerate(0)]
-        ends = {(X.face(e, 1), X.face(e, 0)) for e in X.simplices(1)}
+        # X is vertex-determined in dimension 1: one edge per pair of ends
+        edge = {(X.face(e, 1), X.face(e, 0)): e for e in X.simplices(1)}
+        assert len(edge) == len(list(X.simplices(1))), X.name
         heads, tails = _neighbours(X)
         for x in points:
-            assert heads[x[1].id] == [y for y in points if (x, y) in ends]
-            assert tails[x[1].id] == [y for y in points if (y, x) in ends]
+            # each end comes with the edge of X between it and x
+            assert heads[x[1].id] == [(y, edge[x, y]) for y in points if (x, y) in edge]
+            assert tails[x[1].id] == [(y, edge[y, x]) for y in points if (y, x) in edge]
+
+
+def levels_taken(A):
+    """The kinds of level (True for vertex levels) that searches out of ``A``
+    have built and kept on it."""
+    return {key[1] for key in A._cache if key[:1] == ("levels",)}
+
+
+def test_search_keeps_one_plan_per_source_dimension():
+    # S^2 is vertex-determined in dimension 1 but not in dimension 2, so a
+    # search from a 1-dimensional source takes vertex levels and one from a
+    # 2-dimensional source cell levels, whichever ran before it
+    X = sphere2()
+    sources = [lambda: horn_complex(2, 1)[0], lambda: standard_simplicial_set(2)]
+    for make in (*sources, sources[0]):
+        A = make()
+        by_vertex = all(oracle_vertex_determined(X, n)
+                        for n in range(1, A.dimension + 1))
+        assert by_vertex == (A.dimension == 1)
+        assert [m.assignment for m in enumerate_maps(A, X)] == cellwise_maps(A, X)
+        assert levels_taken(A) == {by_vertex}, A.name
+    assert {key for key in X._cache if key[:1] == ("plan",)} == {
+        ("plan", 1), ("plan", 2)}
+    # a parallel edge makes Δ[2] not vertex-determined in dimension 1: the
+    # plan kept on it is dropped, and the next search takes cell levels
+    X, D1 = standard_simplicial_set(2), standard_simplicial_set(1)
+    assert [m.assignment for m in enumerate_maps(D1, X)] == cellwise_maps(D1, X)
+    assert levels_taken(D1) == {True}
+    v0, v1 = X.nondegenerate(0)[:2]
+    X.add_simplex(1, [(EMPTY, v1), (EMPTY, v0)])
+    for A in (standard_simplicial_set(1), horn_complex(2, 1)[0]):
+        want = cellwise_maps(A, X)
+        assert [m.assignment for m in enumerate_maps(A, X)] == want
+        assert levels_taken(A) == {False}, A.name
+    assert len(want) > len(cellwise_maps(A, standard_simplicial_set(2)))
 
 
 def test_search_by_vertex_draws_from_the_anchor_edge_alone():
