@@ -359,10 +359,11 @@ class EvaluableHomotopy:
         return z
 
     def stage_of(self, s: float) -> str:
-        for name, (lo, hi) in self.schedule:
-            if lo <= s <= hi:
-                return name
-        return self.schedule[-1][0]
+        """The name of the stage that runs at time ``s`` in [0, 1] (the
+        earlier one at a shared end); the intervals tile [0, 1]."""
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"homotopy time {s} outside [0, 1]")
+        return next(name for name, (lo, hi) in self.schedule if lo <= s <= hi)
 
 
 def _swap(n: int, k: int) -> Callable[[Vec], Vec]:

@@ -515,8 +515,9 @@ def _levels(A: FiniteSimplicialSet, by_vertex: bool) -> list[tuple]:
     A vertex level's ``face ids`` are its anchor: ``(u, side, e)`` for the
     first non-loop edge ``e`` joining it to ``u``, its latest earlier
     neighbour, with ``side`` 0 for an edge ``u → v`` and 1 for ``v → u``;
-    ``()`` for none.  The anchor edge takes its image with the vertex's, so
-    it is not in ``follow``."""
+    ``()`` for none.  The anchor edge takes its image with the vertex's,
+    drawn from the adjacency lists of :func:`_plan`, so it is not in
+    ``follow``."""
     if not by_vertex:
         return [(ref, None if any(w for w, _ in A._faces.get(ref.id, ()))
                  else tuple(t.id for _, t in A._faces.get(ref.id, ())), ())
@@ -559,45 +560,28 @@ def _cell_vertices(X: FiniteSimplicialSet) -> dict[int, tuple[int, ...]]:
     return X._cached("cell vertices", build)
 
 
-def _vertex_index(X: FiniteSimplicialSet, n: int) -> dict[tuple[int, ...], Simplex]:
-    """The ``n``-simplices of ``X``, degenerate ones included, by the ids of
-    their vertices ``0, ..., n`` (the last of any that share them); the
-    simplices are the keys of ``X.faces_index(n)[0]``, not copies."""
-    verts = _cell_vertices(X)
-    return X._cached(("vertices", n), lambda: {
-        _vertex_ids(z, verts): z for z in X.faces_index(n)[0]})
-
-
-def _neighbours(X: FiniteSimplicialSet) -> tuple[dict[int, list[tuple]], ...]:
-    """``(heads, tails)``: by vertex id, ``(y, e)`` for each edge ``e`` of
-    ``X`` from it and to it, degenerate ones included, with ``y`` the vertex
-    simplex at the other end of ``e``, in ``X``'s vertex order.  ``e`` is the
-    edge :func:`_vertex_index` files under its ends."""
-    def build():
-        point, ends = _vertex_index(X, 0), ({}, {})
-        for (a, b), e in sorted(_vertex_index(X, 1).items()):
-            ends[0].setdefault(a, []).append((point[b,], e))
-            ends[1].setdefault(b, []).append((point[a,], e))
-        return ends
-    return X._cached("neighbours", build)
-
-
-def _vertex_determined(X: FiniteSimplicialSet, n: int) -> bool:
-    """True when no two ``n``-simplices of ``X``, degenerate ones included,
-    share a vertex tuple: the vertex index has a key for each of them."""
-    return len(_vertex_index(X, n)) == len(X.faces_index(n)[0])
-
-
 def _plan(X: FiniteSimplicialSet, d: int) -> tuple:
-    """The map search's indexes of ``X`` for sources of dimension ``d``:
-    ``(by_vertex, index, by_verts, ends)``, ``by_vertex`` True when ``X`` is
-    vertex-determined in dimensions 1 to ``d``, then the face indexes
-    ``X.faces_index(n)[1]`` it branches over, the vertex-tuple indexes and
-    the adjacency lists (:func:`_neighbours`) it reads."""
-    by_vertex = all(_vertex_determined(X, n) for n in range(1, d + 1))
-    return (by_vertex, [X.faces_index(n)[1] for n in range(1 if by_vertex else d + 1)],
-            [_vertex_index(X, n) for n in range(d + 1)] if by_vertex else (),
-            _neighbours(X) if by_vertex and d > 0 else ())
+    """The map search's indexes of ``X`` for sources of dimension ``d``,
+    ``(by_vertex, index, by_verts, ends)``, built here alone.  ``by_verts[n]``
+    files the keys of ``X.faces_index(n)[0]``, the ``n``-simplices,
+    degenerate ones included, by their vertex ids.  ``by_vertex`` is True when ``X``
+    is vertex-determined in dimensions 1 to ``d``: no two ``n``-simplices
+    share a vertex tuple.  Then ``index`` is ``[X.faces_index(0)[1]]`` and,
+    for ``d > 0``, ``ends`` is ``(heads, tails)``: by vertex id, ``(y, e)``
+    for each edge ``e`` from it and to it, ``y`` the vertex at its other end,
+    in ``X``'s vertex order.  Else the search branches over the face indexes
+    ``index[n] = X.faces_index(n)[1]``, ``n <= d``, and reads nothing else."""
+    verts, by_verts = _cell_vertices(X), []
+    for n in range(d + 1):
+        faces_of = X.faces_index(n)[0]
+        by_verts.append({_vertex_ids(z, verts): z for z in faces_of})
+        if len(by_verts[n]) < len(faces_of):
+            return False, [X.faces_index(m)[1] for m in range(d + 1)], (), ()
+    ends = ({}, {}) if d > 0 else ()
+    for (a, b), e in sorted(by_verts[1].items()) if ends else ():
+        ends[0].setdefault(a, []).append((by_verts[0][b,], e))
+        ends[1].setdefault(b, []).append((by_verts[0][a,], e))
+    return True, [X.faces_index(0)[1]], by_verts, ends
 
 
 def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
@@ -610,13 +594,14 @@ def enumerate_maps(A: FiniteSimplicialSet, X: FiniteSimplicialSet
     of ``A`` when ``X`` is vertex-determined in dimensions 1 to
     ``A.dimension``, else on the cells in ``nondegenerate()`` order.  Once a
     vertex has an image, each cell whose last vertex it is takes the one
-    simplex of ``X`` with its vertices' images (:func:`_vertex_index`, over
-    the simplices ``X.faces_index`` holds), and a cell with none rejects it.
-    A vertex with an anchor edge to an earlier vertex ``u`` (:func:`_levels`)
-    draws its images, each with the anchor edge's, from the edges of ``X``
-    at ``u``'s image on that side (:func:`_neighbours`): a subsequence of
-    ``X``'s vertices in their order that drops only images the anchor edge's
-    lookup would reject, and the edge that lookup would find.
+    simplex of ``X`` with its vertices' images (the plan's vertex-tuple
+    index, over the simplices ``X.faces_index`` holds), and a cell with none
+    rejects it.  A vertex with an anchor edge to an earlier vertex ``u``
+    (:func:`_levels`) draws its images, each with the anchor edge's, from
+    the edges of ``X`` at ``u``'s image on that side (the plan's adjacency
+    lists): a subsequence of ``X``'s vertices in their order that drops only
+    images the anchor edge's lookup would reject, and the edge that lookup
+    would find.
 
     The indexes come from one :func:`_plan` per ``(X, A.dimension)``, kept on
     ``X``, and the levels are kept on ``A``: each costs one lookup when kept.
@@ -682,9 +667,11 @@ def _facet_ids(A: FiniteSimplicialSet, p: int, k: Optional[int]) -> tuple[int, .
 
 def horn_fillers(X: FiniteSimplicialSet, horn_map: SimplicialMap,
                  p: int, k: int) -> list[Simplex]:
-    """All p-simplices of ``X`` filling a horn map ``Λ[p,k] → X``."""
+    """All p-simplices of ``X`` filling a horn map ``Λ[p,k] → X``, in
+    :func:`enumerate_maps` order.  The list is the horn index's own (a new
+    empty one when there are none), so callers must not change it."""
     faces = map(horn_map.assignment.__getitem__, _facet_ids(horn_map.source, p, k))
-    return list(X.horn_index(p, k).get(tuple(faces), []))
+    return X.horn_index(p, k).get(tuple(faces), [])
 
 
 class _Frozen(FiniteSimplicialSet):

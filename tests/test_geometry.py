@@ -460,6 +460,7 @@ def test_gamma_examples():
     gamma = gamma_map(1)
     assert gamma(Bary.of(F(1, 3), F(1, 3), F(1, 3))).coords == (0, 1, 0)
     assert gamma(Bary.of(F(1, 5), F(3, 10), F(1, 2))).coords == (0, F(7, 10), F(3, 10))
+    assert gamma(Bary.of(F(1, 2), F(3, 10), F(1, 5))).coords == (F(3, 10), F(7, 10), 0)
 
 
 def test_gamma_branch_agreement_on_seam():
@@ -486,6 +487,23 @@ def test_concat_product_base_point():
     prod = concat_product(f, g)
     out = prod(Bary.barycenter(1))
     assert out.coords == base.coords
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_concat_product_off_the_seam(p):
+    # (f + g) ∘ gamma ∘ d^p by hand: f where x_p > x_{p-1}, g where
+    # x_p < x_{p-1}, each at the point of its half that gamma names
+    f = BasedMap(p, lambda x: ("f", x.coords), "base")
+    g = BasedMap(p, lambda x: ("g", x.coords), "base")
+    prod, sides = concat_product(f, g), set()
+    for x in barycentric_grid(p, 6):
+        head, a, b = x.coords[:p - 1], x[p - 1], x[p]
+        if a == b:
+            continue
+        want = ("f", head + (2 * a, b - a)) if b > a else ("g", head + (a - b, 2 * b))
+        assert prod(x) == want, x.coords
+        sides.add(want[0])
+    assert sides == {"f", "g"}
 
 
 def test_concat_product_rejects_mismatched_bases():

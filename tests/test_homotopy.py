@@ -464,6 +464,10 @@ def test_schedule_names():
     assert names[-1] == "face-flow"
     assert H.stage_of(0.0) == "softened-horn"
     assert H.stage_of(1.0) == "face-flow"
+    # no stage runs outside [0, 1]
+    for s in (-0.1, 1.0 + 1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            H.stage_of(s)
 
 
 #: the stage names of each deformation, from the construction in the README
@@ -576,6 +580,22 @@ def test_cone_step_skips_the_collar_where_the_bump_is_1(p, softened, monkeypatch
     # the stub is what the step calls where the bump is below 1
     step(bump_below_1[0], 1.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_face_flow_fixes_points_over_the_central_disk(p):
+    # near the far face Δ^p, the flow runs the face's collar retraction on
+    # the collar alone: a point whose position x in the face is in the
+    # central disk (min x >= DISK[p]) stays put, also where the collar
+    # retraction itself would move x
+    flow, collar = homotopy._face_flow(p), collar_core(p)
+    disk = [x for x in grid(p, 50) if min(x) >= DISK[p]]
+    assert [x for x in disk if collar(x, 1.0) != x]
+    for x in disk:
+        for z0 in (0.0, 0.004, 0.008):
+            z = (z0, *((1.0 - z0) * c for c in x))
+            for s in (0.5, 1.0):
+                assert flow(z, s) == z, (z, s)
 
 
 def _acting(step, z):

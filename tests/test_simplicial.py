@@ -24,8 +24,7 @@ from smoothsimplex.simplicial import (
     standard_simplicial_set,
     vertex_ref,
 )
-from smoothsimplex.simplicial import (
-    _levels, _neighbours, _vertex_determined, _vertex_index)
+from smoothsimplex.simplicial import _levels, _plan
 
 
 # -- independent oracles ----------------------------------------------------
@@ -500,17 +499,20 @@ def test_vertex_determined_complexes(p):
     if p == 2:
         complexes.append(cone(boundary_complex(2)[0])[0])
     for X in complexes:
-        assert all(_vertex_determined(X, n) for n in range(1, p + 2)), X.name
+        for n in range(1, p + 2):
+            assert _plan(X, n)[0], (X.name, n)
+            assert all(oracle_vertex_determined(X, m) for m in range(1, n + 1))
 
 
 def test_vertex_index_holds_the_face_index_simplices():
-    # one copy of each n-simplex: the vertex index's values are the face
-    # index's own key objects, not equal copies
+    # one copy of each n-simplex: the plan's vertex-tuple indexes' values
+    # are the face index's own key objects, not equal copies
     for X in (standard_simplicial_set(4), boundary_complex(3)[0],
               cone(boundary_complex(2)[0])[0]):
-        for n in range(4):
+        by_vertex, _, indexes, _ = _plan(X, 3)
+        assert by_vertex and len(indexes) == 4, X.name
+        for n, by_verts in enumerate(indexes):
             own = {z: z for z in X.faces_index(n)[0]}
-            by_verts = _vertex_index(X, n)
             assert len(by_verts) == len(own), (X.name, n)
             assert all(own[z] is z for z in by_verts.values()), (X.name, n)
 
@@ -522,23 +524,27 @@ def oracle_vertex_determined(X, n):
 
 
 def test_vertex_determined_matches_brute_force():
+    # the plan for sources of dimension n takes vertex levels when X is
+    # vertex-determined in every dimension from 1 to n
     complexes = [random_complex(seed) for seed in range(6)]
     complexes += [parallel_edges(), rp2(), sphere2()]
     verdicts = set()
     for X in complexes:
         for n in range(X.dimension + 2):
-            verdict = oracle_vertex_determined(X, n)
-            assert _vertex_determined(X, n) == verdict, (X.name, n)
+            verdict = all(oracle_vertex_determined(X, m) for m in range(1, n + 1))
+            assert _plan(X, n)[0] == verdict, (X.name, n)
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
 def test_shared_vertex_tuples_are_not_vertex_determined():
     # two edges v0 -> v1; the loop of RP^2 and the degenerate edge on its vertex
-    assert not _vertex_determined(parallel_edges(), 1)
-    assert not _vertex_determined(rp2(), 1)
-    # degenerate simplices count: S^2's 2-cell and s_1 s_0 v share (v, v, v)
-    assert _vertex_determined(sphere2(), 1) and not _vertex_determined(sphere2(), 2)
+    for X, n, verdict in [(parallel_edges(), 1, False), (rp2(), 1, False),
+                          # degenerate simplices count: S^2's 2-cell and
+                          # s_1 s_0 v share (v, v, v)
+                          (sphere2(), 1, True), (sphere2(), 2, False)]:
+        assert _plan(X, n)[0] == verdict, (X.name, n)
+        assert all(oracle_vertex_determined(X, m) for m in range(1, n + 1)) == verdict
 
 
 def vertex_order(A):
@@ -596,6 +602,21 @@ def test_search_sees_a_grown_complex():
     assert len(images) == before + 3
     assert (EMPTY, top) in images
     assert horn_fillers(X, horn_map, 2, 1) == [(EMPTY, top)]
+
+
+def test_horn_fillers_are_the_horn_index_own_list():
+    # no copy: the fillers of a horn map are the list the horn index holds,
+    # and a horn map with none gets an empty list that no index holds
+    X, kinds = standard_simplicial_set(2), set()
+    for p in (1, 2):
+        for k in range(p + 1):
+            lists = X.horn_index(p, k).values()
+            for hm in enumerate_maps(horn_complex(p, k)[0], X):
+                fillers = horn_fillers(X, hm, p, k)
+                own = [ys for ys in lists if ys is fillers]
+                assert own == ([fillers] if fillers else []), (p, k)
+                kinds.add(bool(fillers))
+    assert kinds == {True, False}
 
 
 def horn_vertex_sequences(p, k, n):
@@ -664,13 +685,17 @@ def test_yielded_maps_keep_their_own_assignments(target):
 
 def test_search_by_vertex_indexes_no_simplex_of_its_source():
     # a search into a vertex-determined target reads the source's cells and
-    # their vertices; it builds no face or vertex index of the source, which
-    # would hold every degenerate simplex of it
+    # their vertices; it keeps only its levels and the cells' vertex ids on
+    # the source, no index of it, which would hold every degenerate simplex
+    # of it.  On the target it keeps the face indexes and one plan, which
+    # holds the vertex-tuple indexes and the adjacency lists.
     for k in range(5):
         A, _ = horn_complex(4, k)
-        assert sum(1 for _ in enumerate_maps(A, standard_simplicial_set(4))) == 126
-        assert [key for key in A._cache if isinstance(key, tuple)
-                and key[0] in ("faces", "vertices") and key[1] >= 1] == []
+        X = standard_simplicial_set(4)
+        assert sum(1 for _ in enumerate_maps(A, X)) == 126
+        assert set(A._cache) == {("levels", True), "cell vertices"}
+        assert set(X._cache) == {*(("faces", n) for n in range(4)), ("plan", 3),
+                                 "cell vertices"}
 
 
 # -- anchor edges of the vertex search ------------------------------------------
@@ -749,7 +774,7 @@ def test_anchored_search_matches_brute_force(target, source):
     # every target is vertex-determined, so the search takes vertex levels
     # and draws each vertex with an earlier neighbour from its anchor edge
     X, A = ANCHOR_TARGETS[target](), ANCHOR_SOURCES[source]()
-    assert all(_vertex_determined(X, n) for n in range(1, A.dimension + 1))
+    assert _plan(X, A.dimension)[0]
     want = cellwise_maps(A, X)
     assert want
     assert [m.assignment for m in enumerate_maps(A, X)] == want
@@ -781,7 +806,9 @@ def test_neighbours_are_the_ends_of_edges_in_vertex_order():
         # X is vertex-determined in dimension 1: one edge per pair of ends
         edge = {(X.face(e, 1), X.face(e, 0)): e for e in X.simplices(1)}
         assert len(edge) == len(list(X.simplices(1))), X.name
-        heads, tails = _neighbours(X)
+        heads, tails = _plan(X, 1)[3]
+        # a source of no edge reads no adjacency list, and none is built
+        assert _plan(X, 0)[3] == _plan(X, -1)[3] == (), X.name
         for x in points:
             # each end comes with the edge of X between it and x
             assert heads[x[1].id] == [(y, edge[x, y]) for y in points if (x, y) in edge]
@@ -847,10 +874,12 @@ def test_search_by_vertex_draws_from_the_anchor_edge_alone():
         prefixes = sum(len({seq[:j] for seq in images}) for j in range(1, len(verts) + 1))
         assert prefixes == want
         drawn.clear()
-        # the search reads these lists from the caches its first run built
+        # the search reads these lists from the caches its first run built:
+        # the face index of the vertices, and the adjacency lists of the
+        # plan for its source's dimension
         lists = X.faces_index(0)[1]
         lists[()] = Drawn(lists[()])
-        for side in _neighbours(X):
+        for side in X._cache[("plan", A.dimension)][3]:
             for x, ys in side.items():
                 side[x] = Drawn(ys)
         again = [tuple(m.assignment[v.id] for v in verts) for m in enumerate_maps(A, X)]
