@@ -71,10 +71,10 @@ class FiniteSimplicialSet:
             for i, (word, tgt) in enumerate(faces):
                 if self._refs.get(tgt.id) != tgt:
                     raise ValueError(f"face target {tgt} not in complex")
+                if word != EMPTY:   # the empty word is always valid
+                    words.check_valid(word, tgt.dim)
                 if tgt.dim + len(word) != dim - 1:
                     raise ValueError(f"face {i} of {ref} has wrong dimension")
-                if word:   # the empty word is always valid
-                    words.check_valid(word, tgt.dim)
             self._faces[ref.id] = list(faces)
         self._cache.clear()
         self._by_dim.setdefault(dim, []).append(ref)
@@ -107,13 +107,18 @@ class FiniteSimplicialSet:
         return self._refs.get(ref.id) == ref
 
     def face(self, sx: Simplex, i: int) -> Simplex:
-        """``d_i`` of a simplex in normal form."""
+        """``d_i`` of a simplex in normal form: the stored face of a
+        nondegenerate one, else a rewrite of the word."""
         word, ref = sx
-        n = simplex_dim(sx)
+        n = ref.dim + len(word)
+        if type(i) is not int:
+            raise ValueError(f"face index {i!r:.60} is not an int")
         if n == 0:
             raise ValueError("a vertex has no faces")
         if not 0 <= i <= n:
             raise ValueError(f"face index {i} out of range for dimension {n}")
+        if not word:
+            return self._faces[ref.id][i]
         word1, residual = words.prepend_face(i, word)
         if residual is None:
             return (word1, ref)
@@ -123,6 +128,8 @@ class FiniteSimplicialSet:
     def degeneracy(self, sx: Simplex, j: int) -> Simplex:
         word, ref = sx
         n = simplex_dim(sx)
+        if type(j) is not int:
+            raise ValueError(f"degeneracy index {j!r:.60} is not an int")
         if not 0 <= j <= n:
             raise ValueError(f"degeneracy index {j} out of range")
         return (words.prepend_degeneracy(j, word), ref)
@@ -254,6 +261,8 @@ class SimplicialMap:
 
     def __call__(self, sx: Simplex) -> Simplex:
         word, ref = sx
+        if not word:
+            return self.assignment[ref.id]
         inner_word, tgt = self.assignment[ref.id]
         return (words.concat(word, inner_word), tgt)
 

@@ -11,10 +11,22 @@ simplicial identities
     d_i s_j = s_{j-1} d_i            (i < j)
     d_i s_j = id                     (i = j or i = j+1)
     d_i s_j = s_j d_{i-1}            (i > j+1)
+
+A word is a ``tuple`` of ``int`` letters.  :func:`prepend_face`,
+:func:`concat` and the range check of :func:`check_valid` are memoized
+(``functools.cache``): the gluing stages apply the same few words
+thousands of times.  :func:`prepend_degeneracy` runs only where
+:func:`concat` misses and in ``degeneracy()``, and is not.  A cache takes
+equal keys for one key, so once ``(False,)`` or ``(0.0,)`` had been
+rewritten, ``(0,)`` would get the impostor's result, and a list is no key
+at all; :func:`check_valid` rejects such words where words enter the
+package, before an operator sees them.  The caches grow only with the
+distinct words a process applies.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -28,7 +40,15 @@ def is_normal(word: Word) -> bool:
 
 
 def check_valid(word: Word, base_dim: int) -> None:
-    """Reject words that cannot act on a simplex of dimension ``base_dim``."""
+    """Reject words that cannot act on a simplex of dimension ``base_dim``,
+    and anything but a tuple of ``int`` letters (``bool`` is not one)."""
+    if type(word) is not tuple or not all(type(j) is int for j in word):
+        raise ValueError(f"word {word!r:.60} is not a tuple of ints")
+    _check_range(word, base_dim)
+
+
+@cache
+def _check_range(word: Word, base_dim: int) -> None:
     if not is_normal(word):
         raise ValueError(f"word {word} is not strictly decreasing")
     n = base_dim + len(word)
@@ -57,6 +77,7 @@ def prepend_degeneracy(i: int, word: Word) -> Word:
     return tuple(shifted) + (i,) + rest
 
 
+@cache
 def prepend_face(i: int, word: Word) -> tuple[Word, Optional[int]]:
     """Normal form of ``d_i ∘ s_word``.
 
@@ -77,6 +98,7 @@ def prepend_face(i: int, word: Word) -> tuple[Word, Optional[int]]:
     return tuple(out), i
 
 
+@cache
 def concat(outer: Word, inner: Word) -> Word:
     """Normal form of ``s_outer ∘ s_inner``."""
     acc = inner

@@ -101,6 +101,107 @@ def test_known_word_identities():
     assert words.prepend_face(0, (2, 1)) == ((1, 0), 0)
 
 
+def _positions(word, seq):
+    """The vertex positions of ``s_word`` of a simplex with vertices
+    ``seq``: ``s_j`` repeats position ``j``, innermost letter first."""
+    for j in reversed(word):
+        seq = seq[:j + 1] + seq[j:]
+    return seq
+
+
+def _normal_words(base_dim, max_len=3):
+    """Every normal word of length <= ``max_len`` acting on ``base_dim``:
+    the decreasing r-subsets of ``{0, ..., base_dim + r - 1}``."""
+    return [tuple(sorted(c, reverse=True))
+            for r in range(max_len + 1) for c in combinations(range(base_dim + r), r)]
+
+
+def _is_word(out):
+    return type(out) is tuple and words.is_normal(out) and all(type(j) is int for j in out)
+
+
+def test_word_algebra_matches_the_vertex_model():
+    # an operator is fixed by what it does to the vertex positions 0..m of
+    # a generic m-simplex: s_j repeats position j, d_i deletes position i
+    words.prepend_face.cache_clear()
+    words.concat.cache_clear()
+    checked = 0
+    for _ in range(2):   # cold caches, then warm
+        for m in range(4):
+            base = tuple(range(m + 1))
+            for word in _normal_words(m):
+                seq = _positions(word, base)
+                for i in range(len(seq)):
+                    out, f = words.prepend_face(i, word)
+                    assert _is_word(out)
+                    kept = base if f is None else base[:f] + base[f + 1:]
+                    assert f is None or (type(f) is int and 0 <= f <= m)
+                    assert _positions(out, kept) == seq[:i] + seq[i + 1:], (i, word)
+                    out = words.prepend_degeneracy(i, word)
+                    assert _is_word(out)
+                    assert _positions(out, base) == seq[:i + 1] + seq[i:], (i, word)
+                    checked += 2
+                for outer in _normal_words(len(seq) - 1):
+                    out = words.concat(outer, word)
+                    assert _is_word(out)
+                    assert _positions(out, base) == _positions(outer, seq), (outer, word)
+                    checked += 1
+    assert checked > 5000
+    assert words.prepend_face.cache_info().hits > 0 and words.concat.cache_info().hits > 0
+
+
+def _two_vertices():
+    X = FiniteSimplicialSet()
+    return X, X.add_simplex(0), X.add_simplex(0)
+
+
+@pytest.mark.parametrize("word", [[0], (0.0,), (False,), [], (1, False), "0"],
+                         ids=["list", "float", "bool", "empty-list", "bool-last", "str"])
+def test_malformed_words_are_rejected_where_they_enter(word):
+    X, u, v = _two_vertices()
+    X.add_simplex(1, [(EMPTY, v), (EMPTY, u)])
+    before = X.to_json_dict()
+    dim = 1 + len(word)
+    with pytest.raises(ValueError, match="not a tuple of ints"):
+        X.add_simplex(dim, [(word, u)] * (dim + 1))
+    assert X.to_json_dict() == before
+    X.faces_index(2)   # a list word accepted here made this a TypeError
+    # Δ[r] to v, its r-cells to s_{r-1}...s_0 v, the top one to word on v
+    D = standard_simplicial_set(len(word))
+    assignment = {r.id: (tuple(range(r.dim - 1, -1, -1)), v) for r in D.nondegenerate()}
+    assignment[D.nondegenerate()[-1].id] = (word, v)
+    with pytest.raises(ValueError, match="not a tuple of ints"):
+        SimplicialMap(D, X, assignment).validate()
+
+
+@pytest.mark.parametrize("index", [False, True, 0.0, 1.0], ids=str)
+def test_face_and_degeneracy_take_int_indices(index):
+    X = standard_simplicial_set(2)
+    top = (EMPTY, X.nondegenerate()[-1])
+    with pytest.raises(ValueError, match="is not an int"):
+        X.face(top, index)
+    with pytest.raises(ValueError, match="is not an int"):
+        X.degeneracy(top, index)
+    with pytest.raises(ValueError, match="is not an int"):
+        X.face(X.degeneracy(top, 0), index)
+
+
+def test_a_rejected_index_leaves_no_impostor_letter():
+    X, u, v = _two_vertices()
+    sx = (EMPTY, v)
+    with pytest.raises(ValueError):
+        X.degeneracy(sx, False)
+    word, ref = X.degeneracy(sx, 0)
+    assert (word, ref) == ((0,), v) and type(word[0]) is int
+    face = X.face((word, ref), 1)
+    assert face == (EMPTY, v)
+    D1 = standard_simplicial_set(1)
+    m = SimplicialMap(D1, X, {0: (EMPTY, v), 1: (EMPTY, v), 2: (word, ref)})
+    m.validate()
+    letters = [j for w, _ in m.to_json_dict()["assignment"].values() for j in w]
+    assert letters == [0] and type(letters[0]) is int
+
+
 # -- standard complexes -----------------------------------------------------
 
 @pytest.mark.parametrize("p,expected", [
