@@ -317,7 +317,9 @@ def _add_contract(rep: Report, contract: str, at: str, tol: float, items,
 
 
 def _on_horn(grid, k: int):
-    return [z for z in grid if any(z[i] == 0 for i in range(len(z)) if i != k)]
+    """The points of ``grid`` with a coordinate other than the ``k``-th equal
+    to 0 (``in`` tests with ``==``)."""
+    return [z for z in grid if 0 in z[:k] or 0 in z[k + 1:]]
 
 
 #: the times of the horn-fixed check

@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -181,11 +180,20 @@ class Bary:
         return cls(tuple(Fraction(1, p + 1) for _ in range(p + 1)))
 
 
-def _compositions(p: int, steps: int) -> Iterator[tuple[int, ...]]:
+def _compositions(p: int, steps: int, as_floats: bool = False) -> list[tuple]:
     """All ``p + 1`` non-negative integers summing to ``steps``,
-    lexicographic: the gaps between ``p`` bars among ``steps + p`` slots."""
-    for bars in combinations(range(steps + p), p):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (steps + p,)))
+    lexicographic, each integer ``c`` written as itself or, ``as_floats``,
+    as ``c / steps`` read from a table.  Each of the first ``p`` places
+    extends every prefix, in order, by each ``c`` up to what the prefix
+    leaves, and the last place takes the rest."""
+    if steps < 1:   # 1/steps is no grid, and an empty one would check nothing
+        raise ValueError(f"grid steps {steps} < 1")
+    parts = [c / steps for c in range(steps + 1)] if as_floats else range(steps + 1)
+    level = [((), steps)]   # (prefix, what it leaves)
+    for _ in range(p):
+        level = [(head + (parts[c],), rest - c)
+                 for head, rest in level for c in range(rest + 1)]
+    return [head + (parts[rest],) for head, rest in level]
 
 
 def barycentric_grid(p: int, steps: int) -> list[Bary]:
@@ -194,9 +202,10 @@ def barycentric_grid(p: int, steps: int) -> list[Bary]:
 
 
 def float_grid(p: int, steps: int) -> list[tuple[float, ...]]:
-    """``barycentric_grid(p, steps)`` as float tuples: ``c / steps`` and
-    ``float(Fraction(c, steps))`` are both the correctly rounded quotient."""
-    return [tuple(c / steps for c in comp) for comp in _compositions(p, steps)]
+    """``barycentric_grid(p, steps)`` as float tuples, each coordinate read
+    from a table of ``c / steps``: it and ``float(Fraction(c, steps))`` are
+    both the correctly rounded quotient."""
+    return _compositions(p, steps, as_floats=True)
 
 
 # -- affine maps ------------------------------------------------------------

@@ -103,11 +103,16 @@ _FLAT0, _FLAT1 = SPLICE.a, SPLICE.b   # SPLICE is 0 below, 1 above
 
 def _renormalized(out: list) -> Vec:
     """``out`` over its sum, a left fold: Python 3.12's ``sum()`` compensates
-    rounding, which would change last bits between versions.  A loop fills
-    the list, since a comprehension is a nested call on Python 3.11."""
+    rounding, which would change last bits between versions.  A total of
+    exactly 1.0 returns ``out`` as it is: ``c / 1.0`` is ``c`` for every
+    float ``c``, -0.0 and subnormals included, and a NaN or inf total is
+    never 1.0.  A loop fills the list, since a comprehension is a nested
+    call on Python 3.11."""
     tot = 0.0
     for c in out:
         tot += c
+    if tot == 1.0:
+        return tuple(out)
     res = []
     for c in out:
         res.append(c / tot)
@@ -140,6 +145,14 @@ def _radial1(z: Vec, s: float) -> Vec:
     return (1.0 - t2, t2)
 
 
+def _collar_flat(s: float) -> bool:
+    """The test by which a cone step's collar clock ``2s - 1`` is flat at 1.
+    The step reads its local time ``s`` only through that clock and the
+    radial damping, which runs while the clock is 0, so from such an ``s``
+    on its output is bit for bit its output at 1."""
+    return 2.0 * s - 1.0 >= _FLAT1
+
+
 @cache
 def _cone_step(p: int, softened: bool = False) -> Step:
     """Δ^(p+1) seen as the cone on Δ^p with vertex 0: a radial phase toward
@@ -160,7 +173,7 @@ def _cone_step(p: int, softened: bool = False) -> Step:
             x.append(c / t)
         mx = min(x)
         g = 0.0 if mx <= c0 else 1.0 if mx >= c1 else smooth_step(mx, c0, c1)
-        u = 2.0 * s - 1.0   # two_phase(s), the collar phase first
+        u = 2.0 * s - 1.0   # two_phase(s), the collar phase first; see _collar_flat
         s2 = 0.0 if u <= _FLAT0 else 1.0 if u >= _FLAT1 else smooth_step(u, _FLAT0, _FLAT1)
         if s2 <= 0.0:   # the radial phase
             g *= smooth_step(2.0 * s, _FLAT0, _FLAT1)
@@ -288,7 +301,8 @@ def _face_flow(p: int) -> Step:
 @cache
 def _full_horn_stages(n: int) -> tuple[tuple[str, Step], ...]:
     """Named stages of the deformation of Δ^n (n >= 2) onto the horn at
-    vertex 0."""
+    vertex 0.  The first, the softened horn, is the one cone step: it has
+    ended once ``_collar_flat`` holds at its local time."""
     far = tuple((f"far-face-dim-{fd}", _nbhd_stage(n, fd, eps, range(1, n + 1)))
                 for fd, eps in FAR_STAGES[n])
     return (("softened-horn", _cone_step(n - 1, softened=True)),
@@ -305,9 +319,12 @@ class EvaluableHomotopy:
 
     One record: a stage table ``_stages`` on equal subintervals of [0, 1],
     or else one step ``_step`` at the global time, run between two passes
-    of ``_swap``, which moves the horn vertex to 0.  ``H(z, s)`` runs it for
-    one time, not through ``_path``: a one-time list and a second output
-    check would cost ``deform`` throughput."""
+    of ``_swap``, which moves the horn vertex to 0.  ``_ends``, empty or one
+    entry per stage, holds ``None`` or a test on the stage's local time that
+    its output there is already its output at 1 (``_collar_flat`` for a
+    cone step); ``_path`` reads it.  ``H(z, s)`` runs the record for one
+    time, not through ``_path``: a one-time list and a second output check
+    would cost ``deform`` throughput."""
 
     domain: str
     p: int
@@ -316,6 +333,7 @@ class EvaluableHomotopy:
     _domain_check: Callable[[Vec], bool] = field(repr=False, default=None)
     _stages: tuple[Step, ...] = field(repr=False, default=())
     _swap: Callable[[Vec], Vec] = field(repr=False, default=tuple)
+    _ends: tuple[Optional[Callable[[float], bool]], ...] = field(repr=False, default=())
 
     def __call__(self, point, s: float) -> Bary:
         z, s, swap = self.checked_point(point, s), float(s), self._swap
@@ -327,16 +345,25 @@ class EvaluableHomotopy:
         """``[H(z, s).coords for s in ts]``, for a float point ``z`` of the
         domain and float times that do not decrease in [0, 1], as the caller
         vouches; only the outputs are checked.  Each stage that has ended by
-        a time runs to its end once, and later times resume after it."""
+        a time runs to its end once, and later times resume after it.  A
+        stage has ended once SPLICE is flat at 1, or earlier where its
+        ``_ends`` test holds at its local time: a cone step once its collar
+        clock is flat, so the softened horn runs once per horn point."""
         stages, swap, done = self._stages, self._swap, self._swap(z)
         if not stages:
             out = [swap(self._step(done, s)) for s in ts]
         else:
             m, first, out = len(stages), 0, []
+            ends = self._ends or (None,) * m
             for s in ts:
-                # a stage has ended once SPLICE is flat at 1; the rest of the
-                # stages, none if first == m, run from where it left off
-                while first < m and m * s - first >= _FLAT1:
+                # the rest of the stages, none if first == m, run from where
+                # the last ended one left off
+                while first < m:
+                    u = m * s - first
+                    if u < _FLAT1:
+                        end = ends[first]
+                        if end is None or u <= _FLAT0 or not end(smooth_step(u, _FLAT0, _FLAT1)):
+                            break
                     done = stages[first](done, 1.0)
                     first += 1
                 out.append(swap(_run_stages(stages, done, s, first)))
@@ -401,7 +428,8 @@ def build_full_horn_deformation(n: int, k: int) -> EvaluableHomotopy:
                                  _step=_radial1, _swap=_swap(1, k))
     names, steps = zip(*_full_horn_stages(n))
     return EvaluableHomotopy(domain=f"Δ^{n}", p=n, schedule=_schedule(names),
-                             _stages=steps, _swap=_swap(n, k))
+                             _stages=steps, _swap=_swap(n, k),
+                             _ends=(_collar_flat,) + (None,) * (len(steps) - 1))
 
 
 def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:

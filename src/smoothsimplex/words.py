@@ -20,8 +20,10 @@ thousands of times.  :func:`prepend_degeneracy` runs only where
 equal keys for one key, so once ``(False,)`` or ``(0.0,)`` had been
 rewritten, ``(0,)`` would get the impostor's result, and a list is no key
 at all; :func:`check_valid` rejects such words where words enter the
-package, before an operator sees them.  The caches grow only with the
-distinct words a process applies.
+package, before an operator sees them, and the cached bodies of
+:func:`prepend_face` and :func:`concat` reject them on a miss, so that a
+word no one validated (a hand-built map's image) is never cached either.
+The caches grow only with the distinct words a process applies.
 """
 
 from __future__ import annotations
@@ -42,9 +44,14 @@ def is_normal(word: Word) -> bool:
 def check_valid(word: Word, base_dim: int) -> None:
     """Reject words that cannot act on a simplex of dimension ``base_dim``,
     and anything but a tuple of ``int`` letters (``bool`` is not one)."""
-    if type(word) is not tuple or not all(type(j) is int for j in word):
-        raise ValueError(f"word {word!r:.60} is not a tuple of ints")
+    _check_letters(word)
     _check_range(word, base_dim)
+
+
+def _check_letters(*ws: Word) -> None:
+    for word in ws:
+        if type(word) is not tuple or not all(type(j) is int for j in word):
+            raise ValueError(f"word {word!r:.60} is not a tuple of ints")
 
 
 @cache
@@ -84,6 +91,9 @@ def prepend_face(i: int, word: Word) -> tuple[Word, Optional[int]]:
     Returns ``(word', f)`` with ``d_i ∘ s_word = s_word' ∘ d_f``; ``f`` is
     ``None`` when the face is absorbed by a degeneracy.
     """
+    if type(i) is not int:
+        raise ValueError(f"face index {i!r:.60} is not an int")
+    _check_letters(word)
     if i < 0:
         raise ValueError("face index must be nonnegative")
     out: list[int] = []
@@ -101,6 +111,7 @@ def prepend_face(i: int, word: Word) -> tuple[Word, Optional[int]]:
 @cache
 def concat(outer: Word, inner: Word) -> Word:
     """Normal form of ``s_outer ∘ s_inner``."""
+    _check_letters(outer, inner)
     acc = inner
     for j in reversed(outer):
         acc = prepend_degeneracy(j, acc)

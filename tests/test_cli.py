@@ -447,6 +447,16 @@ def test_idempotency_reuse_keeps_failures(lands_on_grid, monkeypatch):
     assert check["witness"]["argmax_point"] == list(arg)
 
 
+def test_on_horn_is_the_any_zero_definition():
+    # a coordinate other than the k-th equals 0 (-0.0 does)
+    for n in (1, 2, 3):
+        pts = float_grid(n, 12) + [(-0.0,) + (1.0 / n,) * n, (0.5,) * n + (-0.0,)]
+        for k in range(n + 1):
+            ref = [z for z in pts if any(z[i] == 0 for i in range(n + 1) if i != k)]
+            assert cli._on_horn(pts, k) == ref
+            assert ref and len(ref) < len(pts)
+
+
 def _axiom4_by_point(args):
     """``verify-axiom4`` as it was before paths: one ``H(z, s)`` per point
     and time, ``H(z, 1)`` read from a table of the grid's images."""

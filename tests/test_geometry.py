@@ -12,6 +12,7 @@ from smoothsimplex.geometry import (
     Bary,
     BasedMap,
     OutOfDomain,
+    _compositions,
     barycentric_grid,
     beta_map,
     chart_decompose,
@@ -55,6 +56,29 @@ def test_grid_counts():
     assert len(barycentric_grid(2, 4)) == 15
     assert len(barycentric_grid(1, 20)) == 21
     assert all(g.exact for g in barycentric_grid(3, 5))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_compositions_are_the_sorted_filtered_product(p):
+    # p = 0 is verify-axiom1's barycentric_grid(0, 3)
+    for steps in (1, 2, 3, 5, 8, 12):
+        ref = sorted(c for c in product(range(steps + 1), repeat=p + 1)
+                     if sum(c) == steps)
+        got = _compositions(p, steps)
+        assert got == ref
+        assert len(got) == math.comb(steps + p, p)
+        assert all(type(c) is int for comp in got for c in comp)
+        assert _compositions(p, steps, as_floats=True) == \
+            [tuple(c / steps for c in comp) for comp in ref]
+
+
+@pytest.mark.parametrize("steps", [0, -1, -3])
+@pytest.mark.parametrize("grid", [barycentric_grid, float_grid])
+def test_grids_reject_steps_below_1(grid, steps):
+    # at the parent float_grid(1, -1) was [] and float_grid(0, -1) [(1.0,)]
+    for p in (0, 1, 2):
+        with pytest.raises(ValueError, match="grid steps"):
+            grid(p, steps)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])

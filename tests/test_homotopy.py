@@ -6,6 +6,7 @@ at time one, and idempotence of the induced retraction.  The grids are the
 independent oracle; no value below was produced by the code under test.
 """
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -36,7 +37,7 @@ from smoothsimplex.homotopy import (
     build_halfopen_deformation,
     collar_core,
 )
-from smoothsimplex.steps import phase_times, smooth_step
+from smoothsimplex.steps import SPLICE, phase_times, smooth_step
 
 TOL_ID = 1e-12
 TOL = 1e-9
@@ -333,6 +334,97 @@ def test_path_runs_each_ended_stage_once_from_its_flat_end():
     assert calls == [(0, 1.0), (1, 1.0)]
 
 
+def _collar_clock_flat_from():
+    """The first float local time at which a cone step's collar clock
+    ``2s - 1`` reaches SPLICE's flat end 0.9, found by stepping one ulp at a
+    time from 0.95."""
+    s = 0.95
+    while 2.0 * s - 1.0 < SPLICE.b:
+        s = math.nextafter(s, 2.0)
+    while 2.0 * math.nextafter(s, 0.0) - 1.0 >= SPLICE.b:
+        s = math.nextafter(s, 0.0)
+    return s
+
+
+@pytest.mark.parametrize("softened", [False, True], ids=["plain", "softened"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_cone_step_is_flat_once_its_collar_clock_is(p, softened):
+    # the step reads its local time only through the collar clock 2s - 1 and
+    # the radial damping, which runs while the clock is 0: from the first s
+    # where the clock passes 0.9 on, its output is bit for bit that at 1
+    step = _cone_step(p, softened)
+    first = _collar_clock_flat_from()
+    times = (SPLICE(0.8), 0.999, first, math.nextafter(first, 2.0))
+    assert homotopy._collar_flat(first)
+    assert not homotopy._collar_flat(math.nextafter(first, 0.0))
+    rng = random.Random(5)
+    pts = grid(p + 1, 12) + horn_points(p + 1, 0, 20)
+    for _ in range(30):
+        raw = [rng.random() for _ in range(p + 2)]
+        pts.append(tuple(r / sum(raw) for r in raw))
+    moved = 0
+    for z in pts:
+        end = step(z, 1.0)
+        moved += end != z
+        for s in times:
+            assert homotopy._collar_flat(s)
+            # repr tells -0.0 from 0.0 and round-trips every other bit
+            assert repr(step(z, s)) == repr(end), (z, s)
+    assert moved > len(pts) // 2
+
+
+def test_path_is_the_pointwise_evaluation_inside_each_stage():
+    # times m*s - k in the middle of each stage, where SPLICE is not flat:
+    # a path that ended the softened horn too early (once 2*local - 1 is
+    # 0.5, say) would read its end where H reads its local time.  At 0.65
+    # the collar runs off its own flat ends; in the shell near the far
+    # face's boundary the softening scales the collar time, so there a
+    # collar clock just short of 1 shows too
+    rng = random.Random(21)
+    for n in (2, 3):
+        pts = grid(n, 6)
+        for _ in range(20):
+            raw = [rng.random() for _ in range(n + 1)]
+            pts.append(tuple(r / sum(raw) for r in raw))
+        for k in range(n + 1):
+            H = build_full_horn_deformation(n, k)
+            m = len(H.schedule)
+            times = [(j + f) / m for j in range(m)
+                     for f in (0.5, 0.6, 0.65, 0.7, 0.8, 0.85)]
+            shell = []   # z_k and one other coordinate in SHELL's ramp
+            for a in (0.025, 0.03, 0.035):
+                for i in range(n + 1):
+                    if i != k:
+                        raw = [rng.uniform(0.2, 1.0) for _ in range(n + 1)]
+                        raw[k], raw[i] = 0.0, 0.0
+                        rest = 1.0 - 2 * a
+                        z = [rest * r / sum(raw) for r in raw]
+                        z[k], z[i] = a, a * (1.0 - a) * rng.uniform(0.9, 1.1)
+                        tot = sum(z)
+                        shell.append(tuple(c / tot for c in z))
+            for z in pts + shell:
+                got, want = H._path(z, times), [H(z, s).coords for s in times]
+                assert repr(got) == repr(want), (n, k, z)
+
+
+def test_path_runs_the_softened_horn_once_per_horn_point():
+    # at the first horn-fixed time 0.2, the softened horn of Δ^3 runs at
+    # local time SPLICE(0.8), where its collar clock is already flat, so
+    # _path runs it to its end there, once, and the later times resume after it
+    assert homotopy._collar_flat(SPLICE(4 * HORN_TIMES[0]))
+    for k in range(4):
+        H = build_full_horn_deformation(3, k)
+        calls = []
+        soft = H._stages[0]
+        counted = dataclasses.replace(
+            H, _stages=(lambda z, s: calls.append(s) or soft(z, s), *H._stages[1:]))
+        horn = horn_points(3, k, 12)
+        for z in horn:
+            ts = (0.0, *HORN_TIMES)
+            assert counted._path(z, ts) == [H(z, s).coords for s in ts]
+        assert calls == [1.0] * len(horn)
+
+
 # -- bit-identity of the float evaluation ----------------------------------------
 
 
@@ -342,6 +434,32 @@ def test_renormalized_sums_with_a_left_fold():
     out = [1.0, 1e-16, 1e-16]
     assert math.fsum(out) == 1.0000000000000002
     assert homotopy._renormalized(out) == (1.0, 1e-16, 1e-16)
+
+
+@pytest.mark.parametrize("out", [
+    [0.25, 0.75], [-0.0, 0.5, 0.5], [5e-324, 1.0], [0.0, 1.0, -0.0, 0.0],
+    [1.0 - 2**-53, 2**-53], [0.1, 0.2, 0.7]], ids=repr)
+def test_renormalized_returns_a_point_that_sums_to_one_as_it_is(out):
+    # the left fold totals exactly 1.0, and c / 1.0 is c, -0.0 and the
+    # smallest subnormal included
+    tot = 0.0
+    for c in out:
+        tot += c
+    assert tot == 1.0
+    got = homotopy._renormalized(out)
+    assert repr(got) == repr(tuple(out)) == repr(tuple(c / tot for c in out))
+
+
+@pytest.mark.parametrize("out", [
+    [0.5, 0.5 + 2**-52], [0.5, 0.5 - 2**-53], [0.3, 0.3, 0.3],
+    [float("nan"), 1.0], [float("inf"), 0.0], [2.0, 0.0]], ids=repr)
+def test_renormalized_divides_by_any_other_total(out):
+    tot = 0.0
+    for c in out:
+        tot += c
+    assert tot != 1.0
+    got = repr(homotopy._renormalized(out))
+    assert got == repr(tuple(c / tot for c in out)) != repr(tuple(out))
 
 
 def test_every_stage_kernel_renormalizes_through_one_helper(monkeypatch):

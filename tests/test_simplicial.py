@@ -202,6 +202,35 @@ def test_a_rejected_index_leaves_no_impostor_letter():
     assert letters == [0] and type(letters[0]) is int
 
 
+def test_an_unvalidated_map_leaves_no_impostor_letter_in_the_word_cache():
+    # a hand-built map is not validated, so its image words reach concat
+    # unchecked; concat's cached body checks their letters on a miss, and
+    # the miss it rejects caches nothing
+    words.concat.cache_clear()
+    X, u, v = _two_vertices()
+    D1 = standard_simplicial_set(1)
+    a, b, edge = D1.nondegenerate()
+    to_v = {a.id: (EMPTY, v), b.id: (EMPTY, v)}
+    bad = SimplicialMap(D1, X, {**to_v, edge.id: ((False,), v)})
+    with pytest.raises(ValueError, match="not a tuple of ints"):
+        bad(((1,), edge))
+    good = SimplicialMap(D1, X, {**to_v, edge.id: ((0,), v)})
+    word, ref = good(((1,), edge))
+    assert (word, ref) == ((1, 0), v) and all(type(j) is int for j in word)
+
+
+@pytest.mark.parametrize("i, word", [(False, (1,)), (1.0, (1,)), (1, (False,)),
+                                     (0, (2, True))], ids=repr)
+def test_prepend_face_rejects_non_int_letters_on_a_miss(i, word):
+    words.prepend_face.cache_clear()
+    with pytest.raises(ValueError, match="not an int|not a tuple of ints"):
+        words.prepend_face(i, word)
+    assert words.prepend_face.cache_info().currsize == 0
+    clean = (int(i), tuple(map(int, word)))
+    out, f = words.prepend_face(*clean)
+    assert _is_word(out) and (f is None or type(f) is int)
+
+
 # -- standard complexes -----------------------------------------------------
 
 @pytest.mark.parametrize("p,expected", [
