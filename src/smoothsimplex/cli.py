@@ -190,8 +190,8 @@ def run_axiom1(args) -> Report:
         uncovered = []
         for z in grid:
             hits = 0
-            for i in range(p + 1):
-                if z[i] > 0:
+            for i, zn in enumerate(z.ratio[0]):   # the grid's points are exact
+                if zn > 0:
                     dec = chart_decompose(z, i)
                     if phi_chart(i, dec.x, dec.t) == z:
                         hits += 1
@@ -230,7 +230,7 @@ def run_axiom2(args) -> Report:
             for trial in range(args.trials):
                 cols = []
                 for _ in range(p + 1):
-                    raw = tuple(rng.randrange(1, 9) for _ in range(q + 1))
+                    raw = tuple([rng.randrange(1, 9) for _ in range(q + 1)])
                     cols.append(Bary.of_ratio(raw, sum(raw)))
                 f = AffineSimplexMap(tuple(cols))
                 report = probe.smoothness_probe(
@@ -274,17 +274,17 @@ def run_axiom3(args) -> Report:
             cells = K.nondegenerate()
             for _ in range(args.trials):
                 ref = cells[rng.randrange(len(cells))]
-                raw = tuple(rng.randrange(1, 30) for _ in range(ref.dim + 1))
+                raw = tuple([rng.randrange(1, 30) for _ in range(ref.dim + 1)])
                 u = Bary.of_ratio(raw, sum(raw))
                 pt = realization.normalize(K, (EMPTY, ref), u)
                 img = realization.canonical_injection(incl, pt)
                 # exact points in lowest terms: equal ratios, equal points
                 key = (pt.simplex.id, pt.coords.ratio)
-                if img.ratio in seen and seen[img.ratio] != key:
+                if seen.setdefault(img.ratio, key) != key:
                     collisions += 1
                     witness = {"complex": name,
                                "image": [str(c) for c in img.coords]}
-                seen[img.ratio] = key
+                    seen[img.ratio] = key
             rep.add(f"injectivity-{name}", collisions == 0,
                     max_violation=float(collisions), witness=witness)
     return rep
@@ -296,7 +296,7 @@ def _worst(items, deviation):
     worst, argmax = 0.0, None
     for item in items:
         d = deviation(item)
-        if d > worst:
+        if d and d > worst:   # a zero Fraction is not compared to the float 0.0
             worst, argmax = d, item
     return worst, argmax
 

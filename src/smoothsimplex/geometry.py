@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
@@ -26,10 +26,6 @@ FLOAT_TOL = 1e-12
 
 class OutOfDomain(ValueError):
     """A point fell outside the declared domain of a chart or map."""
-
-
-def _is_exact(coords: Iterable[Number]) -> bool:
-    return all(isinstance(c, (int, Fraction)) for c in coords)
 
 
 def _check_ratio(nums: Sequence[int], den: int) -> None:
@@ -65,8 +61,8 @@ class Bary:
     __slots__ = ("_coords", "ratio")
 
     def __init__(self, coords: tuple[Number, ...]) -> None:
-        object.__setattr__(self, "_coords", coords)
-        object.__setattr__(self, "ratio", None)
+        _set_coords(self, coords)
+        _set_ratio(self, None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -76,20 +72,20 @@ class Bary:
         coords = self._coords
         if not coords:
             raise ValueError("a barycentric point needs at least one coordinate")
-        if not _is_exact(coords):
+        if not all(isinstance(c, (int, Fraction)) for c in coords):
             _check_floats(coords)
             return
         # the least common denominator leaves the numerators coprime to it
         den = math.lcm(*(c.denominator for c in coords))
         nums = tuple(c.numerator * (den // c.denominator) for c in coords)
         _check_ratio(nums, den)
-        object.__setattr__(self, "ratio", (nums, den))
+        _set_ratio(self, (nums, den))
 
     @property
     def coords(self) -> tuple[Number, ...]:
         if self._coords is None:
             nums, den = self.ratio
-            object.__setattr__(self, "_coords", tuple(Fraction(n, den) for n in nums))
+            _set_coords(self, tuple([Fraction(n, den) for n in nums]))
         return self._coords
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -116,7 +112,7 @@ class Bary:
 
     @property
     def p(self) -> int:
-        return len(self) - 1
+        return len(self.ratio[0] if self._coords is None else self._coords) - 1
 
     @property
     def exact(self) -> bool:
@@ -132,9 +128,9 @@ class Bary:
         """The coordinates as floats; ``n / d`` of two ints is correctly
         rounded, so it equals ``float(Fraction(n, d))``."""
         if self.ratio is None:
-            return tuple(float(c) for c in self.coords)
+            return tuple([float(c) for c in self.coords])
         nums, den = self.ratio
-        return tuple(n / den for n in nums)
+        return tuple([n / den for n in nums])
 
     @classmethod
     def of(cls, *coords: Number) -> "Bary":
@@ -146,8 +142,8 @@ class Bary:
         validates one, without the scan for exact coordinates."""
         _check_floats(coords)
         point = object.__new__(cls)
-        object.__setattr__(point, "_coords", coords)
-        object.__setattr__(point, "ratio", None)
+        _set_coords(point, coords)
+        _set_ratio(point, None)
         return point
 
     @classmethod
@@ -156,17 +152,18 @@ class Bary:
         numerators, validated in integers as ``__post_init__`` validates
         an exact point."""
         nums = tuple(nums)
-        if not nums:
-            raise ValueError("a barycentric point needs at least one coordinate")
-        if den <= 0:
-            raise ValueError(f"denominator {den} is not positive")
-        _check_ratio(nums, den)
+        if not (nums and den > 0 and sum(nums) == den and min(nums) >= 0):
+            if not nums:
+                raise ValueError("a barycentric point needs at least one coordinate")
+            if den <= 0:
+                raise ValueError(f"denominator {den} is not positive")
+            _check_ratio(nums, den)
         g = math.gcd(den, *nums)
         if g > 1:
-            nums, den = tuple(n // g for n in nums), den // g
+            nums, den = tuple([n // g for n in nums]), den // g
         point = object.__new__(cls)
-        object.__setattr__(point, "_coords", None)
-        object.__setattr__(point, "ratio", (nums, den))
+        _set_coords(point, None)
+        _set_ratio(point, (nums, den))
         return point
 
     @classmethod
@@ -178,6 +175,9 @@ class Bary:
     @classmethod
     def barycenter(cls, p: int) -> "Bary":
         return cls(tuple(Fraction(1, p + 1) for _ in range(p + 1)))
+
+
+_set_coords, _set_ratio = Bary._coords.__set__, Bary.ratio.__set__  # bypass __setattr__
 
 
 def _compositions(p: int, steps: int, as_floats: bool = False) -> list[tuple]:
@@ -240,12 +240,12 @@ class AffineSimplexMap:
         return self.columns[0].p
 
     def __call__(self, x: Bary) -> Bary:
+        if self._int_matrix is not None and x.ratio is not None and x.p == self.p:
+            (rows, den), (nums, xden) = self._int_matrix, x.ratio
+            return Bary.of_ratio([sum(map(mul, row, nums)) for row in rows],
+                                 den * xden)
         if x.p != self.p:
             raise ValueError(f"expected a point of Δ^{self.p}")
-        if self._int_matrix is not None and x.ratio is not None:
-            (rows, den), (nums, xden) = self._int_matrix, x.ratio
-            return Bary.of_ratio(tuple(sum(map(mul, row, nums)) for row in rows),
-                                 den * xden)
         coords = [0] * (self.q + 1)
         for weight, col in zip(x.coords, self.columns):
             for r, c in enumerate(col.coords):
@@ -281,11 +281,10 @@ def phi_chart(i: int, x: Bary, t: Number) -> Bary:
     """The chart map ``phi_i(x, t) = (1-t)(i) + t d^i(x)`` into Δ^p."""
     if x.ratio is not None and isinstance(t, (int, Fraction)):
         return phi_chart_ratio(i, *x.ratio, t.numerator, t.denominator)
-    p = x.p + 1
-    if not 0 <= i <= p:
+    if not 0 <= i <= len(x):
         raise ValueError(f"chart index {i} out of range")
     if not 0 <= t <= 1:
-        raise OutOfDomain(f"chart parameter t={t} outside [0, 1)")
+        raise OutOfDomain(f"chart parameter t={t} outside [0, 1]")
     return Bary(tuple(_chart_core(i, x.coords, 1, t, 1)[0]))
 
 
@@ -294,11 +293,12 @@ def phi_chart_ratio(i: int, nums: Sequence[int], den: int, tn: int, td: int
     """``phi_chart`` on integers: ``x = nums / den``, checked to be a point
     of Δ^{p-1}, and ``t = tn / td`` with ``td > 0``; the image has
     denominator ``td * den``."""
-    if not 0 <= i <= len(nums):
-        raise ValueError(f"chart index {i} out of range")
-    _check_ratio(nums, den)
-    if not 0 <= tn <= td:
-        raise OutOfDomain(f"chart parameter t={Fraction(tn, td)} outside [0, 1)")
+    if not (0 <= i <= len(nums) and sum(nums) == den and min(nums) >= 0
+            and 0 <= tn <= td):
+        if not 0 <= i <= len(nums):
+            raise ValueError(f"chart index {i} out of range")
+        _check_ratio(nums, den)
+        raise OutOfDomain(f"chart parameter t={Fraction(tn, td)} outside [0, 1]")
     return Bary.of_ratio(*_chart_core(i, nums, den, tn, td))
 
 
@@ -319,20 +319,20 @@ def chart_decompose(z: Bary, i: int) -> ChartDecomp:
     p = z.p
     if not 0 <= i <= p:
         raise ValueError(f"chart index {i} out of range")
-    zi = z[i]
-    if (zi == 0) if z.exact else (float(zi) <= FLOAT_TOL):
+    # z_i = zn / den on the integers of an exact point, so t = (den - zn) / den
+    nums, den = z.ratio or (z.coords, 1)
+    zn = nums[i]
+    if zn == 0 if z.exact else float(zn) <= FLOAT_TOL:
         raise OutOfDomain(f"point lies on the face opposite vertex {i}")
-    t = 1 - zi
-    if t == 0:
+    if zn == den:
         return ChartDecomp(Bary.barycenter(p - 1), 0)
-    if z.ratio is not None:
-        nums, den = z.ratio
-        x = Bary.of_ratio(nums[:i] + nums[i + 1:], den - nums[i])
-    else:   # over the rest's own sum, as above: near vertex i, 1 - z_i cancels
-        rest = z.coords[:i] + z.coords[i + 1:]
-        tot = math.fsum(rest)
-        x = Bary(tuple(c / tot for c in rest)) if tot > 0 else Bary.barycenter(p - 1)
-    return ChartDecomp(x, t)
+    rest = nums[:i] + nums[i + 1:]
+    if z.exact:
+        return ChartDecomp(Bary.of_ratio(rest, den - zn), Fraction(den - zn, den))
+    # over the rest's own sum: near vertex i, 1 - z_i cancels
+    tot = math.fsum(rest)
+    x = Bary(tuple(c / tot for c in rest)) if tot > 0 else Bary.barycenter(p - 1)
+    return ChartDecomp(x, 1 - zn)
 
 
 def chart_transition(i: int, j: int, y: Bary, tau: Number, t: Number

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
 from .geometry import AffineSimplexMap, Bary, phi_chart_ratio
@@ -30,9 +30,10 @@ CURVES_PER_CHART = 3
 def _as_floats(value: object) -> tuple[float, ...]:
     if isinstance(value, Bary):
         return value.as_floats()
-    if isinstance(value, (int, float, Fraction)):
+    # tuples before numbers: isinstance(tuple, Fraction) takes the slow ABC check
+    if not isinstance(value, tuple) and isinstance(value, (int, float, Fraction)):
         return (float(value),)
-    return tuple(float(c) for c in value)  # type: ignore[arg-type]
+    return tuple([float(c) for c in value])  # type: ignore[union-attr]
 
 
 #: a float parameter is read as the nearest fraction of denominator at most this
@@ -68,7 +69,7 @@ def _rational(tau) -> tuple[int, int]:
     as it is, any other number rounded to a denominator of at most
     ``MAX_TAU_DENOMINATOR``."""
     # floats first: isinstance(float, Fraction) takes the slow ABC check
-    if isinstance(tau, float):
+    if tau.__class__ is float:
         return _limit_denominator(*tau.as_integer_ratio(), MAX_TAU_DENOMINATOR)
     if isinstance(tau, Fraction):
         return tau.numerator, tau.denominator
@@ -96,12 +97,12 @@ class ProbeCurve:
     T1: int
     radius: float
 
-    def _x_t(self, a: int, b: int) -> tuple[tuple[int, ...], int, int, int]:
+    def _x_t(self, a: int, b: int) -> tuple[list[int], int, int, int]:
         """At ``tau = a / b``: the numerators of ``x`` over ``den b²`` and
         ``t`` as ``tn / td``."""
         bb, ab, aa = b * b, a * b, a * a
-        xs = tuple(c0 * bb + c1 * ab + c2 * aa
-                   for c0, c1, c2 in zip(self.X0, self.X1, self.X2))
+        xs = [c0 * bb + c1 * ab + c2 * aa
+              for c0, c1, c2 in zip(self.X0, self.X1, self.X2)]
         return xs, self.den * bb, self.T0 * b + self.T1 * a, self.den * b
 
     def point(self, tau) -> Bary:
@@ -171,8 +172,10 @@ def _stencil(F: Callable[[float], tuple[float, ...]], tau0: float, h: float,
     ``mid = F(tau0)``, the centered second difference."""
     lo, hi = F(tau0 - h), F(tau0 + h)
     if mid is None:
-        return tuple((b - a) / (2 * h) for a, b in zip(lo, hi))
-    return tuple((a - 2 * b + c) / (h * h) for a, b, c in zip(lo, mid, hi))
+        h2 = 2 * h
+        return tuple([(b - a) / h2 for a, b in zip(lo, hi)])
+    hh = h * h
+    return tuple([(a - 2 * b + c) / hh for a, b, c in zip(lo, mid, hi)])
 
 
 def smoothness_probe(map_eval: PointMap, p: int, order: int, tol: float,
@@ -202,18 +205,18 @@ def smoothness_probe(map_eval: PointMap, p: int, order: int, tol: float,
                 tau0 = curve.radius * frac_pos
                 h0 = curve.radius / 8
                 mid = F(tau0) if order == 2 else None
-                d_h, d_h2, d_h4 = (_stencil(F, tau0, h0 / k, mid) for k in (1, 2, 4))
-                e1 = max(abs(a - b) for a, b in zip(d_h, d_h2))
-                e2 = max(abs(a - b) for a, b in zip(d_h2, d_h4))
-                scale = 1.0 + max(abs(c) for c in d_h2)
+                d_h, d_h2, d_h4 = [_stencil(F, tau0, h0 / k, mid) for k in (1, 2, 4)]
+                e1 = max(map(abs, map(sub, d_h, d_h2)))
+                e2 = max(map(abs, map(sub, d_h2, d_h4)))
+                scale = 1.0 + max(map(abs, d_h2))
                 floor = NOISE_FLOOR * scale
                 converges = e2 <= max(e1 / 2.0, floor)
                 oracle_err = None
                 if oracle is not None:
                     exact = oracle(curve, tau0)
                     # Richardson-extrapolated estimate
-                    best = tuple((4 * b - a) / 3 for a, b in zip(d_h, d_h2))
-                    oracle_err = max(abs(a - b) for a, b in zip(best, exact))
+                    best = [(4 * b - a) / 3 for a, b in zip(d_h, d_h2)]
+                    oracle_err = max(map(abs, map(sub, best, exact)))
                     converges = converges and oracle_err <= tol
                 report.records.append(ProbeRecord(
                     chart=chart, tau0=tau0, residual_coarse=e1, residual_fine=e2,

@@ -671,6 +671,26 @@ def test_console_entry_point_runs():
     assert data["command"] == "verify-axiom1"
 
 
+def test_worst_takes_the_first_largest_positive_deviation():
+    for items, deviation in [([], abs), ("abc", lambda _: Fraction(0)),
+                             ("ab", {"a": float("nan"), "b": -1.0}.get)]:
+        worst, argmax = cli._worst(items, deviation)
+        assert (worst, argmax) == (0.0, None) and type(worst) is float
+    assert cli._worst("abcd", {"a": 1, "b": 3, "c": 3, "d": 2}.get) == (3, "b")
+    # a NaN is never taken, before or after the largest deviation
+    nan = float("nan")
+    assert cli._worst("abc", {"a": nan, "b": Fraction(1, 2), "c": nan}.get) == (
+        Fraction(1, 2), "b")
+    # a check whose deviations are all zero Fractions prints the float 0.0
+    rep = Report("verify-test", {})
+    cli._add_contract(rep, "exact", "-p1", 0.0, [1, 2], lambda _: Fraction(0))
+    check = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))["checks"][0]
+    assert check["status"] == "pass" and check["max_violation"] == 0.0
+    assert '"max_violation": 0.0' in json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert check["witness"] == {"argmax_point": None, "contract": "exact",
+                                "max_violation": 0.0}
+
+
 def test_reports_match_benchmark_golden_digests(monkeypatch):
     """Every CLI report the benchmark can plan is byte-identical to the
     digest recorded for it in perfbench/golden.json."""

@@ -76,10 +76,22 @@ def test_exact_rejections(coords):
 
 
 def test_of_ratio_rejects_what_bary_rejects():
-    for nums, den in [((), 1), ((1, 1), 0), ((0, 0), 0), ((-1, -1), -2),
-                      ((1, 1), 3), ((2, -1), 1)]:
-        with pytest.raises(ValueError):
+    for nums, den, message in [
+            ((), 1, "a barycentric point needs at least one coordinate"),
+            ((1, 1), 0, "denominator 0 is not positive"),
+            ((0, 0), 0, "denominator 0 is not positive"),
+            ((-1, -1), -2, "denominator -2 is not positive"),
+            ((1, 1), 3, "coordinates sum to 2/3, not 1"),
+            ((2, -1), 1, "negative barycentric coordinate")]:
+        with pytest.raises(ValueError) as exc:
             Bary.of_ratio(nums, den)
+        assert exc.value.args == (message,)
+    # the validating constructor raises the same two messages
+    for coords, message in [((F(1, 3), F(1, 3)), "coordinates sum to 2/3, not 1"),
+                            ((2, -1), "negative barycentric coordinate")]:
+        with pytest.raises(ValueError) as exc:
+            Bary(coords)
+        assert exc.value.args == (message,)
 
 
 def test_mixed_int_and_fraction_point_is_exact():
@@ -148,6 +160,23 @@ def test_phi_chart_rejects_t_outside_the_unit_interval(t):
         phi_chart_ratio(0, (1, 2), 3, F(t).numerator, F(t).denominator)
 
 
+@pytest.mark.parametrize("t,shown", [(F(3, 2), "3/2"), (-1, "-1")])
+def test_phi_chart_names_the_closed_unit_interval(t, shown):
+    exact, floats = Bary((F(1, 4), F(3, 4))), Bary.of_floats((0.25, 0.75))
+    message = f"chart parameter t={shown} outside [0, 1]"
+    for call in (lambda: phi_chart(0, exact, t),
+                 lambda: phi_chart_ratio(0, (1, 3), 4, F(t).numerator, F(t).denominator)):
+        with pytest.raises(OutOfDomain) as exc:
+            call()
+        assert exc.value.args == (message,)
+    with pytest.raises(OutOfDomain) as exc:
+        phi_chart(0, floats, float(t))
+    assert exc.value.args == (f"chart parameter t={float(t)} outside [0, 1]",)
+    # t = 1 is in the domain on both branches: the image is the face point
+    assert phi_chart(0, exact, 1) == Bary((0, F(1, 4), F(3, 4)))
+    assert phi_chart(0, floats, 1.0).coords == (0.0, 0.25, 0.75)
+
+
 def test_phi_chart_ratio_checks_its_point_and_index():
     with pytest.raises(ValueError):
         phi_chart_ratio(0, (2, -1), 1, 1, 2)      # x has a negative numerator
@@ -169,6 +198,28 @@ def test_chart_decompose(args):
     assert_exact_point(dec.x, [c / t for j, c in enumerate(z) if j != i])
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_chart_decompose_reads_the_ratio_of_a_grid_point(p):
+    # every grid point and chart: the Fraction formula, from the ratio alone
+    for z in barycentric_grid(p, 6):
+        nums, den = z.ratio
+        for i in range(p + 1):
+            if nums[i] == 0:
+                with pytest.raises(OutOfDomain):
+                    chart_decompose(z, i)
+                continue
+            dec = chart_decompose(z, i)
+            zi = F(nums[i], den)
+            assert dec.t == 1 - zi
+            if zi == 1:   # the cone vertex: the barycentre, at t = 0
+                assert dec.t == 0 and dec.x == Bary.barycenter(p - 1)
+            else:
+                assert isinstance(dec.t, F)
+                assert_exact_point(dec.x, [F(n, den) / (1 - zi)
+                                           for j, n in enumerate(nums) if j != i])
+        assert z._coords is None   # no Fraction coordinates were built
+
+
 @given(st.integers(0, 3), st.integers(0, 3), st.data())
 @settings(max_examples=100, deadline=None)
 def test_affine_map(p, q, data):
@@ -177,6 +228,16 @@ def test_affine_map(p, q, data):
     f = AffineSimplexMap(tuple(Bary(c) for c in columns))
     ref = [sum(w[c] * columns[c][r] for c in range(p + 1)) for r in range(q + 1)]
     assert_exact_point(f(Bary(w)), ref)
+
+
+def test_affine_map_rejects_a_wrong_dimension_alike_on_both_branches():
+    exact_map = AffineSimplexMap((Bary((F(1, 3), F(2, 3))), Bary((1, 0))))
+    float_map = AffineSimplexMap((Bary((0.25, 0.75)), Bary((1, 0))))
+    exact, floats = Bary.of_ratio((1, 1, 1), 3), Bary.of_floats((0.25, 0.25, 0.5))
+    for f, x in [(exact_map, exact), (exact_map, floats), (float_map, exact)]:
+        with pytest.raises(ValueError) as exc:
+            f(x)
+        assert exc.value.args == ("expected a point of Δ^1",)
 
 
 def test_affine_map_keeps_float_expressions_for_float_points():
