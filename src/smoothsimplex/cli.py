@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 from . import engine, homotopy, probe, realization
 from .geometry import (
+    AffineSimplexMap,
     Bary,
     barycentric_grid,
     chart_decompose,
@@ -221,8 +222,6 @@ def run_axiom2(args) -> Report:
     rng = random.Random(args.seed)
     ps = [args.p] if args.p else [1, 2, 3]
     qs = [args.q] if args.q else [1, 2, 3]
-    from .geometry import AffineSimplexMap
-
     for p in ps:
         for q in qs:
             worst = 0.0
@@ -296,7 +295,7 @@ def _worst(items, deviation):
     worst, argmax = 0.0, None
     for item in items:
         d = deviation(item)
-        if d and d > worst:   # a zero Fraction is not compared to the float 0.0
+        if d > worst:
             worst, argmax = d, item
     return worst, argmax
 

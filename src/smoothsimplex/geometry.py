@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, Sequence, Union
 
 Number = Union[int, float, Fraction]
@@ -222,8 +222,9 @@ class AffineSimplexMap:
     _int_matrix = None
 
     def __post_init__(self) -> None:
-        q = self.columns[0].p
-        if any(c.p != q for c in self.columns):
+        if not (self.columns and all(isinstance(c, Bary) for c in self.columns)):
+            raise ValueError("the vertex images must be one or more Bary points")
+        if len({c.p for c in self.columns}) != 1:
             raise ValueError("all vertex images must share a dimension")
         if all(c.exact for c in self.columns):
             den = math.lcm(*(c.ratio[1] for c in self.columns))
@@ -372,19 +373,19 @@ def transition_identity_gap(p: int, i: int, j: int, y: Bary, tau: Number,
     # (1-s)(i) + s*y, as points of Δ^{p-1} (vertices past the chart's own
     # vertex shift down by one)
     ji, ij = (j if j < i else j - 1), (i if i < j else i - 1)
-    if y.ratio is not None and isinstance(s, Fraction):
-        # s is a Fraction when tau and t are exact: both sides on integers.
-        # As tau, s, t, t' > 0, the check of a side covers its chart input.
-        (ln, ld), (rn, rd) = sides = [
-            _chart_core(k, *_chart_core(h, *y.ratio, u.numerator, u.denominator),
-                        v.numerator, v.denominator)
-            for k, h, u, v in ((i, ji, tau, t), (j, ij, s, t_new))]
-        for nums, den in sides:
-            _check_ratio(nums, den)
-        return Fraction(max(abs(a * rd - b * ld) for a, b in zip(ln, rn)), ld * rd)
-    lhs = phi_chart(i, phi_chart(ji, y, tau), t)
-    rhs = phi_chart(j, phi_chart(ij, y, s), t_new)
-    return max(abs(a - b) for a, b in zip(lhs.coords, rhs.coords))
+    # s is a Fraction when tau and t are exact: then both sides on integers,
+    # else on the coordinates, each number over 1.  As tau, s, t, t' > 0,
+    # the check of a side covers its chart input.
+    exact = y.ratio is not None and isinstance(s, Fraction)
+    point, over = ((y.ratio, attrgetter("numerator", "denominator")) if exact
+                   else ((y.coords, 1), lambda u: (u, 1)))
+    (ln, ld), (rn, rd) = sides = [
+        _chart_core(k, *_chart_core(h, *point, *over(u)), *over(v))
+        for k, h, u, v in ((i, ji, tau, t), (j, ij, s, t_new))]
+    for nums, den in sides:
+        _check_ratio(nums, den) if exact else _check_floats(nums)
+    gap = max(abs(a * rd - b * ld) for a, b in zip(ln, rn))
+    return Fraction(gap, ld * rd) if exact and gap else gap
 
 
 # -- good neighborhoods of open simplices -------------------------------------

@@ -77,9 +77,8 @@ SHELL = (0.02, 0.04)
 #: of the face opposite the horn vertex: (face_dim, eps)
 FAR_STAGES = {2: ((0, 0.48),), 3: ((1, 0.1), (0, 0.48))}
 
-#: activation of the final in-face flow: 1 on the far face itself, 0 at
-#: distance FACE_EPS from it; one minus the smooth step on FACE_RAMP
-FACE_EPS = 0.01
+#: activation of the final in-face flow: 1 on the far face itself, 0 from
+#: distance FACE_RAMP[1] on; one minus the smooth step on FACE_RAMP
 FACE_RAMP = (0.005, 0.01)
 
 #: the dimensions the deformations are built in
@@ -282,9 +281,9 @@ def _face_flow(p: int) -> Step:
 
     def step(z: Vec, sigma: float) -> Vec:
         z0 = z[0]
-        if z0 >= FACE_EPS:
+        if z0 >= r1:
             return z
-        t = 1.0 - z0   # above 1 - FACE_EPS, so the point stays off the vertex
+        t = 1.0 - z0   # above 1 - r1, so the point stays off the vertex
         x = []
         for c in z[1:]:
             x.append(c / t)
@@ -337,9 +336,8 @@ class EvaluableHomotopy:
 
     def __call__(self, point, s: float) -> Bary:
         z, s, swap = self.checked_point(point, s), float(s), self._swap
-        if self._stages:
-            return Bary.of_floats(swap(_run_stages(self._stages, swap(z), s)))
-        return Bary.of_floats(swap(self._step(swap(z), s)))
+        out = _run_stages(self._stages, swap(z), s) if self._stages else self._step(swap(z), s)
+        return Bary.of_floats(swap(out))
 
     def _path(self, z: Vec, ts: Sequence[float]) -> list[Vec]:
         """``[H(z, s).coords for s in ts]``, for a float point ``z`` of the
@@ -348,27 +346,25 @@ class EvaluableHomotopy:
         a time runs to its end once, and later times resume after it.  A
         stage has ended once SPLICE is flat at 1, or earlier where its
         ``_ends`` test holds at its local time: a cone step once its collar
-        clock is flat, so the softened horn runs once per horn point."""
-        stages, swap, done = self._stages, self._swap, self._swap(z)
-        if not stages:
-            out = [swap(self._step(done, s)) for s in ts]
-        else:
-            m, first, out = len(stages), 0, []
-            ends = self._ends or (None,) * m
-            for s in ts:
-                # the rest of the stages, none if first == m, run from where
-                # the last ended one left off
-                while first < m:
-                    u = m * s - first
-                    if u < _FLAT1:
-                        end = ends[first]
-                        if end is None or u <= _FLAT0 or not end(smooth_step(u, _FLAT0, _FLAT1)):
-                            break
-                    done = stages[first](done, 1.0)
-                    first += 1
-                out.append(swap(_run_stages(stages, done, s, first)))
-        for w in out:
+        clock is flat, so the softened horn runs once per horn point.  A
+        one-step record is a table of no stages: each time runs the step."""
+        stages, step, swap = self._stages, self._step, self._swap
+        m, first, done, out = len(stages), 0, swap(z), []
+        ends = self._ends or (None,) * m
+        for s in ts:
+            # the rest of the stages, none if first == m, run from where
+            # the last ended one left off
+            while first < m:
+                u = m * s - first
+                if u < _FLAT1:
+                    end = ends[first]
+                    if end is None or u <= _FLAT0 or not end(smooth_step(u, _FLAT0, _FLAT1)):
+                        break
+                done = stages[first](done, 1.0)
+                first += 1
+            w = swap(_run_stages(stages, done, s, first) if m else step(done, s))
             _check_floats(w)
+            out.append(w)
         return out
 
     def checked_point(self, point, s: float) -> Vec:

@@ -492,21 +492,13 @@ def cone(L: FiniteSimplicialSet) -> tuple[FiniteSimplicialSet, SimplicialMap,
     """
     C = FiniteSimplicialSet(f"Cone({L.name})")
     apex = C.add_simplex(0, label="apex")
-    incl = SimplicialMap(L, C, {})
-    lifted: dict[int, Simplex] = {}
-
-    def push_cone(sx: Simplex) -> Simplex:
-        # c(s_j x) = s_{j+1} c(x): shift the word up by one
-        word, ref = sx
-        w2, tgt = lifted[ref.id]
-        shifted = tuple(j + 1 for j in word)
-        return (words.concat(shifted, w2), tgt)
-
+    incl, lifted = SimplicialMap(L, C, {}), SimplicialMap(L, C, {})
     for ref in L.nondegenerate():
         _extend_by_copy(incl, ref)
     for ref in L.nondegenerate():
-        faces = [push_cone(face) for face in L._faces.get(ref.id, ())]
-        lifted[ref.id] = (EMPTY, C.add_simplex(
+        # lifted sends a cell x of L to its cone c(x), and c(s_j x) = s_{j+1} c(x)
+        faces = [lifted((tuple(j + 1 for j in w), f)) for w, f in L._faces.get(ref.id, ())]
+        lifted.assignment[ref.id] = (EMPTY, C.add_simplex(
             ref.dim + 1, [incl.assignment[ref.id]] + (faces or [(EMPTY, apex)])))
     return C, incl, apex
 

@@ -543,6 +543,7 @@ MALFORMED_IDS = [
     *(f"argv{i}-body{i}" for i in range(26, 33)),
     "rlp-nested", "rlp-truncated", "pi-nested", "pi-truncated", "argv37-body37",
     "pi-id-key-written-twice", "rlp-id-key-written-twice", "pi-name-repeated",
+    "pi-simplicial-identity",
 ]
 
 
@@ -610,6 +611,11 @@ MALFORMED_IDS = [
     # one name twice in one object, which json.load would read as its last
     (_PI, '{"dims": [[0, 1], [2]], '
           '"faces": {"2": [[[], 1], [[], 0]], "2": [[[], 1], [[], 1]]}}'),
+    # a triangle on the edges 0->1, 1->2, 0->2 with d_0 the edge 0->1:
+    # d_0 d_1 is vertex 2 but d_0 d_0 is vertex 1
+    (_PI, {"dims": [[0, 1, 2], [3, 4, 5], [6]],
+           "faces": {"3": [[[], 1], [[], 0]], "4": [[[], 2], [[], 1]],
+                     "5": [[[], 2], [[], 0]], "6": [[[], 3], [[], 5], [[], 3]]}}),
 ], ids=MALFORMED_IDS)
 def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -625,6 +631,14 @@ def test_malformed_input_is_a_usage_error(argv, body, tmp_path, capsys):
     assert [ln for ln in err.splitlines() if "error:" in ln] == [err.splitlines()[-1]]
     if read:   # an error in the file names it once
         assert err.splitlines()[-1].count(str(path)) == 1
+
+
+def test_pi_of_the_empty_complex_skips_the_edge_group():
+    report, code = invoke(["pi", "--complex", "empty"])
+    assert code == 0
+    assert [(c["name"], c["status"], c["witness"]) for c in report.checks] == [
+        ("pi0", "pass", {"components": 0, "classes": []}),
+        ("edge-group-rank", "skipped", "complex is not connected")]
 
 
 def test_named_registry():

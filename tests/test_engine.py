@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from itertools import islice, product
 
@@ -742,3 +743,13 @@ def test_generating_set_rejects_a_bound_with_no_generators(kind, max_dim):
     with pytest.raises(ValueError, match="max_dim"):
         GeneratingSet(kind, max_dim)
     assert GeneratingSet("I", 0).generators() and GeneratingSet("J", 1).generators()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GeneratingSet("K", 1), "kind must be 'I' or 'J'"),
+    (lambda: igc_factor(named_map("delta1_to_delta0"), GeneratingSet("J", 1), -1),
+     "max_stages must be nonnegative"),
+])
+def test_engine_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -535,3 +538,57 @@ def test_concat_product_rejects_mismatched_bases():
     g = BasedMap(1, lambda x: Bary.of(F(0), F(1)), Bary.of(F(0), F(1)))
     with pytest.raises(ValueError):
         concat_product(f, g)
+
+
+# -- rejections ----------------------------------------------------------------
+
+_HALF = Bary.of(F(1, 2), F(1, 2))
+_ON_2 = Bary.of(F(1, 3), F(1, 3), F(1, 3))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: Bary(()), ValueError, "a barycentric point needs at least one coordinate"),
+    (lambda: Bary.vertex(2, 3), ValueError, "vertex 3 out of range"),
+    (lambda: AffineSimplexMap(()), ValueError,
+     "the vertex images must be one or more Bary points"),
+    (lambda: AffineSimplexMap((Bary.vertex(1, 0), (F(1), F(0)))), ValueError,
+     "the vertex images must be one or more Bary points"),
+    (lambda: AffineSimplexMap((Bary.vertex(1, 0), Bary.vertex(2, 0))), ValueError,
+     "all vertex images must share a dimension"),
+    (lambda: AffineSimplexMap.face(2, 3), ValueError, "face index 3 out of range"),
+    (lambda: phi_chart(3, Bary.of(0.5, 0.5), 0.5), ValueError,
+     "chart index 3 out of range"),
+    (lambda: chart_decompose(Bary.of(0.5, 0.5), 2), ValueError,
+     "chart index 2 out of range"),
+    (lambda: good_nbhd_Phi((), _ON_2), ValueError,
+     "index set must be nonempty without repeats"),
+    (lambda: good_nbhd_Phi((1, 1), _ON_2), ValueError,
+     "index set must be nonempty without repeats"),
+    (lambda: good_nbhd_Phi((0, 3), _ON_2), ValueError, "index set (0, 3) invalid for Δ^2"),
+    (lambda: good_nbhd_Phi_inverse((0,), Bary.of(F(1)), _HALF, 2), ValueError,
+     "component dimensions do not match I"),
+    (lambda: good_nbhd_Phi_inverse((0,), Bary.of(F(1)), Bary.of(0, F(1, 2), F(1, 2)), 2),
+     OutOfDomain, "half-open component collapsed (v_0 = 0)"),
+    (lambda: beta_map(0), ValueError, "beta needs p >= 1"),
+    (lambda: gamma_map(0), ValueError, "gamma needs p >= 1"),
+    (lambda: beta_map(1)(Bary.of(F(1)), F(1, 2)), ValueError, "expected a point of Δ^1"),
+    (lambda: beta_map(1)(_HALF, F(3, 2)), OutOfDomain, "time outside [0, 1]"),
+    (lambda: gamma_map(1)(_HALF), ValueError, "expected a point of Δ^2"),
+    (lambda: concat_product(BasedMap(1, id, _HALF), BasedMap(2, id, _HALF)), ValueError,
+     "concatenation needs maps on the same simplex"),
+])
+def test_geometry_rejections(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("point, text", [
+    (Bary.of(F(1, 2), F(1, 2)), "Bary(coords=(Fraction(1, 2), Fraction(1, 2)))"),
+    (Bary.of_ratio((1, 3), 4), "Bary(coords=(Fraction(1, 4), Fraction(3, 4)))"),
+    (Bary.of(0.25, 0.75), "Bary(coords=(0.25, 0.75))"),
+])
+def test_bary_pickle_deepcopy_and_repr(point, text):
+    assert repr(point) == text
+    for twin in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point)):
+        assert twin == point and twin is not point
+        assert (twin.ratio, twin.coords) == (point.ratio, point.coords)

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from smoothsimplex.geometry import Bary
 from smoothsimplex.realization import (
+    RealPoint,
     _crossing_curve,
     canonical_injection,
     maximal_simplices,
@@ -14,6 +16,7 @@ from smoothsimplex.realization import (
 )
 from smoothsimplex.simplicial import (
     EMPTY,
+    FiniteSimplicialSet,
     SimplexRef,
     SimplicialMap,
     boundary_complex,
@@ -252,3 +255,39 @@ def test_boundary_circle_cell_count_sanity():
     counts = B.counts()
     assert sum(counts) == 6
     assert counts[0] - counts[1] == 0
+
+
+def _unlabelled_point():
+    """The identity inclusion of a complex whose cells carry no vertex
+    labels, and a point on its one vertex."""
+    K = FiniteSimplicialSet("bare")
+    v = K.add_simplex(0)
+    return SimplicialMap.identity(K), RealPoint(v, Bary.of(F(1)))
+
+
+def _collapse_of_delta1():
+    D1, D0 = standard_simplicial_set(1), standard_simplicial_set(0)
+    v = (EMPTY, SimplexRef(0, 0))
+    return SimplicialMap(D1, D0, {0: v, 1: v, 2: ((0,), SimplexRef(0, 0))})
+
+
+_EDGE_POINT = RealPoint(SimplexRef(2, 1), Bary.of(F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RealPoint(SimplexRef(2, 1), Bary.of(F(1))),
+     "coordinate dimension does not match the simplex"),
+    (lambda: normalize(standard_simplicial_set(1), (EMPTY, SimplexRef(2, 1)), Bary.of(F(1))),
+     "coordinate dimension does not match the simplex"),
+    (lambda: canonical_injection(horn_complex(2, 0)[1], RealPoint(SimplexRef(9, 0), Bary.of(F(1)))),
+     "<0-simplex #9> is not a simplex of Horn[2,0]"),
+    (lambda: canonical_injection(_collapse_of_delta1(), _EDGE_POINT),
+     "inclusion must be a subcomplex inclusion"),
+    (lambda: canonical_injection(*_unlabelled_point()),
+     "ambient complex does not carry vertex labels"),
+    (lambda: realize_map(_collapse_of_delta1(), RealPoint(SimplexRef(9, 1), _EDGE_POINT.coords)),
+     "<1-simplex #9> is not a simplex of the source"),
+])
+def test_realization_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

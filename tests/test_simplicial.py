@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations, combinations_with_replacement, islice, product
 
 import pytest
@@ -1061,3 +1062,51 @@ def test_json_round_trip():
             wx, tx = X.face((EMPTY, r), i)
             wy, ty = Y.face((EMPTY, Y.ref(r.id)), i)
             assert wx == wy and tx.id == ty.id
+
+
+# -- rejections ----------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: words.prepend_degeneracy(-1, ()), "degeneracy index must be nonnegative"),
+    (lambda: words.prepend_face(-1, ()), "face index must be nonnegative"),
+])
+def test_words_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _map_of_delta0(image):
+    return SimplicialMap(standard_simplicial_set(0), standard_simplicial_set(1), {0: image})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FiniteSimplicialSet().add_simplex(-1), "dimension must be nonnegative"),
+    (lambda: standard_simplicial_set(0).add_simplex(0, [(EMPTY, SimplexRef(0, 0))]),
+     "a vertex has no faces"),
+    (lambda: standard_simplicial_set(1).face((EMPTY, SimplexRef(0, 0)), 0),
+     "a vertex has no faces"),
+    (lambda: standard_simplicial_set(1).face((EMPTY, SimplexRef(2, 1)), 2),
+     "face index 2 out of range for dimension 1"),
+    (lambda: standard_simplicial_set(1).degeneracy((EMPTY, SimplexRef(2, 1)), 2),
+     "degeneracy index 2 out of range"),
+    (lambda: FiniteSimplicialSet.from_json_dict({"dims": [[0], 1]}),
+     '"dims"[1] must be a list of simplex ids'),
+    # the three checks of an image: its dimension, its target, its word
+    (lambda: _map_of_delta0((EMPTY, SimplexRef(2, 1))).validate(),
+     "assignment for <0-simplex #0> has wrong dimension"),
+    (lambda: _map_of_delta0((EMPTY, SimplexRef(7, 0))).validate(),
+     "assignment for <0-simplex #0> leaves the target"),
+    (lambda: SimplicialMap(standard_simplicial_set(1), standard_simplicial_set(0), {
+        0: (EMPTY, SimplexRef(0, 0)), 1: (EMPTY, SimplexRef(0, 0)),
+        2: ((1,), SimplexRef(0, 0))}).validate(),
+     "word (1,) out of range for base dimension 0"),
+    (lambda: SimplicialMap.identity(standard_simplicial_set(1)).compose(
+        SimplicialMap.identity(standard_simplicial_set(1))), "maps are not composable"),
+    (lambda: standard_simplicial_set(-1), "p must be nonnegative"),
+    (lambda: enumerate_simplices(standard_simplicial_set(1), -1), "n must be nonnegative"),
+    (lambda: pushout(boundary_complex(1)[1], boundary_complex(1)[1]),
+     "pushout legs must share their source"),
+])
+def test_simplicial_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
