@@ -96,7 +96,9 @@ class Report:
 #: simplices, so each step up doubles the time and memory of a command on it
 MAX_NAMED_DIM = 12
 
-_HORN = r"horn([0-9]+)_([0-9]+)"
+#: a number as ``str(int)`` writes it, as JSON simplex ids are read
+_NUM = "(0|[1-9][0-9]*)"
+_HORN = f"horn{_NUM}_{_NUM}"
 
 
 def _named_dim(name: str, digits: str) -> int:
@@ -111,7 +113,7 @@ def named_complex(name: str) -> FiniteSimplicialSet:
     """``delta<p>``, ``boundary<p>``, ``horn<p>_<k>`` or ``empty``."""
     if name == "empty":
         return FiniteSimplicialSet("empty")
-    m = re.fullmatch(rf"(delta|boundary)([0-9]+)|{_HORN}", name)
+    m = re.fullmatch(f"(delta|boundary){_NUM}|{_HORN}", name)
     if m is None:
         raise ValueError(f"unknown complex name {name!r}: expected delta<p>, "
                          "boundary<p>, horn<p>_<k> or empty")
@@ -142,7 +144,7 @@ def _read_json(path: str, build: Callable[[object], object]) -> object:
     """``build`` of the JSON value in the file at ``path``.  Malformed JSON,
     JSON nested too deeply to parse, a member named twice and a value that
     ``build`` rejects are each a ``ValueError`` that names ``path`` once."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:   # RFC 8259 JSON is UTF-8
         try:
             return build(json.load(fh, object_pairs_hook=_unique_names))
         except (ValueError, RecursionError) as exc:
@@ -640,7 +642,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2,
                              allow_nan=False)
         if args.json_path:
-            with open(args.json_path, "w") as fh:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
     except (ValueError, OSError) as exc:
         return _input_error(exc)

@@ -51,7 +51,8 @@ Step = Callable[[Vec, float], Vec]
 CUT = {1: (0.25, 1.0 / 3.0), 2: (1.0 / 9.0, 0.125)}
 
 #: central-disk threshold: the disk is {min coord >= DISK[p]}, the collar
-#: A^p is its complement
+#: A^p is its complement; T pushes points off the disk, and collar_core(p)
+#: retracts all of A^p onto the boundary
 DISK = {1: 0.4, 2: 0.2, 3: 0.07}
 
 #: the two phases of one cone step: radial toward the cone vertex, then the
@@ -158,7 +159,7 @@ def _cone_step(p: int, softened: bool = False) -> Step:
     the vertex damped by the interior bump, then the collar retraction of
     the base.  ``softened`` damps the collar near the closed base, so the
     step extends across it."""
-    (c0, c1), disk, collar = CUT[p], DISK[p], collar_core(p)
+    (c0, c1), collar = CUT[p], collar_core(p)
     h0, h1 = SHELL
     vertex = (1.0,) + (0.0,) * (p + 1)
 
@@ -178,7 +179,7 @@ def _cone_step(p: int, softened: bool = False) -> Step:
             g *= smooth_step(2.0 * s, _FLAT0, _FLAT1)
         elif g >= 1.0:   # (1 - g) t = 0: at the vertex, whatever the collar does
             return vertex
-        elif mx < disk:
+        else:
             if softened:
                 # 1 away from the closure of the far-face boundary, flat 0 near it
                 s2 *= 1.0 - (1.0 - smooth_step(z0, h0, h1)) * (1.0 - smooth_step(mx, h0, h1))
@@ -209,8 +210,7 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
     neighborhood ``U_I(eps)`` of an open ``face_dim``-simplex spanned by
     ``vertices`` that acts: z > 0 on I, mass on I above 1 - eps and a
     positive bump at the position in the face.  The constants make at most
-    one act; with a list ``acting``, the step lists them and moves nothing.
-    ``Φ_I`` and ``Φ_I⁻¹`` are inline, as ``geometry.phi_I`` computes them."""
+    one act.  ``Φ_I`` and ``Φ_I⁻¹`` are inline, as ``geometry.phi_I`` computes them."""
     lo = 1.0 - eps
     core = _radial1 if face_dim == n - 1 else half_open_core(n - face_dim)
     c0, c1 = CUT[face_dim] if face_dim > 0 else (None, None)
@@ -219,7 +219,7 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
         J = _complement(I, n)
         plan.append((I, J, tuple(enumerate(I)), tuple(enumerate(J, 1))))
 
-    def step(z: Vec, sigma: float, acting: Optional[list] = None) -> Vec:
+    def step(z: Vec, sigma: float) -> Vec:
         for I, J, I_at, J_at in plan:
             if c0 is None:
                 # a vertex: lo > 1/2, so at most one coordinate passes it
@@ -242,9 +242,6 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
                 g = smooth_step(min(u), c0, c1)
                 if not g > 0.0:
                     continue
-            if acting is not None:
-                acting.append(I)
-                continue
             v = [S]   # Φ_I's second factor (S, z_J)
             for j in J:
                 v.append(z[j])
@@ -265,8 +262,9 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
 
 @cache
 def collar_core(p: int) -> Step:
-    """Staged retraction of the collar ``{min coord < DISK[p]}`` of Δ^p onto
-    the boundary, fixing the boundary pointwise."""
+    """Staged retraction of Δ^p's collar onto the boundary, fixing the
+    boundary pointwise.  Its stages' good neighborhoods alone decide where
+    it acts; they cover the collar ``{min coord < DISK[p]}``."""
     return partial(_run_stages, [_nbhd_stage(p, fd, eps, range(p + 1))
                                  for fd, eps in COLLAR_STAGES[p]])
 
@@ -276,7 +274,7 @@ def collar_core(p: int) -> Step:
 
 def _face_flow(p: int) -> Step:
     """The collar retraction inside the far face Δ^p, ramped in near it."""
-    disk, collar = DISK[p], collar_core(p)
+    collar = collar_core(p)
     r0, r1 = FACE_RAMP
 
     def step(z: Vec, sigma: float) -> Vec:
@@ -287,8 +285,6 @@ def _face_flow(p: int) -> Step:
         x = []
         for c in z[1:]:
             x.append(c / t)
-        if min(x) >= disk:
-            return z
         out = [1.0 - t]
         for c in collar(x, (1.0 - smooth_step(z0, r0, r1)) * sigma):
             out.append(t * c)
@@ -318,10 +314,9 @@ class EvaluableHomotopy:
 
     One record: a stage table ``_stages`` on equal subintervals of [0, 1],
     or else one step ``_step`` at the global time, run between two passes
-    of ``_swap``, which moves the horn vertex to 0.  ``_ends``, empty or one
-    entry per stage, holds ``None`` or a test on the stage's local time that
-    its output there is already its output at 1 (``_collar_flat`` for a
-    cone step); ``_path`` reads it.  ``H(z, s)`` runs the record for one
+    of ``_swap``, which moves the horn vertex to 0.  A table is the
+    full-horn one, whose first stage is the softened cone step; ``_path``
+    reads that.  ``H(z, s)`` runs the record for one
     time, not through ``_path``: a one-time list and a second output check
     would cost ``deform`` throughput."""
 
@@ -332,7 +327,6 @@ class EvaluableHomotopy:
     _domain_check: Callable[[Vec], bool] = field(repr=False, default=None)
     _stages: tuple[Step, ...] = field(repr=False, default=())
     _swap: Callable[[Vec], Vec] = field(repr=False, default=tuple)
-    _ends: tuple[Optional[Callable[[float], bool]], ...] = field(repr=False, default=())
 
     def __call__(self, point, s: float) -> Bary:
         z, s, swap = self.checked_point(point, s), float(s), self._swap
@@ -344,22 +338,20 @@ class EvaluableHomotopy:
         domain and float times that do not decrease in [0, 1], as the caller
         vouches; only the outputs are checked.  Each stage that has ended by
         a time runs to its end once, and later times resume after it.  A
-        stage has ended once SPLICE is flat at 1, or earlier where its
-        ``_ends`` test holds at its local time: a cone step once its collar
-        clock is flat, so the softened horn runs once per horn point.  A
-        one-step record is a table of no stages: each time runs the step."""
+        stage has ended once SPLICE is flat at 1; the first, the softened
+        horn, already once ``_collar_flat`` holds at its local time, so it
+        runs once per horn point.  A one-step record is a table of no
+        stages: each time runs the step."""
         stages, step, swap = self._stages, self._step, self._swap
         m, first, done, out = len(stages), 0, swap(z), []
-        ends = self._ends or (None,) * m
         for s in ts:
             # the rest of the stages, none if first == m, run from where
             # the last ended one left off
             while first < m:
                 u = m * s - first
-                if u < _FLAT1:
-                    end = ends[first]
-                    if end is None or u <= _FLAT0 or not end(smooth_step(u, _FLAT0, _FLAT1)):
-                        break
+                if u < _FLAT1 and (first or u <= _FLAT0
+                                   or not _collar_flat(smooth_step(u, _FLAT0, _FLAT1))):
+                    break
                 done = stages[first](done, 1.0)
                 first += 1
             w = swap(_run_stages(stages, done, s, first) if m else step(done, s))
@@ -424,8 +416,7 @@ def build_full_horn_deformation(n: int, k: int) -> EvaluableHomotopy:
                                  _step=_radial1, _swap=_swap(1, k))
     names, steps = zip(*_full_horn_stages(n))
     return EvaluableHomotopy(domain=f"Δ^{n}", p=n, schedule=_schedule(names),
-                             _stages=steps, _swap=_swap(n, k),
-                             _ends=(_collar_flat,) + (None,) * (len(steps) - 1))
+                             _stages=steps, _swap=_swap(n, k))
 
 
 def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
@@ -435,8 +426,7 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
     if not 0.0 < eps < 1.0 / (p + 1):
         raise ValueError(f"eps={eps} outside (0, 1/{p + 1})")
     collar = collar_core(p)
-    c_disk = DISK[p]
-    theta_c = 1.0 - (p + 1) * c_disk      # radial position of the disk edge
+    theta_c = 1.0 - (p + 1) * DISK[p]     # radial position of the disk edge
     theta_mid = 0.5 * (theta_c + 1.0)
     p0 = theta_mid - 0.25 * (1.0 - theta_c)   # the push ramps in on [p0, theta_mid]
     b_rho = 1.0 - (p + 1) * eps           # theta at the collar's inner edge
@@ -461,7 +451,7 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
         for c in z:
             out.append(b + scale * (c - b))
         z = _renormalized(out)
-        return collar(z, s2) if s2 > 0.0 and min(z) < c_disk else z
+        return collar(z, s2) if s2 > 0.0 else z
 
     return EvaluableHomotopy(domain=f"Δ^{p}", p=p,
                              schedule=_schedule(("radial-push", "collar")), _step=ev)

@@ -672,10 +672,15 @@ def test_map_file_round_trip(tmp_path):
     assert report.parameters["checked_squares"] > 0
 
 
-def test_console_entry_point_runs():
-    # the subprocess imports the package from where this test found it
+def _subprocess_env(**extra: str) -> dict:
+    """The environment of a subprocess that imports the package from where
+    this test found it."""
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
+
+
+def test_console_entry_point_runs():
+    env = _subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", "smoothsimplex.cli", "verify-axiom1",
          "--p", "1", "--grid", "6", "--format", "json"],
@@ -683,6 +688,37 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["command"] == "verify-axiom1"
+
+
+def test_json_files_are_utf8_under_any_locale(tmp_path):
+    # RFC 8259 JSON is UTF-8: a non-ASCII character, here in a member the
+    # reader ignores, is read under an ASCII locale with UTF-8 mode off
+    env = _subprocess_env(LC_ALL="POSIX", PYTHONUTF8="0")
+    source = tmp_path / "c.json"
+    source.write_bytes('{"dims": [[0]], "note": "Δ^0"}'.encode("utf-8"))
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "smoothsimplex.cli", "pi",
+         "--complex-file", str(source), "--json", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_bytes().decode("utf-8"))["command"] == "pi"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi", "--complex", "delta02"],
+    ["pi", "--complex", "boundary00"],
+    ["pi", "--complex", "horn02_1"],
+    ["pi", "--complex", "horn2_01"],
+    ["rlp", "--map", "horn2_01_incl", "--gens", "J"],
+    ["rlp", "--map", "collapse_delta01", "--gens", "J"],
+], ids=" ".join)
+def test_named_inputs_take_numbers_as_written_by_str(argv, capsys):
+    # a number with a leading zero names nothing, as a JSON key "02" names
+    # no simplex id, so a report never echoes an alias of a catalogue name
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and len(err.splitlines()) == 1
 
 
 def test_worst_takes_the_first_largest_positive_deviation():
