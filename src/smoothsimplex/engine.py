@@ -159,17 +159,15 @@ class LiftingProblem:
                 return
         self.over = bottom.assignment[gen.top]
 
-    def lifts(self, limit: Optional[int] = 1) -> list[SimplicialMap]:
-        """The first ``limit`` (all for ``None``) diagonal fillers
-        ``B -> X``, commuting on both triangles."""
+    def lifts(self) -> list[SimplicialMap]:
+        """Every diagonal filler ``B -> X``, commuting on both triangles."""
         if self.over is None:
             return []
         gen, X, m = self.generator, self.f.source, self.top.assignment
-        # a lift is fixed by its top cell, a filler that lies over `over`
-        xs = islice((x for x in gen._fillers(X, m) if self.f(x) == self.over), limit)
         pinned = {c: m[a] for c, a in gen.pins.items()}
+        # a lift is fixed by its top cell, a filler that lies over `over`
         return [SimplicialMap(gen.incl.target, X, gen._extension(X, pinned, x))
-                for x in xs]
+                for x in gen._fillers(X, m) if self.f(x) == self.over]
 
     def has_lift(self) -> bool:
         return bool(self.lifts())
@@ -383,7 +381,7 @@ def edge_group_rank(X: FiniteSimplicialSet) -> dict:
 
 
 def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    if not rows or not rows[0]:
+    if not rows:
         return 0
     mat, rank = [row[:] for row in rows], 0
     for col in range(len(mat[0])):

@@ -123,8 +123,6 @@ def _run_stages(stages: Sequence[Step], z: Vec, s: float, first: int = 0) -> Vec
     """The composite of ``stages`` on equal subintervals of [0, 1], resumed
     at stage ``first`` from its input ``z``; each local time is computed
     when its stage is reached, and a 0 one ends it."""
-    if s <= 0.0:
-        return z
     m, k = len(stages), first
     while k < m:   # a while loop: cheaper than a range on Python 3.11
         u = m * s - k
@@ -212,7 +210,7 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
     positive bump at the position in the face.  The constants make at most
     one act.  ``Φ_I`` and ``Φ_I⁻¹`` are inline, as ``geometry.phi_I`` computes them."""
     lo = 1.0 - eps
-    core = _radial1 if face_dim == n - 1 else half_open_core(n - face_dim)
+    core = half_open_core(n - face_dim)
     c0, c1 = CUT[face_dim] if face_dim > 0 else (None, None)
     plan = []   # I, J, and the (position, index) pairs that Φ_I⁻¹ writes
     for I in combinations(sorted(vertices), face_dim + 1):
@@ -245,9 +243,7 @@ def _nbhd_stage(n: int, face_dim: int, eps: float, vertices: Sequence[int]
             v = [S]   # Φ_I's second factor (S, z_J)
             for j in J:
                 v.append(z[j])
-            s = g * sigma   # half_open_core's s <= 0 guard, also before _radial1
-            if s > 0.0:
-                v = core(v, s)
+            v = core(v, g * sigma)
             out = [0.0] * (n + 1)   # Φ_I⁻¹, renormalized
             v0 = v[0]
             for a, i in I_at:
@@ -434,11 +430,11 @@ def build_boundary_homotopy_T(p: int, eps: float) -> EvaluableHomotopy:
     b = 1.0 / (p + 1)   # each coordinate of the barycenter
 
     def ev(z: Vec, s: float) -> Vec:
-        theta = 1.0 - (p + 1) * min(z)
-        if theta <= 0.0 or s <= 0.0:
+        if s <= 0.0:
             return z
+        theta = 1.0 - (p + 1) * min(z)
         local = smooth_step(theta, r0, b_rho) * s
-        if local <= 0.0:
+        if local <= 0.0:   # also at theta <= r0, the barycenter's 0 included
             return z
         # two_phase(local): the radial push, then the collar
         s1 = smooth_step(2.0 * local, _FLAT0, _FLAT1)

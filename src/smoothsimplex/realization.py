@@ -135,8 +135,6 @@ def witness_not_single_generated(K: FiniteSimplicialSet) -> Optional[dict]:
     if pi0(K)[0] > 1:
         return None
     maxima = sorted(maximal_simplices(K), key=lambda r: _sort_key(K, r))
-    if len(maxima) < 2:
-        return None
     verts = _cell_vertices(K)
     for ia in range(len(maxima)):
         for ib in range(ia + 1, len(maxima)):

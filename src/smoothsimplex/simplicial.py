@@ -96,8 +96,6 @@ class FiniteSimplicialSet:
 
     def counts(self) -> list[int]:
         """Number of nondegenerate simplices per dimension, ``[n0, n1, ...]``."""
-        if not self._by_dim:
-            return []
         return [len(self._by_dim.get(d, [])) for d in range(self.dimension + 1)]
 
     def ref(self, ident: int) -> SimplexRef:
@@ -398,9 +396,6 @@ def boundary_complex(p: int) -> tuple[FiniteSimplicialSet, SimplicialMap]:
     """``∂Δ[p]`` with its inclusion; for p = 0 the boundary is empty."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    if p == 0:
-        empty = FiniteSimplicialSet("Boundary[0]")
-        return empty, SimplicialMap(empty, standard_simplicial_set(0), {})
     return _sub_of_standard(p, lambda v: len(v) <= p, f"Boundary[{p}]")
 
 

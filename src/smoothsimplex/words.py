@@ -72,15 +72,13 @@ def prepend_degeneracy(i: int, word: Word) -> Word:
     if i < 0:
         raise ValueError("degeneracy index must be nonnegative")
     shifted = []
-    rest = word
+    rest = ()
     for pos, j in enumerate(word):
         if i <= j:
             shifted.append(j + 1)
         else:
             rest = word[pos:]
             break
-    else:
-        rest = ()
     return tuple(shifted) + (i,) + rest
 
 

@@ -690,6 +690,24 @@ def test_console_entry_point_runs():
     assert data["command"] == "verify-axiom1"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_with_the_report_status(fmt, tmp_path):
+    # the read end is closed before the child writes, so every write fails
+    # with EPIPE: no traceback, the report's own status, --json still written
+    out = tmp_path / "out.json"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "smoothsimplex.cli", "verify-axiom1",
+             "--p", "1", "--grid", "6", "--format", fmt, "--json", str(out)],
+            stdout=w, stderr=subprocess.PIPE, env=_subprocess_env())
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(out.read_text(encoding="utf-8"))["command"] == "verify-axiom1"
+
+
 def test_json_files_are_utf8_under_any_locale(tmp_path):
     # RFC 8259 JSON is UTF-8: a non-ASCII character, here in a member the
     # reader ignores, is read under an ASCII locale with UTF-8 mode off

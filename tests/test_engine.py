@@ -110,9 +110,7 @@ def test_constructed_lifts_verify():
     f.validate()
     checked = 0
     for prob in iter_lifting_problems(f, GeneratingSet("J", 2)):
-        lifts = prob.lifts(limit=1)
-        every = [m.assignment for m in prob.lifts(limit=None)]
-        assert [m.assignment for m in prob.lifts(limit=2)] == every[:2]
+        lifts = prob.lifts()
         if not lifts:
             continue
         lift = lifts[0]
@@ -377,7 +375,7 @@ def test_square_kernel_matches_product_of_images(target):
             lifts = [a for a in product_maps(s.generator.incl.target, X,
                                              pins_of(s.generator, s.top.assignment))
                      if all(f(img) == bottom[c] for c, img in a.items())]
-            assert [m.assignment for m in s.lifts(None)] == lifts
+            assert [m.assignment for m in s.lifts()] == lifts
             assert s.has_lift() == bool(lifts)
 
 
@@ -394,7 +392,7 @@ def test_square_kernel_checks_the_pinned_cells():
         SimplicialMap(D1, D1, {v0.id: (EMPTY, v1), v1.id: (EMPTY, v1),
                                edge.id: (EMPTY, edge)}),
         SimplicialMap.identity(D1))
-    assert square.lifts(None) == [] and not square.has_lift()
+    assert square.lifts() == [] and not square.has_lift()
 
     # top sends vertex 1 of Λ[2,1] to vertex 0, not to a face of its edges
     J21 = [g for g in GeneratingSet("J", 2).generators() if g.name == "J(2,1)"][0]
@@ -407,7 +405,7 @@ def test_square_kernel_checks_the_pinned_cells():
         bottom.setdefault(r.id, (EMPTY, r))
     square = LiftingProblem(J21, SimplicialMap(H, D2, top),
                             SimplicialMap(D2, D2, bottom), SimplicialMap.identity(D2))
-    assert square.lifts(None) == [] and not square.has_lift()
+    assert square.lifts() == [] and not square.has_lift()
 
 
 def test_hand_built_square_with_a_non_map_bottom_has_no_lift():
@@ -426,10 +424,10 @@ def test_hand_built_square_with_a_non_map_bottom_has_no_lift():
     ident = SimplicialMap.identity(D1)
     for bottom, f in ((bad, ident), (ident, bad)):
         square = LiftingProblem(J10, top, bottom, f)
-        assert square.lifts(None) == [] and not square.has_lift()
+        assert square.lifts() == [] and not square.has_lift()
     # with maps for both (every cell to its own cell) the same square lifts
     square = LiftingProblem(J10, top, ident, ident)
-    assert len(square.lifts(None)) == 1 and square.has_lift()
+    assert len(square.lifts()) == 1 and square.has_lift()
 
 
 def test_hand_built_square_that_does_not_fit_its_generator_has_no_lift():
@@ -445,7 +443,7 @@ def test_hand_built_square_that_does_not_fit_its_generator_has_no_lift():
                                            for r in other.nondegenerate()})
     for top, bottom in ((ident, ident), (horn_top, into_other)):
         square = LiftingProblem(J10, top, bottom, ident)
-        assert square.lifts(None) == [] and not square.has_lift()
+        assert square.lifts() == [] and not square.has_lift()
 
 
 def test_replaced_square_checks_its_fit_again():
@@ -458,11 +456,11 @@ def test_replaced_square_checks_its_fit_again():
     assert s.generator.name == "J(1,0)" and s.has_lift()
     moved = replace(s, bottom=other.bottom)
     assert moved.over is None
-    assert moved.lifts(None) == [] and not moved.has_lift()
+    assert moved.lifts() == [] and not moved.has_lift()
     back = replace(moved, bottom=s.bottom)
     assert back.over == s.over == s.bottom.assignment[s.generator.top]
-    assert [m.assignment for m in back.lifts(None)] == \
-        [m.assignment for m in s.lifts(None)]
+    assert [m.assignment for m in back.lifts()] == \
+        [m.assignment for m in s.lifts()]
     assert back.has_lift()
 
 
@@ -507,11 +505,11 @@ def test_squares_match_brute_force(name):
             bottom = s.bottom.assignment
             want = [a for a in every[s.generator.name] if a.items() >= pinned
                     and all(f(img) == bottom[c] for c, img in a.items())]
-            assert [m.assignment for m in s.lifts(None)] == want
+            assert [m.assignment for m in s.lifts()] == want
             assert s.has_lift() == bool(want)
             by_hand = LiftingProblem(s.generator, s.top, s.bottom, f)
             assert by_hand.over == s.over == bottom[s.generator.top]
-            assert [m.assignment for m in by_hand.lifts(None)] == want
+            assert [m.assignment for m in by_hand.lifts()] == want
             assert by_hand.has_lift() == bool(want)
 
 

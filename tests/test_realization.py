@@ -232,6 +232,11 @@ def test_witness_none_for_standard_simplex():
         assert witness_not_single_generated(standard_simplicial_set(p)) is None
 
 
+def test_witness_none_for_the_empty_complex():
+    # no maximal simplex, so no pair of them
+    assert witness_not_single_generated(FiniteSimplicialSet("e")) is None
+
+
 def test_witness_boundary_2_deterministic():
     B, _ = boundary_complex(2)
     w1 = witness_not_single_generated(B)

@@ -263,6 +263,16 @@ def test_boundary_and_horn_counts():
     assert edge_labels == [(0, 1), (0, 2)]
 
 
+def test_boundary_of_a_point_is_the_empty_complex():
+    B, incl = boundary_complex(0)
+    assert B.name == "Boundary[0]" and B.labels == {}
+    assert B.counts() == [] and B.to_json_dict() == {"dims": [], "faces": {}}
+    assert incl.source is B and incl.assignment == {}
+    assert incl.target.to_json_dict() == standard_simplicial_set(0).to_json_dict()
+    incl.validate()
+    assert FiniteSimplicialSet("e").counts() == []
+
+
 def test_horn_3_1_counts_against_oracle():
     H, _ = horn_complex(3, 1)
     assert H.counts() == oracle_horn_counts(3, 1)
